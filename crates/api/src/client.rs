@@ -20,7 +20,7 @@
 //! `hyperbench_client_retry_giveups_total`).
 
 use std::hash::{BuildHasher, Hasher};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -33,6 +33,7 @@ use crate::dto::{
     WriteReceipt, WriteRequest,
 };
 use crate::error::ApiError;
+use crate::http::{encode_request, ResponseReader};
 use crate::json::Json;
 
 /// Why a client call failed.
@@ -305,48 +306,30 @@ impl Client {
         let mut stream = TcpStream::connect_timeout(&self.addr, self.connect_timeout)?;
         stream.set_read_timeout(Some(self.read_timeout))?;
         stream.set_write_timeout(Some(self.read_timeout))?;
-        let mut req =
-            format!("{method} {path} HTTP/1.1\r\nHost: hyperbench\r\nConnection: close\r\n");
-        if let Some(body) = body {
-            req.push_str(&format!(
-                "Content-Type: application/json\r\nContent-Length: {}\r\n\r\n{body}",
-                body.len()
-            ));
-        } else {
-            req.push_str("\r\n");
-        }
-        stream.write_all(req.as_bytes())?;
-        let mut response = String::new();
-        stream.read_to_string(&mut response)?;
-        if response.is_empty() {
-            // The peer closed without answering — a transport failure
-            // (and thus retryable), not a malformed response.
-            return Err(ClientError::Io(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "connection closed before a response",
-            )));
-        }
-        let status: u16 = response
-            .split(' ')
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| decode_err(format!("bad status line in {response:?}")))?;
-        let (head, body) = response
-            .split_once("\r\n\r\n")
-            .map(|(h, b)| (h.to_string(), b.to_string()))
-            .unwrap_or((response, String::new()));
-        let retry_after = head.lines().find_map(|line| {
-            let (name, value) = line.split_once(':')?;
-            if name.eq_ignore_ascii_case("retry-after") {
-                value.trim().parse().ok()
-            } else {
-                None
-            }
-        });
+        let headers: &[(&str, &str)] = match body {
+            Some(_) => &[
+                ("connection", "close"),
+                ("content-type", "application/json"),
+            ],
+            None => &[("connection", "close")],
+        };
+        let body = body.unwrap_or_default().as_bytes();
+        stream.write_all(&encode_request(method, path, "hyperbench", headers, body))?;
+        // A peer that closes before or inside its answer surfaces as
+        // `Io(UnexpectedEof)` — a transport failure, and thus retryable;
+        // an answer that arrives but breaks the protocol or the caps
+        // does not get better by asking again.
+        let response = ResponseReader::new(&mut stream)
+            .read_response()
+            .map_err(|e| match e.kind() {
+                std::io::ErrorKind::InvalidData => decode_err(e),
+                _ => ClientError::Io(e),
+            })?;
         Ok(RawResponse {
-            status,
-            body,
-            retry_after,
+            status: response.status,
+            retry_after: response.retry_after().map(u64::from),
+            body: String::from_utf8(response.body)
+                .map_err(|_| decode_err("response body is not UTF-8"))?,
         })
     }
 
@@ -433,9 +416,10 @@ impl Client {
         crate::dto::StatsDto::from_json(&j).map_err(decode_err)
     }
 
-    /// `GET /metrics` — the raw Prometheus text exposition.
-    pub fn metrics_text(&self) -> Result<String, ClientError> {
-        let (status, body) = self.request("GET", "/metrics", None)?;
+    /// `GET path` for a plain-text payload, mapping non-2xx answers to
+    /// [`ClientError::Api`].
+    fn text(&self, path: &str) -> Result<String, ClientError> {
+        let (status, body) = self.request("GET", path, None)?;
         if status >= 400 {
             let error = Json::parse(&body)
                 .map(|j| ApiError::from_json(&j))
@@ -443,6 +427,11 @@ impl Client {
             return Err(ClientError::Api { status, error });
         }
         Ok(body)
+    }
+
+    /// `GET /metrics` — the raw Prometheus text exposition.
+    pub fn metrics_text(&self) -> Result<String, ClientError> {
+        self.text("/metrics")
     }
 
     /// `GET /v1/hypergraphs` — one page of summaries.
@@ -482,14 +471,7 @@ impl Client {
 
     /// `GET /v1/hypergraphs/{id}/hg` — the raw DetKDecomp document.
     pub fn raw_hg(&self, id: usize) -> Result<String, ClientError> {
-        let (status, body) = self.request("GET", &format!("/v1/hypergraphs/{id}/hg"), None)?;
-        if status >= 400 {
-            let error = Json::parse(&body)
-                .map(|j| ApiError::from_json(&j))
-                .unwrap_or_else(|_| ApiError::new(crate::error::ErrorCode::Internal, body));
-            return Err(ClientError::Api { status, error });
-        }
-        Ok(body)
+        self.text(&format!("/v1/hypergraphs/{id}/hg"))
     }
 
     /// `POST /v1/hypergraphs` — store a hypergraph. Idempotent by

@@ -12,6 +12,8 @@
 //! Clients must treat tokens as opaque; the encoding may change between
 //! API versions.
 
+use crate::hash::fnv1a32;
+
 /// A decoded pagination cursor: resume strictly after this entry id,
 /// optionally pinned to the MVCC snapshot the first page was served
 /// from (so a multi-page walk over a writable repository sees one
@@ -46,13 +48,34 @@ impl std::fmt::Display for CursorError {
 
 impl std::error::Error for CursorError {}
 
-fn fnv1a(bytes: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for &b in bytes {
-        h ^= b as u32;
-        h = h.wrapping_mul(0x0100_0193);
+/// The token form of an ASCII payload: its bytes in hex, then the
+/// payload's FNV-1a 32 checksum as eight more hex digits.
+fn seal(payload: &str) -> String {
+    let mut out = String::with_capacity(payload.len() * 2 + 8);
+    for b in payload.bytes() {
+        out.push_str(&format!("{b:02x}"));
     }
-    h
+    out.push_str(&format!("{:08x}", fnv1a32(payload.as_bytes())));
+    out
+}
+
+/// Recovers and verifies the payload of a [`seal`]ed token.
+fn unseal(token: &str) -> Result<String, CursorError> {
+    let token = token.trim();
+    if token.len() < 8 + 2 || !token.len().is_multiple_of(2) {
+        return Err(CursorError::Malformed);
+    }
+    let (hex, check) = token.split_at(token.len() - 8);
+    let mut payload = Vec::with_capacity(hex.len() / 2);
+    for i in (0..hex.len()).step_by(2) {
+        let byte = u8::from_str_radix(&hex[i..i + 2], 16).map_err(|_| CursorError::Malformed)?;
+        payload.push(byte);
+    }
+    let expected = u32::from_str_radix(check, 16).map_err(|_| CursorError::Malformed)?;
+    if fnv1a32(&payload) != expected {
+        return Err(CursorError::Malformed);
+    }
+    String::from_utf8(payload).map_err(|_| CursorError::Malformed)
 }
 
 impl PageCursor {
@@ -66,36 +89,15 @@ impl PageCursor {
 
     /// Encodes into an opaque token.
     pub fn encode(&self) -> String {
-        let payload = match self.snapshot {
-            Some(seq) => format!("v1:{}:{seq}", self.after_id),
-            None => format!("v1:{}", self.after_id),
-        };
-        let mut out = String::with_capacity(payload.len() * 2 + 8);
-        for b in payload.bytes() {
-            out.push_str(&format!("{b:02x}"));
+        match self.snapshot {
+            Some(seq) => seal(&format!("v1:{}:{seq}", self.after_id)),
+            None => seal(&format!("v1:{}", self.after_id)),
         }
-        out.push_str(&format!("{:08x}", fnv1a(payload.as_bytes())));
-        out
     }
 
     /// Decodes and verifies a token produced by [`PageCursor::encode`].
     pub fn decode(token: &str) -> Result<PageCursor, CursorError> {
-        let token = token.trim();
-        if token.len() < 8 + 2 || !token.len().is_multiple_of(2) {
-            return Err(CursorError::Malformed);
-        }
-        let (hex, check) = token.split_at(token.len() - 8);
-        let mut payload = Vec::with_capacity(hex.len() / 2);
-        for i in (0..hex.len()).step_by(2) {
-            let byte =
-                u8::from_str_radix(&hex[i..i + 2], 16).map_err(|_| CursorError::Malformed)?;
-            payload.push(byte);
-        }
-        let expected = u32::from_str_radix(check, 16).map_err(|_| CursorError::Malformed)?;
-        if fnv1a(&payload) != expected {
-            return Err(CursorError::Malformed);
-        }
-        let payload = String::from_utf8(payload).map_err(|_| CursorError::Malformed)?;
+        let payload = unseal(token)?;
         let Some(rest) = payload.strip_prefix("v1:") else {
             let version = payload.split(':').next().unwrap_or("").to_string();
             return Err(CursorError::UnknownVersion(version));
@@ -157,33 +159,12 @@ impl ScatterCursor {
                 ShardSlot::Done => "x".to_string(),
             })
             .collect();
-        let payload = format!("r1:{}", tokens.join(","));
-        let mut out = String::with_capacity(payload.len() * 2 + 8);
-        for b in payload.bytes() {
-            out.push_str(&format!("{b:02x}"));
-        }
-        out.push_str(&format!("{:08x}", fnv1a(payload.as_bytes())));
-        out
+        seal(&format!("r1:{}", tokens.join(",")))
     }
 
     /// Decodes and verifies a token produced by [`ScatterCursor::encode`].
     pub fn decode(token: &str) -> Result<ScatterCursor, CursorError> {
-        let token = token.trim();
-        if token.len() < 8 + 2 || !token.len().is_multiple_of(2) {
-            return Err(CursorError::Malformed);
-        }
-        let (hex, check) = token.split_at(token.len() - 8);
-        let mut payload = Vec::with_capacity(hex.len() / 2);
-        for i in (0..hex.len()).step_by(2) {
-            let byte =
-                u8::from_str_radix(&hex[i..i + 2], 16).map_err(|_| CursorError::Malformed)?;
-            payload.push(byte);
-        }
-        let expected = u32::from_str_radix(check, 16).map_err(|_| CursorError::Malformed)?;
-        if fnv1a(&payload) != expected {
-            return Err(CursorError::Malformed);
-        }
-        let payload = String::from_utf8(payload).map_err(|_| CursorError::Malformed)?;
+        let payload = unseal(token)?;
         let Some(rest) = payload.strip_prefix("r1:") else {
             let version = payload.split(':').next().unwrap_or("").to_string();
             return Err(CursorError::UnknownVersion(version));
@@ -272,15 +253,8 @@ mod tests {
 
     #[test]
     fn future_versions_are_flagged() {
-        // Build a checksummed token with a v9 payload by hand.
-        let payload = "v9:1";
-        let mut token = String::new();
-        for b in payload.bytes() {
-            token.push_str(&format!("{b:02x}"));
-        }
-        token.push_str(&format!("{:08x}", super::fnv1a(payload.as_bytes())));
         assert_eq!(
-            PageCursor::decode(&token),
+            PageCursor::decode(&seal("v9:1")),
             Err(CursorError::UnknownVersion("v9".to_string()))
         );
     }

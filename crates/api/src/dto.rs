@@ -240,25 +240,6 @@ impl EntrySummary {
         ])
     }
 
-    /// Encodes to the PR-1 legacy shape: `hw_upper`/`hw_lower` appear
-    /// only on analyzed entries.
-    pub fn to_legacy_json(&self) -> Json {
-        let mut fields = vec![
-            (schema::ID.to_string(), Json::int(self.id)),
-            (schema::COLLECTION.to_string(), Json::str(&self.collection)),
-            (schema::CLASS.to_string(), Json::str(&self.class)),
-            (schema::VERTICES.to_string(), Json::int(self.vertices)),
-            (schema::EDGES.to_string(), Json::int(self.edges)),
-            (schema::ARITY.to_string(), Json::int(self.arity)),
-            (schema::ANALYZED.to_string(), Json::Bool(self.analyzed)),
-        ];
-        if self.analyzed {
-            fields.push((schema::HW_UPPER.to_string(), opt_int_json(self.hw_upper)));
-            fields.push((schema::HW_LOWER.to_string(), opt_int_json(self.hw_lower)));
-        }
-        Json::Obj(fields)
-    }
-
     /// Decodes the `/v1` shape.
     pub fn from_json(j: &Json) -> Result<EntrySummary, DecodeError> {
         Ok(EntrySummary {
@@ -769,8 +750,7 @@ pub struct AnalysisReport {
 }
 
 impl AnalysisReport {
-    /// Encodes to the wire shape (identical to the PR-1 `result`
-    /// payload, so the legacy adapter reuses it verbatim).
+    /// Encodes to the wire shape.
     pub fn to_json(&self) -> Json {
         Json::obj([
             (
@@ -1328,7 +1308,7 @@ pub struct CacheStatsDto {
 }
 
 impl CacheStatsDto {
-    /// Encodes into the `cache` section (legacy keys first, the
+    /// Encodes into the `cache` section (the LRU's own keys first, the
     /// process-wide telemetry counters appended).
     pub fn to_json(&self) -> Json {
         Json::obj([
@@ -1673,7 +1653,7 @@ mod tests {
     }
 
     #[test]
-    fn entry_summary_v1_and_legacy_shapes() {
+    fn entry_summary_always_carries_its_bounds() {
         let analyzed = EntrySummary {
             id: 3,
             collection: "TPC-H".to_string(),
@@ -1688,21 +1668,15 @@ mod tests {
         let v1 = analyzed.to_json();
         assert_eq!(v1.get("hw_upper"), Some(&Json::Null));
         assert_eq!(EntrySummary::from_json(&v1), Ok(analyzed.clone()));
-        // Legacy: hw fields present because analyzed.
-        let legacy = analyzed.to_legacy_json();
-        assert!(legacy.get("hw_lower").is_some());
-        // Unanalyzed legacy rows omit the hw fields entirely.
+        // Unanalyzed rows carry the bounds too, as null.
         let bare = EntrySummary {
             analyzed: false,
             hw_upper: None,
             hw_lower: None,
             ..analyzed
         };
-        let legacy = bare.to_legacy_json();
-        assert_eq!(legacy.get("hw_upper"), None);
-        assert_eq!(legacy.get("hw_lower"), None);
-        // …while the v1 shape always carries them as null.
         assert_eq!(bare.to_json().get("hw_upper"), Some(&Json::Null));
+        assert_eq!(bare.to_json().get("hw_lower"), Some(&Json::Null));
     }
 
     #[test]
@@ -1839,7 +1813,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_roundtrip_preserves_legacy_shape() {
+    fn stats_roundtrip_preserves_section_shape() {
         let stats = StatsDto {
             repository: RepoStatsDto {
                 entries: 12,
@@ -1893,8 +1867,8 @@ mod tests {
         let wire = stats.to_json().to_string();
         let back = StatsDto::from_json(&Json::parse(&wire).unwrap()).unwrap();
         assert_eq!(back, stats);
-        // The PR-1 shape is preserved: same sections, same legacy keys,
-        // by_class still a name->count object.
+        // Sections and keys are version-stable; by_class is a
+        // name->count object.
         let j = Json::parse(&wire).unwrap();
         let repo = j.get(schema::REPOSITORY).unwrap();
         assert_eq!(repo.get("entries").and_then(Json::as_int), Some(12));

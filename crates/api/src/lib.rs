@@ -14,6 +14,8 @@
 //! * [`cursor`]: opaque keyset pagination cursors,
 //! * [`error`]: structured [`ApiError`]s with stable machine-readable
 //!   codes,
+//! * [`http`]: the client side of HTTP/1.1 — the one request writer and
+//!   the one blocking response reader every caller shares,
 //! * [`client`]: a native `std::net` client
 //!   ([`Client`]) speaking the `/v1` routes.
 //!
@@ -32,6 +34,7 @@ pub mod client;
 pub mod cursor;
 pub mod dto;
 pub mod error;
+pub mod http;
 pub mod json;
 pub mod schema;
 
@@ -44,4 +47,6 @@ pub use dto::{
     RepoStatsDto, StatsDto, TelemetryDto, WriteOutcome, WriteReceipt, WriteRequest,
 };
 pub use error::{ApiError, ErrorCode};
+/// FNV-1a (cursor checksums here, shard placement in the router).
+pub use hyperbench_core::hash;
 pub use json::Json;

@@ -12,12 +12,10 @@
 //! JSON line, and the bench scrapes `/metrics` over the wire the way
 //! an operator's Prometheus would.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::net::SocketAddr;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use hyperbench_bench::TelemetryBaseline;
+use hyperbench_bench::{connect, TelemetryBaseline};
 use hyperbench_core::builder::hypergraph_from_edges;
 use hyperbench_repo::Repository;
 use hyperbench_server::{Server, ServerConfig, ShutdownHandle};
@@ -64,51 +62,6 @@ fn start() -> (std::thread::JoinHandle<()>, SocketAddr, ShutdownHandle) {
 
 const REQUEST_KEEP_ALIVE: &[u8] = b"GET /v1/hypergraphs/3 HTTP/1.1\r\nHost: bench\r\n\r\n";
 
-fn connect(addr: SocketAddr) -> TcpStream {
-    let stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    stream.set_nodelay(true).unwrap();
-    stream
-}
-
-/// One keep-alive request/response exchange on an open connection,
-/// reading in chunks through a reusable buffer (a response is fully
-/// framed by `Content-Length`, and without pipelined requests nothing
-/// trails it, so the buffer is consumed whole each exchange).
-fn exchange_keep_alive(stream: &mut TcpStream, buf: &mut Vec<u8>) {
-    stream.write_all(REQUEST_KEEP_ALIVE).expect("send");
-    buf.clear();
-    let mut scratch = [0u8; 4096];
-    let (head_end, total) = loop {
-        if let Some(pos) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-            let head_end = pos + 4;
-            let head_text = std::str::from_utf8(&buf[..head_end]).expect("UTF-8 head");
-            assert!(
-                head_text.starts_with("HTTP/1.1 200"),
-                "bad status: {head_text}"
-            );
-            let len: usize = head_text
-                .lines()
-                .find_map(|l| l.strip_prefix("Content-Length: "))
-                .and_then(|v| v.trim().parse().ok())
-                .expect("Content-Length");
-            break (head_end, head_end + len);
-        }
-        let n = stream.read(&mut scratch).expect("read head");
-        assert!(n > 0, "connection closed mid-response");
-        buf.extend_from_slice(&scratch[..n]);
-    };
-    while buf.len() < total {
-        let n = stream.read(&mut scratch).expect("read body");
-        assert!(n > 0, "connection closed mid-body");
-        buf.extend_from_slice(&scratch[..n]);
-    }
-    assert_eq!(buf.len(), total, "unexpected trailing bytes");
-    let _ = head_end;
-}
-
 /// One measured round: `CLIENTS` threads, each holding a keep-alive
 /// connection and issuing `REQUESTS_PER_CLIENT` reads.
 fn round(addr: SocketAddr) -> usize {
@@ -116,10 +69,13 @@ fn round(addr: SocketAddr) -> usize {
         let mut handles = Vec::with_capacity(CLIENTS);
         for _ in 0..CLIENTS {
             handles.push(scope.spawn(move || {
-                let mut stream = connect(addr);
-                let mut buf = Vec::with_capacity(4096);
+                let mut conn = connect(addr);
                 for _ in 0..REQUESTS_PER_CLIENT {
-                    exchange_keep_alive(&mut stream, &mut buf);
+                    let response = conn.exchange(REQUEST_KEEP_ALIVE).expect("exchange");
+                    assert_eq!(response.status, 200, "{}", response.text());
+                    // Nothing is pipelined, so nothing may trail the
+                    // framed response.
+                    assert!(conn.is_drained(), "unexpected trailing bytes");
                 }
                 REQUESTS_PER_CLIENT
             }));
@@ -133,14 +89,11 @@ fn round(addr: SocketAddr) -> usize {
 /// the exposition carries the serving-path counters the bench just
 /// drove.
 fn scrape_metrics(addr: SocketAddr) {
-    let mut stream = connect(addr);
-    stream
-        .write_all(b"GET /metrics HTTP/1.1\r\nHost: bench\r\nConnection: close\r\n\r\n")
-        .expect("send scrape");
-    let mut out = Vec::with_capacity(8192);
-    stream.read_to_end(&mut out).expect("read scrape");
-    let text = String::from_utf8(out).expect("UTF-8 exposition");
-    assert!(text.starts_with("HTTP/1.1 200"), "scrape failed: {text}");
+    let scrape = connect(addr)
+        .exchange(b"GET /metrics HTTP/1.1\r\nHost: bench\r\nConnection: close\r\n\r\n")
+        .expect("scrape");
+    let text = scrape.text();
+    assert_eq!(scrape.status, 200, "scrape failed: {text}");
     assert!(
         text.contains("hyperbench_http_requests_total")
             && text.contains("hyperbench_http_handle_us_count"),

@@ -13,14 +13,12 @@
 //! exactly zero while the detail variant's is not — the executor's
 //! meta-only contract, measured rather than promised.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::time::Duration;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use hyperbench_api::QueryRequest;
-use hyperbench_bench::{benchmark_slice, TelemetryBaseline};
+use hyperbench_bench::{benchmark_slice, connect, TelemetryBaseline};
 use hyperbench_repo::Repository;
 use hyperbench_server::{Server, ServerConfig, ShutdownHandle};
 
@@ -74,47 +72,6 @@ fn start_packed() -> (
     (join, addr, shutdown, dir, entries)
 }
 
-fn connect(addr: SocketAddr) -> TcpStream {
-    let stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    stream.set_nodelay(true).unwrap();
-    stream
-}
-
-/// One keep-alive exchange; returns the response status.
-fn exchange(stream: &mut TcpStream, request: &[u8], buf: &mut Vec<u8>) -> u16 {
-    stream.write_all(request).expect("send");
-    buf.clear();
-    let mut scratch = [0u8; 4096];
-    let (head_end, total) = loop {
-        if let Some(pos) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-            let head_end = pos + 4;
-            let head_text = std::str::from_utf8(&buf[..head_end]).expect("UTF-8 head");
-            let len: usize = head_text
-                .lines()
-                .find_map(|l| l.strip_prefix("Content-Length: "))
-                .and_then(|v| v.trim().parse().ok())
-                .expect("Content-Length");
-            break (head_end, head_end + len);
-        }
-        let n = stream.read(&mut scratch).expect("read head");
-        assert!(n > 0, "connection closed mid-response");
-        buf.extend_from_slice(&scratch[..n]);
-    };
-    while buf.len() < total {
-        let n = stream.read(&mut scratch).expect("read body");
-        assert!(n > 0, "connection closed mid-body");
-        buf.extend_from_slice(&scratch[..n]);
-    }
-    std::str::from_utf8(&buf[..head_end])
-        .ok()
-        .and_then(|h| h.split(' ').nth(1))
-        .and_then(|s| s.parse().ok())
-        .expect("status code")
-}
-
 fn query_request(query: &str) -> Vec<u8> {
     let body = QueryRequest::new(query).to_json().to_string();
     format!(
@@ -135,21 +92,16 @@ fn query_round(addr: SocketAddr) -> usize {
         let mut handles = Vec::with_capacity(CONNS);
         for c in 0..CONNS {
             handles.push(scope.spawn(move || {
-                let mut stream = connect(addr);
-                let mut buf = Vec::with_capacity(8192);
+                let mut conn = connect(addr);
                 for i in 0..REQUESTS_PER_CONN {
                     let text = if (c + i) % 2 == 0 {
                         ROW_QUERY
                     } else {
                         AGG_QUERY
                     };
-                    let status = exchange(&mut stream, &query_request(text), &mut buf);
-                    assert_eq!(
-                        status,
-                        200,
-                        "query failed: {}",
-                        String::from_utf8_lossy(&buf)
-                    );
+                    let response = conn.exchange(&query_request(text)).expect("exchange");
+                    let status = response.status;
+                    assert_eq!(status, 200, "query failed: {}", response.text());
                 }
                 REQUESTS_PER_CONN
             }));
@@ -165,11 +117,11 @@ fn detail_round(addr: SocketAddr, entries: usize) -> usize {
         let mut handles = Vec::with_capacity(CONNS);
         for c in 0..CONNS {
             handles.push(scope.spawn(move || {
-                let mut stream = connect(addr);
-                let mut buf = Vec::with_capacity(8192);
+                let mut conn = connect(addr);
                 for i in 0..REQUESTS_PER_CONN {
                     let id = (c * REQUESTS_PER_CONN + i) % entries;
-                    let status = exchange(&mut stream, &detail_request(id), &mut buf);
+                    let response = conn.exchange(&detail_request(id)).expect("exchange");
+                    let status = response.status;
                     assert_eq!(status, 200);
                 }
                 REQUESTS_PER_CONN

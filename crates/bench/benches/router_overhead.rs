@@ -18,15 +18,14 @@
 //! within a few probe intervals. Both numbers ride to
 //! `BENCH_PR10.json` as a custom line.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use hyperbench_api::{Client, Json, RetryPolicy};
-use hyperbench_bench::{benchmark_slice, TelemetryBaseline};
+use hyperbench_bench::{benchmark_slice, connect, TelemetryBaseline};
 use hyperbench_repo::Repository;
 use hyperbench_router::{RouterOptions, ShardMap};
 use hyperbench_server::reactor::ReactorOptions;
@@ -108,47 +107,6 @@ fn start_router(lines: &str) -> (SocketAddr, Arc<AtomicBool>) {
     (addr, shutdown)
 }
 
-fn connect(addr: SocketAddr) -> TcpStream {
-    let stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    stream.set_nodelay(true).unwrap();
-    stream
-}
-
-/// One keep-alive exchange; returns the response status.
-fn exchange(stream: &mut TcpStream, request: &[u8], buf: &mut Vec<u8>) -> u16 {
-    stream.write_all(request).expect("send");
-    buf.clear();
-    let mut scratch = [0u8; 4096];
-    let (head_end, total) = loop {
-        if let Some(pos) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-            let head_end = pos + 4;
-            let head_text = std::str::from_utf8(&buf[..head_end]).expect("UTF-8 head");
-            let len: usize = head_text
-                .lines()
-                .find_map(|l| l.strip_prefix("Content-Length: "))
-                .and_then(|v| v.trim().parse().ok())
-                .expect("Content-Length");
-            break (head_end, head_end + len);
-        }
-        let n = stream.read(&mut scratch).expect("read head");
-        assert!(n > 0, "connection closed mid-response");
-        buf.extend_from_slice(&scratch[..n]);
-    };
-    while buf.len() < total {
-        let n = stream.read(&mut scratch).expect("read body");
-        assert!(n > 0, "connection closed mid-body");
-        buf.extend_from_slice(&scratch[..n]);
-    }
-    std::str::from_utf8(&buf[..head_end])
-        .ok()
-        .and_then(|h| h.split(' ').nth(1))
-        .and_then(|s| s.parse().ok())
-        .expect("status code")
-}
-
 fn read_request(path: &str) -> Vec<u8> {
     format!("GET {path} HTTP/1.1\r\nHost: bench\r\n\r\n").into_bytes()
 }
@@ -161,11 +119,11 @@ fn read_round(addr: SocketAddr, path: &str) -> usize {
         for _ in 0..READERS {
             let request = request.clone();
             handles.push(scope.spawn(move || {
-                let mut stream = connect(addr);
-                let mut buf = Vec::with_capacity(4096);
+                let mut conn = connect(addr);
                 for _ in 0..READS_PER_CONN {
-                    let status = exchange(&mut stream, &request, &mut buf);
-                    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&buf));
+                    let response = conn.exchange(&request).expect("exchange");
+                    let status = response.status;
+                    assert_eq!(status, 200, "{}", response.text());
                 }
                 READS_PER_CONN
             }));
@@ -188,18 +146,23 @@ fn interleaved_latencies(
 ) -> (Vec<u64>, Vec<u64>) {
     let direct_request = read_request(direct_path);
     let routed_request = read_request(routed_path);
-    let mut direct_stream = connect(shard);
-    let mut routed_stream = connect(router);
-    let mut buf = Vec::with_capacity(4096);
+    let mut direct_conn = connect(shard);
+    let mut routed_conn = connect(router);
     let mut direct = Vec::with_capacity(n);
     let mut routed = Vec::with_capacity(n);
     for _ in 0..n {
         let t = Instant::now();
-        let status = exchange(&mut direct_stream, &direct_request, &mut buf);
+        let status = direct_conn
+            .exchange(&direct_request)
+            .expect("exchange")
+            .status;
         direct.push(t.elapsed().as_nanos() as u64);
         assert_eq!(status, 200, "direct reads must keep answering");
         let t = Instant::now();
-        let status = exchange(&mut routed_stream, &routed_request, &mut buf);
+        let status = routed_conn
+            .exchange(&routed_request)
+            .expect("exchange")
+            .status;
         routed.push(t.elapsed().as_nanos() as u64);
         assert_eq!(status, 200, "routed reads must keep answering");
     }
@@ -247,15 +210,10 @@ fn await_upstream(
     let start = Instant::now();
     let deadline = start + Duration::from_secs(10);
     loop {
-        let mut stream = connect(router);
-        stream
-            .write_all(b"GET /admin/topology HTTP/1.1\r\nHost: bench\r\nConnection: close\r\n\r\n")
-            .expect("send");
-        let mut raw = Vec::new();
-        stream.read_to_end(&mut raw).expect("read");
-        let text = String::from_utf8_lossy(&raw);
-        let body = text.split_once("\r\n\r\n").map(|(_, b)| b).unwrap_or("");
-        let topology = Json::parse(body).unwrap_or(Json::Null);
+        let answer = connect(router)
+            .exchange(b"GET /admin/topology HTTP/1.1\r\nHost: bench\r\nConnection: close\r\n\r\n")
+            .expect("topology");
+        let topology = Json::parse(&answer.text()).unwrap_or(Json::Null);
         if upstream_healthy(&topology, addr_text).is_some_and(&predicate) {
             return start.elapsed();
         }

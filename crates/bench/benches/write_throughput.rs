@@ -14,16 +14,14 @@
 //! Telemetry (`hyperbench_wal_*`, `hyperbench_mvcc_*`, serving-path
 //! counters) rides along per variant as `<variant>/telemetry` lines.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use hyperbench_api::WriteRequest;
-use hyperbench_bench::{benchmark_slice, TelemetryBaseline};
+use hyperbench_bench::{benchmark_slice, connect, TelemetryBaseline};
 use hyperbench_core::format::to_hg_unnamed;
 use hyperbench_repo::Repository;
 use hyperbench_server::{Server, ServerConfig, ShutdownHandle};
@@ -104,47 +102,6 @@ fn unique_docs(n: usize) -> Vec<String> {
         .collect()
 }
 
-fn connect(addr: SocketAddr) -> TcpStream {
-    let stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    stream.set_nodelay(true).unwrap();
-    stream
-}
-
-/// One keep-alive exchange; returns the response status.
-fn exchange(stream: &mut TcpStream, request: &[u8], buf: &mut Vec<u8>) -> u16 {
-    stream.write_all(request).expect("send");
-    buf.clear();
-    let mut scratch = [0u8; 4096];
-    let (head_end, total) = loop {
-        if let Some(pos) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-            let head_end = pos + 4;
-            let head_text = std::str::from_utf8(&buf[..head_end]).expect("UTF-8 head");
-            let len: usize = head_text
-                .lines()
-                .find_map(|l| l.strip_prefix("Content-Length: "))
-                .and_then(|v| v.trim().parse().ok())
-                .expect("Content-Length");
-            break (head_end, head_end + len);
-        }
-        let n = stream.read(&mut scratch).expect("read head");
-        assert!(n > 0, "connection closed mid-response");
-        buf.extend_from_slice(&scratch[..n]);
-    };
-    while buf.len() < total {
-        let n = stream.read(&mut scratch).expect("read body");
-        assert!(n > 0, "connection closed mid-body");
-        buf.extend_from_slice(&scratch[..n]);
-    }
-    std::str::from_utf8(&buf[..head_end])
-        .ok()
-        .and_then(|h| h.split(' ').nth(1))
-        .and_then(|s| s.parse().ok())
-        .expect("status code")
-}
-
 fn post_request(doc: &str) -> Vec<u8> {
     let body = WriteRequest::new(doc).to_json().to_string();
     format!(
@@ -159,12 +116,12 @@ const READ_REQUEST: &[u8] = b"GET /v1/hypergraphs/3 HTTP/1.1\r\nHost: bench\r\n\
 /// Measures `n` sequential keep-alive reads, returning each latency in
 /// nanoseconds.
 fn read_latencies(addr: SocketAddr, n: usize) -> Vec<u64> {
-    let mut stream = connect(addr);
-    let mut buf = Vec::with_capacity(4096);
+    let mut conn = connect(addr);
     let mut samples = Vec::with_capacity(n);
     for _ in 0..n {
         let t = std::time::Instant::now();
-        let status = exchange(&mut stream, READ_REQUEST, &mut buf);
+        let response = conn.exchange(READ_REQUEST).expect("exchange");
+        let status = response.status;
         samples.push(t.elapsed().as_nanos() as u64);
         assert_eq!(status, 200, "reads must keep answering");
     }
@@ -218,15 +175,15 @@ fn write_round(addr: SocketAddr) -> usize {
         for _ in 0..WRITERS {
             let docs = unique_docs(WRITES_PER_CONN);
             handles.push(scope.spawn(move || {
-                let mut stream = connect(addr);
-                let mut buf = Vec::with_capacity(4096);
+                let mut conn = connect(addr);
                 for doc in &docs {
-                    let status = exchange(&mut stream, &post_request(doc), &mut buf);
+                    let response = conn.exchange(&post_request(doc)).expect("exchange");
+                    let status = response.status;
                     assert_eq!(
                         status,
                         201,
                         "fresh content must commit: {}",
-                        String::from_utf8_lossy(&buf)
+                        response.text()
                     );
                 }
                 docs.len()
@@ -242,10 +199,10 @@ fn read_round(addr: SocketAddr) -> usize {
         let mut handles = Vec::with_capacity(READERS);
         for _ in 0..READERS {
             handles.push(scope.spawn(move || {
-                let mut stream = connect(addr);
-                let mut buf = Vec::with_capacity(4096);
+                let mut conn = connect(addr);
                 for _ in 0..READS_PER_CONN {
-                    let status = exchange(&mut stream, READ_REQUEST, &mut buf);
+                    let response = conn.exchange(READ_REQUEST).expect("exchange");
+                    let status = response.status;
                     assert_eq!(status, 200);
                 }
                 READS_PER_CONN
@@ -281,11 +238,11 @@ fn bench(c: &mut Criterion) {
         .map(|_| {
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
-                let mut stream = connect(addr);
-                let mut buf = Vec::with_capacity(4096);
+                let mut conn = connect(addr);
                 while !stop.load(Ordering::Relaxed) {
                     for doc in unique_docs(4) {
-                        let status = exchange(&mut stream, &post_request(&doc), &mut buf);
+                        let response = conn.exchange(&post_request(&doc)).expect("exchange");
+                        let status = response.status;
                         assert_eq!(status, 201);
                     }
                 }
@@ -319,11 +276,11 @@ fn bench(c: &mut Criterion) {
     for _ in 0..BACKGROUND_WRITERS {
         let stop = Arc::clone(&stop);
         load.push(std::thread::spawn(move || {
-            let mut stream = connect(addr);
-            let mut buf = Vec::with_capacity(4096);
+            let mut conn = connect(addr);
             while !stop.load(Ordering::Relaxed) {
                 for doc in unique_docs(4) {
-                    let status = exchange(&mut stream, &post_request(&doc), &mut buf);
+                    let response = conn.exchange(&post_request(&doc)).expect("exchange");
+                    let status = response.status;
                     assert_eq!(status, 201);
                 }
             }
@@ -334,11 +291,11 @@ fn bench(c: &mut Criterion) {
         let attempts = Arc::clone(&attempts);
         let sheds = Arc::clone(&sheds);
         load.push(std::thread::spawn(move || {
-            let mut stream = connect(addr);
-            let mut buf = Vec::with_capacity(4096);
+            let mut conn = connect(addr);
             while !stop.load(Ordering::Relaxed) {
                 for doc in unique_docs(4) {
-                    let status = exchange(&mut stream, &analyze_request(&doc), &mut buf);
+                    let response = conn.exchange(&analyze_request(&doc)).expect("exchange");
+                    let status = response.status;
                     attempts.fetch_add(1, Ordering::Relaxed);
                     match status {
                         200 | 202 => {}
@@ -347,7 +304,7 @@ fn bench(c: &mut Criterion) {
                         }
                         other => panic!(
                             "overload must shed structurally, got {other}: {}",
-                            String::from_utf8_lossy(&buf)
+                            response.text()
                         ),
                     }
                 }

@@ -2,12 +2,29 @@
 //! generated benchmark, grouped the way the paper's tables group them —
 //! plus [`TelemetryBaseline`], which dumps engine counters (memo hits,
 //! steals, queue depth, latency summaries) next to the criterion-shim
-//! timing lines so the CI perf artifacts carry cause alongside effect.
+//! timing lines so the CI perf artifacts carry cause alongside effect —
+//! and the keep-alive connection ([`connect`]) of the benches that
+//! drive a live server.
 
+use std::net::{SocketAddr, TcpStream};
+use std::time::Duration;
+
+use hyperbench_api::http::ResponseReader;
 use hyperbench_core::Hypergraph;
 use hyperbench_datagen::{generate_collection, BenchClass, Instance, TABLE1};
 use hyperbench_telemetry::metrics::MetricSnapshot;
 use hyperbench_telemetry::{HistogramSnapshot, HistogramSummary, RegistrySnapshot};
+
+/// Opens a keep-alive connection to a server under test (30 s read
+/// timeout, `TCP_NODELAY`).
+pub fn connect(addr: SocketAddr) -> ResponseReader<TcpStream> {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    stream.set_nodelay(true).expect("nodelay");
+    ResponseReader::new(stream)
+}
 
 /// A small, deterministic slice of every collection (a few instances
 /// each), used by the per-table benches.

@@ -19,6 +19,7 @@
 //! * [`subedges`]: the subedge function `f(H,k)` of Eq. 1 and its local
 //!   variant `f_u(H,k)` of Eq. 2 (§4.1–4.3),
 //! * `format`: the DetKDecomp-compatible `HG` text format,
+//! * [`hash`]: FNV-1a, the workspace's one checksum / fingerprint hash,
 //! * [`stats`]: size metrics and the bucketing used by Figure 3.
 //!
 //! ## Quick example
@@ -43,6 +44,7 @@ pub mod components;
 pub mod error;
 pub mod format;
 pub mod gyo;
+pub mod hash;
 pub mod hypergraph;
 pub mod properties;
 pub mod separators;

@@ -1,6 +1,7 @@
 //! The 14 source collections of Table 1, with their instance counts and
 //! cyclic (hw ≥ 2) counts, and the top-level benchmark generator.
 
+use hyperbench_core::hash::fnv1a64;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -115,7 +116,7 @@ fn scaled(count: usize, scale: f64) -> usize {
 
 /// Generates one collection at the given scale (`1.0` = Table-1 counts).
 pub fn generate_collection(spec: &CollectionSpec, seed: u64, scale: f64) -> Vec<Instance> {
-    let mut rng = StdRng::seed_from_u64(seed ^ fxhash(spec.name));
+    let mut rng = StdRng::seed_from_u64(seed ^ fnv1a64(spec.name.as_bytes()));
     let count = scaled(spec.count, scale);
     let cyclic = scaled_cyclic(spec, count);
     let hgs = match spec.name {
@@ -230,16 +231,6 @@ pub fn generate_benchmark(seed: u64, scale: f64) -> Vec<Instance> {
         .iter()
         .flat_map(|spec| generate_collection(spec, seed, scale))
         .collect()
-}
-
-/// A tiny stable string hash for per-collection seeding.
-fn fxhash(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 #[cfg(test)]

@@ -51,13 +51,14 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use hyperbench_core::components::{u_components_of_sets_with, ComponentScratch, SetComponents};
+use hyperbench_core::hash::Fnv1a64;
 use hyperbench_core::subedges::{global_subedges, SubedgeConfig};
 use hyperbench_core::util::CombinationsUpTo;
 use hyperbench_core::{BitSet, EdgeId, Hypergraph};
 
 use crate::budget::{Budget, Stopped, Ticker};
 use crate::detk::SearchResult;
-use crate::parallel::{Fnv, Options, ShardedMemo, WorkerCtx, FORK_MAX_DEPTH, FORK_MIN_EDGES};
+use crate::parallel::{Options, ShardedMemo, WorkerCtx, FORK_MAX_DEPTH, FORK_MIN_EDGES};
 use crate::tree::{CoverAtom, Decomposition};
 
 /// Configuration for the BalSep search.
@@ -328,7 +329,7 @@ fn canonical_key(ext: &[XEdge]) -> (u64, Vec<EdgeId>, Vec<Arc<BitSet>>) {
     }
     regs.sort_unstable();
     specials.sort_by(|a, b| a.cmp_lex(b));
-    let mut f = Fnv::default();
+    let mut f = Fnv1a64::default();
     regs.hash(&mut f);
     specials.len().hash(&mut f);
     for s in &specials {

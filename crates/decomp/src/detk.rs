@@ -35,12 +35,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use hyperbench_core::components::{u_components_with, ComponentScratch};
+use hyperbench_core::hash::Fnv1a64;
 use hyperbench_core::subedges::{local_subedges, SubedgeConfig};
 use hyperbench_core::{BitSet, EdgeId, Hypergraph, VertexId};
 
 use crate::budget::{Budget, Stopped, Ticker};
 use crate::parallel::{
-    fingerprint_ids, Fnv, Options, ShardedMemo, WorkerCtx, FORK_MAX_DEPTH, FORK_MIN_EDGES,
+    fingerprint_ids, Options, ShardedMemo, WorkerCtx, FORK_MAX_DEPTH, FORK_MIN_EDGES,
 };
 use crate::tree::{CoverAtom, Decomposition};
 
@@ -197,7 +198,7 @@ type CompConnKey = (Box<[EdgeId]>, Box<[VertexId]>);
 
 fn comp_conn_fingerprint(comp: &[EdgeId], conn: &[VertexId]) -> u64 {
     use std::hash::{Hash, Hasher};
-    let mut f = Fnv::default();
+    let mut f = Fnv1a64::default();
     comp.hash(&mut f);
     conn.hash(&mut f);
     f.finish()

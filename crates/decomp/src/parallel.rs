@@ -29,6 +29,8 @@ use std::sync::atomic::{fence, AtomicBool, AtomicIsize, AtomicPtr, AtomicUsize, 
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use hyperbench_core::hash::Fnv1a64;
+
 /// Engine options threaded from the CLI / server / harness down to the
 /// search: how many workers one `decompose` call may use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -407,36 +409,10 @@ pub fn run_pool<'env, R>(jobs: usize, root: impl FnOnce(&WorkerCtx<'_, 'env>) ->
     })
 }
 
-/// A 64-bit FNV-1a hasher, used to fingerprint subproblems. Implemented
-/// as a [`std::hash::Hasher`] so memo keys (`BitSet`s, id slices) can be
-/// fingerprinted through their ordinary `Hash` impls without allocating
-/// a canonical key first.
-#[derive(Debug, Clone)]
-pub struct Fnv(u64);
-
-impl Default for Fnv {
-    fn default() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl std::hash::Hasher for Fnv {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-}
-
 /// Fingerprints a slice of 32-bit ids (a component, a connector).
 pub fn fingerprint_ids(ids: &[u32]) -> u64 {
     use std::hash::{Hash, Hasher};
-    let mut h = Fnv::default();
+    let mut h = Fnv1a64::default();
     ids.hash(&mut h);
     h.finish()
 }

@@ -232,9 +232,7 @@ where
 {
     // A fixed base seed keeps runs reproducible; the per-case seed folds
     // in the property name so distinct properties see distinct streams.
-    let base: u64 = name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-        (h ^ b as u64).wrapping_mul(0x1000_0000_01b3)
-    });
+    let base = hyperbench_core::hash::store_fnv64(name.as_bytes());
     let mut rejected = 0u32;
     let mut ran = 0u32;
     let mut case_index = 0u64;

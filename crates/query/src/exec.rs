@@ -4,8 +4,8 @@
 //! Every catalog field resolves from [`EntryMeta`], so row pages are
 //! built straight from the scan — zero pack-page hydrations — and the
 //! keyset contract matches `Snapshot::try_select_after` exactly, which
-//! is what lets the legacy filter params desugar into this path with
-//! byte-identical responses.
+//! is what lets the `?key=value` filter params desugar into this path
+//! with byte-identical responses.
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -31,20 +31,6 @@ pub struct RowPage {
     /// Keyset continuation (`None` on the last page, and always `None`
     /// for `ORDER BY` queries, which have no cursorable id order).
     pub next_after: Option<usize>,
-}
-
-/// One offset page of entry-summary rows; the contract of
-/// `Snapshot::try_select_page`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OffsetPage {
-    /// The rows of this page.
-    pub items: Vec<EntrySummary>,
-    /// Total matches across all pages.
-    pub total: usize,
-    /// The requested offset.
-    pub offset: usize,
-    /// The requested limit.
-    pub limit: usize,
 }
 
 /// The result of an aggregate query: one JSON object per group, fields
@@ -226,37 +212,6 @@ impl Plan {
         };
         m.execute_us.observe(start.elapsed().as_micros() as u64);
         page
-    }
-
-    /// Executes a rows plan as an offset page — the frozen legacy
-    /// pagination contract of `Snapshot::try_select_page`.
-    pub fn execute_rows_offset<'a>(
-        &self,
-        metas: impl Iterator<Item = EntryMeta<'a>>,
-        offset: usize,
-        limit: usize,
-    ) -> OffsetPage {
-        let m = metrics();
-        let start = Instant::now();
-        let mut total = 0usize;
-        let mut items = Vec::new();
-        for meta in metas {
-            m.rows_scanned.inc();
-            if !self.matches(&meta) {
-                continue;
-            }
-            if total >= offset && items.len() < limit {
-                items.push(summary_of_meta(&meta));
-            }
-            total += 1;
-        }
-        m.execute_us.observe(start.elapsed().as_micros() as u64);
-        OffsetPage {
-            items,
-            total,
-            offset,
-            limit,
-        }
     }
 
     /// Executes an aggregate plan: one pass over the scan, groups

@@ -37,7 +37,7 @@ pub mod token;
 
 pub use ast::Query;
 pub use error::QueryError;
-pub use exec::{GroupRows, OffsetPage, RowPage};
+pub use exec::{GroupRows, RowPage};
 pub use parser::parse;
 pub use resolve::{resolve, Plan};
 pub use token::Span;

@@ -165,7 +165,7 @@ pub fn analyze_instance_retaining(
     }
 }
 
-/// Repository-wide aggregates — the payload of the server's `GET /stats`
+/// Repository-wide aggregates — the payload of the server's `GET /v1/stats`
 /// and the library analogue of the web tool's overview page.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RepoStats {

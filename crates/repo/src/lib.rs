@@ -356,54 +356,12 @@ impl Repository {
             .map(move |id| self.entry(id))
     }
 
-    /// One page of filtered results plus the total match count — the
-    /// repository-side contract behind `GET /hypergraphs?offset=&limit=`.
-    /// `offset` entries of the filtered sequence are skipped and at most
-    /// `limit` are returned; `total` counts *all* matches so clients can
-    /// page without a separate count query.
-    ///
-    /// # Panics
-    /// Panics when a paged backend fails to hydrate a returned entry;
-    /// [`Repository::try_select_page`] surfaces that as a [`StoreError`].
-    pub fn select_page<'a>(&'a self, filter: &Filter, offset: usize, limit: usize) -> Page<'a> {
-        self.try_select_page(filter, offset, limit)
-            .unwrap_or_else(|e| panic!("paged repository read failed: {e}"))
-    }
-
-    /// Fallible [`Repository::select_page`]: a paged backend's
-    /// hydration failure becomes a [`StoreError`] instead of a panic.
-    pub fn try_select_page<'a>(
-        &'a self,
-        filter: &Filter,
-        offset: usize,
-        limit: usize,
-    ) -> Result<Page<'a>, StoreError> {
-        let mut total = 0usize;
-        let mut ids = Vec::new();
-        for meta in self.metas() {
-            if !filter.matches_meta(&meta) {
-                continue;
-            }
-            if total >= offset && ids.len() < limit {
-                ids.push(meta.id);
-            }
-            total += 1;
-        }
-        let entries = self.hydrate_ids(&ids)?;
-        Ok(Page {
-            entries,
-            total,
-            offset,
-            limit,
-        })
-    }
-
     /// Keyset pagination: at most `limit` filtered entries with id
     /// strictly greater than `after`, in ascending id order, plus the
     /// total match count — the repository-side contract behind the
-    /// `/v1/hypergraphs` cursor paging. Unlike [`Repository::select_page`]
-    /// offsets, a keyset resume point stays stable under concurrent
-    /// appends and never re-scans skipped rows to find its start. On a
+    /// `/v1/hypergraphs` cursor paging. Unlike an offset, a keyset resume
+    /// point stays stable under concurrent appends and never re-scans
+    /// skipped rows to find its start. On a
     /// paged backend the scan runs over the pack's metadata index and
     /// only the returned page is hydrated from disk.
     ///
@@ -495,19 +453,6 @@ pub struct KeysetPage<'a> {
     pub next_after: Option<usize>,
 }
 
-/// One page of filtered repository entries (see [`Repository::select_page`]).
-#[derive(Debug)]
-pub struct Page<'a> {
-    /// The entries on this page, in repository order.
-    pub entries: Vec<&'a Entry>,
-    /// Total number of entries matching the filter (across all pages).
-    pub total: usize,
-    /// The offset this page started at.
-    pub offset: usize,
-    /// The limit the page was cut to.
-    pub limit: usize,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -549,26 +494,6 @@ mod tests {
         assert_eq!(m.arity, 2);
         assert!(m.analysis.is_none());
         assert_eq!(repo.metas().count(), 1);
-    }
-
-    #[test]
-    fn select_page_windows_and_counts() {
-        let mut repo = Repository::new();
-        for i in 0..10 {
-            let coll = if i % 2 == 0 { "SPARQL" } else { "TPC-H" };
-            repo.insert(triangle(), coll, "CQ Application");
-        }
-        let f = Filter::new().collection("SPARQL");
-        let page = repo.select_page(&f, 1, 2);
-        assert_eq!(page.total, 5);
-        assert_eq!(page.entries.len(), 2);
-        // Filtered sequence is ids 0,2,4,6,8; offset 1 starts at id 2.
-        assert_eq!(page.entries[0].id, 2);
-        assert_eq!(page.entries[1].id, 4);
-        // Offset past the end yields an empty page but the true total.
-        let empty = repo.select_page(&f, 99, 2);
-        assert_eq!(empty.total, 5);
-        assert!(empty.entries.is_empty());
     }
 
     #[test]

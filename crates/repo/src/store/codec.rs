@@ -1,7 +1,7 @@
-//! Little-endian binary codec shared by the pack and spill formats,
-//! plus the FNV-1a 64 checksum both use. Reads go through [`Reader`],
-//! which turns every out-of-range access into a named
-//! [`StoreError::Corrupt`] carrying the section name and offset —
+//! Little-endian binary codec shared by the pack, WAL and spill formats
+//! (all three checksum with `hyperbench_core::hash::store_fnv64`). Reads go
+//! through [`Reader`], which turns every out-of-range access into a
+//! named [`StoreError::Corrupt`] carrying the section name and offset —
 //! corrupt bytes can never panic a slice index.
 
 use hyperbench_core::properties::StructuralProperties;
@@ -10,18 +10,6 @@ use hyperbench_core::stats::SizeMetrics;
 use crate::analysis::AnalysisRecord;
 
 use super::StoreError;
-
-/// FNV-1a 64 over a byte slice — the checksum for pack pages, pack
-/// sections, and spill records. Fast and dependency-free; it guards
-/// against corruption, not adversaries.
-pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
 
 pub(crate) fn put_u8(buf: &mut Vec<u8>, v: u8) {
     buf.push(v);
@@ -259,11 +247,5 @@ mod tests {
         assert_eq!(back.properties.vc_dim, None);
         assert_eq!(back.hw_upper, Some(2));
         assert!(!back.hw_timed_out);
-    }
-
-    #[test]
-    fn fnv64_is_stable_and_sensitive() {
-        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_ne!(fnv64(b"abc"), fnv64(b"abd"));
     }
 }

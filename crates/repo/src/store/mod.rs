@@ -20,6 +20,7 @@
 //! (file, page, offset) — never a panic and never a silent skip.
 
 mod codec;
+mod frame;
 pub mod mvcc;
 pub mod pack;
 pub mod spill;

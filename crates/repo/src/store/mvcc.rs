@@ -48,7 +48,7 @@ use hyperbench_telemetry::{log_error, log_info};
 use crate::analysis::{aggregate_stats_from, RepoStats};
 use crate::filter::Filter;
 use crate::metrics::metrics;
-use crate::{Entry, EntryMeta, KeysetPage, Page, Repository};
+use crate::{Entry, EntryMeta, KeysetPage, Repository};
 
 use super::pack::{self, content_hash_of, DEFAULT_PAGE_SIZE};
 use super::wal::{self, WalEntry, WalRecord, WalWriter};
@@ -237,34 +237,6 @@ impl Snapshot {
             entries,
             total,
             next_after,
-        })
-    }
-
-    /// Offset pagination over this generation — same contract as
-    /// [`Repository::try_select_page`].
-    pub fn try_select_page(
-        &self,
-        filter: &Filter,
-        offset: usize,
-        limit: usize,
-    ) -> Result<Page<'_>, StoreError> {
-        let mut total = 0usize;
-        let mut ids = Vec::new();
-        for meta in self.metas() {
-            if !filter.matches_meta(&meta) {
-                continue;
-            }
-            if total >= offset && ids.len() < limit {
-                ids.push(meta.id);
-            }
-            total += 1;
-        }
-        let entries = self.hydrate_ids(&ids)?;
-        Ok(Page {
-            entries,
-            total,
-            offset,
-            limit,
         })
     }
 
@@ -1238,12 +1210,6 @@ mod tests {
             .unwrap();
         assert_eq!(swapped.total, 1);
         assert_eq!(swapped.entries[0].id, 2);
-        // Offset paging agrees with the same merged scan.
-        let legacy = snap.try_select_page(&Filter::new(), 1, 2).unwrap();
-        assert_eq!(
-            legacy.entries.iter().map(|e| e.id).collect::<Vec<_>>(),
-            vec![2, 3]
-        );
         // Stats aggregate the merged view.
         assert_eq!(snap.stats().entries, 4);
         std::fs::remove_dir_all(&dir).unwrap();

@@ -4,11 +4,12 @@
 //! so a restarted server reloads its LRU warm instead of re-running
 //! every decomposition search.
 //!
-//! Each record is framed `[u32 payload length][payload][u64 FNV-1a 64
-//! of the payload]` and appended with a single write, so the only
-//! damage a crash can leave is a *torn tail*: a final record whose
-//! frame is incomplete. [`read_all`] reports that as the named
-//! [`StoreError::SpillTornTail`]; [`recover`] returns the valid prefix
+//! Each record is framed `[u32 payload length][payload][u64 checksum of
+//! the payload]` (the frame of `store/frame.rs`, shared with the
+//! [`super::wal`]) and appended with a single write, so the only damage
+//! a crash can leave is a *torn tail*: a final record whose frame is
+//! incomplete or fails its checksum. [`read_all`] reports that as the
+//! named [`StoreError::SpillTornTail`]; [`recover`] returns the valid prefix
 //! together with the tail diagnosis, which is what a starting server
 //! uses. [`compact`] rewrites the segment keeping only the newest
 //! record per key and dropping any torn tail — run at startup, it
@@ -22,7 +23,7 @@ use std::path::Path;
 use crate::analysis::AnalysisRecord;
 
 use super::codec::{self, Reader};
-use super::StoreError;
+use super::{frame, StoreError};
 
 /// One persisted analysis result. The `keyed` document is the cache
 /// identity (options key + canonicalized `.hg` source, exactly what the
@@ -48,7 +49,8 @@ pub struct SpillRecord {
 }
 
 impl SpillRecord {
-    fn encode(&self) -> Vec<u8> {
+    /// Encodes the record as a framed byte string ready to append.
+    pub fn encode(&self) -> Vec<u8> {
         let mut payload = Vec::new();
         codec::put_u64(&mut payload, self.hash);
         codec::put_str(&mut payload, &self.keyed);
@@ -57,11 +59,7 @@ impl SpillRecord {
         codec::put_analysis(&mut payload, &self.record);
         codec::put_opt_str(&mut payload, self.witness_json.as_deref());
         codec::put_opt_str(&mut payload, self.fractional_width.as_deref());
-        let mut frame = Vec::with_capacity(payload.len() + 12);
-        codec::put_u32(&mut frame, payload.len() as u32);
-        frame.extend_from_slice(&payload);
-        codec::put_u64(&mut frame, codec::fnv64(&payload));
-        frame
+        frame::frame(&payload)
     }
 
     fn decode(payload: &[u8]) -> Result<SpillRecord, StoreError> {
@@ -117,21 +115,19 @@ impl SpillWriter {
     /// (atomically, temp file + rename), then reopens the writer on the
     /// new segment. Any torn tail is dropped alongside. Returns how many
     /// records were discarded — this is how the server scrubs spilled
-    /// analyses whose instance a `PUT`/`DELETE` invalidated.
+    /// analyses whose instance a `PUT`/`DELETE` invalidated. A scrub
+    /// that drops nothing from an undamaged segment writes nothing: the
+    /// server runs one on every replace and delete.
     pub fn retain(
         &mut self,
         mut keep: impl FnMut(&SpillRecord) -> bool,
     ) -> Result<usize, StoreError> {
-        let (records, _tail) = recover(&self.path)?;
-        let total = records.len();
-        let mut out = Vec::new();
-        let mut kept = 0usize;
-        for r in &records {
-            if keep(r) {
-                out.extend_from_slice(&r.encode());
-                kept += 1;
-            }
+        let (records, damage) = recover(&self.path)?;
+        let kept: Vec<&SpillRecord> = records.iter().filter(|r| keep(r)).collect();
+        if kept.len() == records.len() && damage.is_none() {
+            return Ok(0);
         }
+        let out: Vec<u8> = kept.iter().flat_map(|r| r.encode()).collect();
         let tmp = self.path.with_extension("spill.tmp");
         std::fs::write(&tmp, &out)?;
         std::fs::rename(&tmp, &self.path)?;
@@ -139,7 +135,7 @@ impl SpillWriter {
             .create(true)
             .append(true)
             .open(&self.path)?;
-        Ok(total - kept)
+        Ok(records.len() - kept.len())
     }
 }
 
@@ -147,38 +143,13 @@ impl SpillWriter {
 /// before the first problem, plus the problem itself (if any) as a
 /// named [`StoreError`]: a torn tail, a checksum mismatch, or a record
 /// that fails to decode.
-fn scan(bytes: &[u8]) -> (Vec<SpillRecord>, Option<StoreError>) {
-    let mut records = Vec::new();
-    let mut pos: usize = 0;
-    while pos < bytes.len() {
-        let remaining = bytes.len() - pos;
-        let torn = |offset: usize| StoreError::SpillTornTail {
-            offset: offset as u64,
-        };
-        if remaining < 4 {
-            return (records, Some(torn(pos)));
-        }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-        if remaining < 4 + len + 8 {
-            return (records, Some(torn(pos)));
-        }
-        let payload = &bytes[pos + 4..pos + 4 + len];
-        let stored = u64::from_le_bytes(bytes[pos + 4 + len..pos + 12 + len].try_into().unwrap());
-        if codec::fnv64(payload) != stored {
-            return (
-                records,
-                Some(StoreError::Corrupt(format!(
-                    "spill record at offset {pos}: checksum mismatch"
-                ))),
-            );
-        }
-        match SpillRecord::decode(payload) {
-            Ok(r) => records.push(r),
-            Err(e) => return (records, Some(e)),
-        }
-        pos += 12 + len;
-    }
-    (records, None)
+pub fn scan(bytes: &[u8]) -> (Vec<SpillRecord>, Option<StoreError>) {
+    frame::scan(
+        bytes,
+        "spill record",
+        |offset| StoreError::SpillTornTail { offset },
+        |payload, _| SpillRecord::decode(payload),
+    )
 }
 
 /// Strictly reads a spill segment: any torn tail or corruption is an
@@ -309,12 +280,24 @@ mod tests {
         let path = tmpfile("badsum");
         let mut w = SpillWriter::open_append(&path).unwrap();
         w.append(&record(1, "doc-a")).unwrap();
+        let first_len = std::fs::metadata(&path).unwrap().len() as usize;
+        w.append(&record(2, "doc-b")).unwrap();
         drop(w);
+        // Damage inside the first record, with an intact one behind it.
         let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xff;
+        bytes[first_len / 2] ^= 0xff;
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(read_all(&path), Err(StoreError::Corrupt(_))));
+        // The same damage in the final record is a torn append (the
+        // write-ahead log's rule, see `frame::scan`).
+        bytes[first_len / 2] ^= 0xff;
+        let last = bytes.len() - first_len / 2;
+        bytes[last] ^= 0xff;
+        std::fs::write(&path, &bytes).unwrap();
+        match read_all(&path) {
+            Err(StoreError::SpillTornTail { offset }) => assert_eq!(offset, first_len as u64),
+            other => panic!("expected SpillTornTail, got {other:?}"),
+        }
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -348,6 +331,30 @@ mod tests {
         drop(w);
         let hashes: Vec<u64> = read_all(&path).unwrap().iter().map(|r| r.hash).collect();
         assert_eq!(hashes, vec![2, 3]);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_scrub_that_drops_nothing_writes_nothing() {
+        use std::os::unix::fs::MetadataExt;
+        let path = tmpfile("noop-scrub");
+        let mut w = SpillWriter::open_append(&path).unwrap();
+        let inode = |p: &Path| std::fs::metadata(p).unwrap().ino();
+        // Empty segment, then a populated one nothing matches in.
+        let before = inode(&path);
+        assert_eq!(w.retain(|_| true).unwrap(), 0);
+        w.append(&record(1, "doc-a")).unwrap();
+        assert_eq!(w.retain(|r| r.hash != 9).unwrap(), 0);
+        assert_eq!(inode(&path), before, "a no-op scrub must not rewrite");
+        // A torn tail is damage worth rewriting away even when every
+        // record is kept.
+        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+        f.write_all(&[0x99, 0x07, 0x00]).unwrap();
+        drop(f);
+        assert_eq!(w.retain(|_| true).unwrap(), 0);
+        assert_ne!(inode(&path), before);
+        assert_eq!(read_all(&path).unwrap().len(), 1);
         std::fs::remove_file(&path).unwrap();
     }
 

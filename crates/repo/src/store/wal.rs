@@ -1,17 +1,16 @@
 //! The append-only write-ahead log behind the mutable repository.
 //!
 //! Every mutation (insert / replace / remove) is encoded as one framed
-//! record — `[u32 len][payload][u64 FNV-1a checksum]`, the same frame
-//! shape as the analysis-cache [`super::spill`] segment — appended with
-//! a single `write_all`, and made durable with one `fdatasync` before
-//! the mutation is acknowledged. The fsync is the commit point: a
-//! record that survives restart was acknowledged, a record that does
-//! not was never acknowledged.
+//! record — `[u32 len][payload][u64 checksum]`, the frame of
+//! `store/frame.rs` that the analysis-cache [`super::spill`] segment
+//! shares — appended with a single `write_all`, and made durable with
+//! one `fdatasync` before the mutation is acknowledged. The fsync is the
+//! commit point: a record that survives restart was acknowledged, a
+//! record that does not was never acknowledged.
 //!
 //! Recovery ([`recover`]) tolerates a torn tail: a crash mid-append
-//! leaves a partial frame, which scanning detects (too few bytes for
-//! the declared length, or a checksum mismatch *at the tail*) and
-//! drops, returning the longest valid prefix plus a
+//! leaves a partial frame, which scanning detects and drops, returning
+//! the longest valid prefix plus a
 //! [`StoreError::WalTornTail`] describing what was cut. Damage
 //! *before* the tail — a checksum mismatch with further intact frames
 //! behind it — is real corruption and fails the open.
@@ -33,7 +32,7 @@ use crate::analysis::AnalysisRecord;
 use crate::Entry;
 
 use super::codec::{self, Reader};
-use super::StoreError;
+use super::{frame, StoreError};
 
 /// One durable repository mutation.
 #[derive(Debug, Clone, PartialEq)]
@@ -184,11 +183,7 @@ pub fn encode(record: &WalRecord) -> Vec<u8> {
             codec::put_u64(&mut payload, *id);
         }
     }
-    let mut framed = Vec::with_capacity(payload.len() + 12);
-    codec::put_u32(&mut framed, payload.len() as u32);
-    framed.extend_from_slice(&payload);
-    codec::put_u64(&mut framed, codec::fnv64(&payload));
-    framed
+    frame::frame(&payload)
 }
 
 fn decode_payload(payload: &[u8], offset: u64) -> Result<WalRecord, StoreError> {
@@ -226,60 +221,23 @@ fn decode_payload(payload: &[u8], offset: u64) -> Result<WalRecord, StoreError> 
 /// behind it is [`StoreError::Corrupt`]. Sequence numbers must be
 /// strictly increasing.
 pub fn scan(bytes: &[u8]) -> (Vec<WalRecord>, Option<StoreError>) {
-    let mut records = Vec::new();
-    let mut pos: usize = 0;
     let mut last_seq: Option<u64> = None;
-    while pos < bytes.len() {
-        let remaining = &bytes[pos..];
-        if remaining.len() < 4 {
-            return (
-                records,
-                Some(StoreError::WalTornTail { offset: pos as u64 }),
-            );
-        }
-        let len = u32::from_le_bytes(remaining[..4].try_into().expect("4 bytes")) as usize;
-        if remaining.len() < 4 + len + 8 {
-            return (
-                records,
-                Some(StoreError::WalTornTail { offset: pos as u64 }),
-            );
-        }
-        let payload = &remaining[4..4 + len];
-        let stored = u64::from_le_bytes(remaining[4 + len..4 + len + 8].try_into().expect("8"));
-        let frame_end = pos + 4 + len + 8;
-        if codec::fnv64(payload) != stored {
-            // A bad checksum on the very last frame is a torn append (a
-            // crash can leave the full frame length present but the
-            // payload half-written on some filesystems); anywhere else
-            // it is corruption.
-            let err = if frame_end == bytes.len() {
-                StoreError::WalTornTail { offset: pos as u64 }
-            } else {
-                StoreError::Corrupt(format!("wal record at offset {pos}: checksum mismatch"))
-            };
-            return (records, Some(err));
-        }
-        match decode_payload(payload, pos as u64) {
-            Ok(record) => {
-                if let Some(prev) = last_seq {
-                    if record.seq() <= prev {
-                        return (
-                            records,
-                            Some(StoreError::Corrupt(format!(
-                                "wal record at offset {pos}: seq {} not after {prev}",
-                                record.seq()
-                            ))),
-                        );
-                    }
-                }
-                last_seq = Some(record.seq());
-                records.push(record);
+    frame::scan(
+        bytes,
+        "wal record",
+        |offset| StoreError::WalTornTail { offset },
+        |payload, offset| {
+            let record = decode_payload(payload, offset)?;
+            if let Some(prev) = last_seq.filter(|&prev| record.seq() <= prev) {
+                return Err(StoreError::Corrupt(format!(
+                    "wal record at offset {offset}: seq {} not after {prev}",
+                    record.seq()
+                )));
             }
-            Err(e) => return (records, Some(e)),
-        }
-        pos = frame_end;
-    }
-    (records, None)
+            last_seq = Some(record.seq());
+            Ok(record)
+        },
+    )
 }
 
 /// The outcome of [`recover`]: the committed records plus whether a

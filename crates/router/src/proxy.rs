@@ -36,6 +36,7 @@ use std::time::{Duration, Instant};
 use hyperbench_api::cursor::{PageCursor, ScatterCursor, ShardSlot};
 use hyperbench_api::dto::{PageDto, QueryRequest, QueryResponse};
 use hyperbench_api::error::{ApiError, ErrorCode};
+use hyperbench_api::hash::fnv1a64;
 use hyperbench_api::json::Json;
 use hyperbench_api::{client::percent_encode, schema};
 use hyperbench_server::handlers::{error_response, get_metrics, post_failpoints};
@@ -202,7 +203,6 @@ fn build_routes() -> Router<Endpoint> {
         .add(Method::Post, "/v1/analyses", Endpoint::Analyses)
         .add(Method::Get, "/v1/analyses/{id}", Endpoint::Analysis)
         .add(Method::Get, "/v1/healthz", Endpoint::Health)
-        .add(Method::Get, "/healthz", Endpoint::Health)
         .add(Method::Get, "/metrics", Endpoint::Metrics)
         .add(Method::Post, "/debug/failpoints", Endpoint::Failpoints)
         .add(Method::Get, "/admin/topology", Endpoint::Topology)
@@ -360,17 +360,6 @@ fn passthrough(upstream: UpstreamResponse) -> Response {
         response = response.with_retry_after(secs);
     }
     response
-}
-
-/// FNV-1a over the request body: the create-routing hash. Stable, so
-/// a replayed create re-routes to the same shard.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 impl RouterState {

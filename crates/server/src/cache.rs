@@ -15,6 +15,7 @@ use std::sync::{Arc, Mutex};
 
 use hyperbench_api::{AnalyzeMethod, DecompositionDto, Json};
 use hyperbench_core::format::{parse_hg, to_hg};
+use hyperbench_core::hash::store_fnv64;
 use hyperbench_core::Hypergraph;
 use hyperbench_decomp::tree::Decomposition;
 use hyperbench_repo::store::spill::{SpillRecord, SpillWriter};
@@ -47,7 +48,7 @@ pub struct JobResult {
     pub fractional_width: Option<String>,
 }
 
-/// A content hash of a canonicalized `.hg` document (FNV-1a 64).
+/// A content hash of a canonicalized `.hg` document (`store_fnv64`).
 ///
 /// FNV is fast but not collision-resistant, so the hash is only an
 /// index: every cache/dedup lookup also compares the canonical document
@@ -70,15 +71,10 @@ pub fn canonicalize(body: &str) -> String {
 
 /// Hashes a canonicalized body (see [`canonicalize`]).
 pub fn content_hash(body: &str) -> ContentHash {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in canonicalize(body).bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    ContentHash(h)
+    ContentHash(store_fnv64(canonicalize(body).as_bytes()))
 }
 
-/// Counters exposed through `GET /stats`.
+/// Counters exposed through `GET /v1/stats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups that found an entry.

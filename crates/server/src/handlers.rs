@@ -1,11 +1,8 @@
 //! Endpoint implementations: pure functions from shared state + request
 //! to [`Response`]. The routing table itself lives in `lib.rs`.
 //!
-//! The `/v1` handlers ([`v1`]) speak the typed DTOs of `hyperbench-api`;
-//! the unversioned PR-1 routes ([`legacy`]) are thin deprecated adapters
-//! that run the same core logic and reshape the payloads into their
-//! original form. Every error answer — on both surfaces — is a
-//! structured [`ApiError`] with a stable code.
+//! The `/v1` handlers ([`v1`]) speak the typed DTOs of `hyperbench-api`.
+//! Every error answer is a structured [`ApiError`] with a stable code.
 
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -35,8 +32,8 @@ use crate::router::Params;
 
 /// Default page size for entry listings.
 pub const DEFAULT_LIMIT: usize = 50;
-/// Hard ceiling on the page size. `/v1` rejects larger requests with a
-/// structured 400; the frozen legacy route keeps its PR-1 clamp.
+/// Hard ceiling on the page size; larger requests answer a structured
+/// 400.
 pub const MAX_LIMIT: usize = 1000;
 
 /// Everything the handlers share. Reads run against MVCC snapshots, so
@@ -48,7 +45,7 @@ pub struct ServerState {
     /// handler reads through one [`Snapshot`] pinned for the request.
     pub store: Arc<MvccStore>,
     /// Repository aggregates, cached per snapshot generation: `GET
-    /// /stats` re-walks all entries only after a commit moved the seq.
+    /// /v1/stats` re-walks all entries only after a commit moved the seq.
     pub repo_stats: Mutex<(u64, Arc<RepoStats>)>,
     /// Background analysis jobs.
     pub jobs: JobSystem,
@@ -57,7 +54,7 @@ pub struct ServerState {
     /// The configured analysis budgets: the defaults *and* ceilings for
     /// per-request overrides in `POST /v1/analyses`.
     pub analysis: AnalysisConfig,
-    /// Server start time, for `/healthz` uptime.
+    /// Server start time, for `/v1/healthz` uptime.
     pub started: Instant,
 }
 
@@ -244,19 +241,6 @@ fn parse_limit(value: &str) -> Result<usize, ApiError> {
     }
 }
 
-/// Parses a legacy `limit` value: zero and non-numeric answer a
-/// structured 400, but over-limit values keep their PR-1 behavior of
-/// clamping to [`MAX_LIMIT`] — the unversioned routes are frozen, so
-/// scripts relying on the clamp keep working.
-fn parse_limit_legacy(value: &str) -> Result<usize, ApiError> {
-    match value.parse::<usize>() {
-        Ok(v) if v >= 1 => Ok(v.min(MAX_LIMIT)),
-        _ => Err(ApiError::invalid_param(format!(
-            "bad value {value:?} for limit"
-        ))),
-    }
-}
-
 fn parse_entry_id(params: &Params) -> Result<usize, ApiError> {
     params
         .get("id")
@@ -265,8 +249,8 @@ fn parse_entry_id(params: &Params) -> Result<usize, ApiError> {
         .map_err(|_| ApiError::invalid_param("hypergraph id must be a non-negative integer"))
 }
 
-/// Compiles legacy `?key=value` filter params into an executable HBQL
-/// plan — the one predicate-evaluation path both list routes and
+/// Compiles `?key=value` filter params into an executable HBQL plan —
+/// the one predicate-evaluation path the list route and
 /// `POST /v1/query` share. Unknown keys and bad values answer a
 /// structured 400 listing the valid vocabulary.
 fn compile_filter_params<'a>(
@@ -301,9 +285,9 @@ fn query_error_response(e: QueryError) -> Response {
     Response::json(err.http_status(), j)
 }
 
-/// Parses, keys, and submits an analysis; shared by both API surfaces.
-/// `Err` is the structured parse failure (with a pollable failed job id
-/// attached by the caller).
+/// Parses, keys, and submits an analysis. `Err` is the structured
+/// parse failure (with a pollable failed job id attached by the
+/// caller).
 fn submit_analysis(
     state: &ServerState,
     document: &str,
@@ -343,9 +327,8 @@ fn submit_error(e: SubmitError) -> Response {
     }
 }
 
-/// `GET /stats` and `GET /v1/stats` — repository aggregates + cache and
-/// job counters (the PR-1 sections are version-stable) + the
-/// process-wide telemetry snapshot, all through the typed
+/// `GET /v1/stats` — repository aggregates + cache and job counters +
+/// the process-wide telemetry snapshot, all through the typed
 /// [`StatsDto`].
 pub fn get_stats(state: &ServerState) -> Response {
     let repo_stats = state.stats_of(&state.store.snapshot());
@@ -475,7 +458,7 @@ pub fn post_failpoints(req: &Request) -> Response {
     Response::json(200, Json::obj([("failpoints", armed)]))
 }
 
-/// `GET /healthz` and `GET /v1/healthz` — liveness.
+/// `GET /v1/healthz` — liveness.
 pub fn get_healthz(state: &ServerState) -> Response {
     Response::json(
         200,
@@ -494,6 +477,68 @@ pub fn get_healthz(state: &ServerState) -> Response {
 pub mod v1 {
     use super::*;
 
+    /// Parses a request body as JSON; empty, non-UTF-8 and non-JSON
+    /// bodies answer a structured 400 naming the `expected` document.
+    fn json_body(req: &Request, expected: &str) -> Result<Json, Response> {
+        let body = match std::str::from_utf8(&req.body) {
+            Ok(s) if !s.trim().is_empty() => s,
+            Ok(_) => {
+                return Err(error_response(ApiError::bad_request(format!(
+                    "empty body; expected {expected} JSON document"
+                ))))
+            }
+            Err(_) => return Err(error_response(ApiError::bad_request("body is not UTF-8"))),
+        };
+        Json::parse(body)
+            .map_err(|e| error_response(ApiError::bad_request(format!("body is not JSON: {e}"))))
+    }
+
+    /// The snapshot and resume point a page request runs on. A cursor
+    /// pins the generation its walk started on; one the store no longer
+    /// retains falls back to current — ids only grow, so the keyset
+    /// scan stays correct, merely un-pinned.
+    fn page_position(
+        state: &ServerState,
+        cursor: Option<&str>,
+    ) -> Result<(Arc<Snapshot>, Option<usize>), Response> {
+        let Some(token) = cursor else {
+            return Ok((state.store.snapshot(), None));
+        };
+        let c = PageCursor::decode(token)
+            .map_err(|e| error_response(ApiError::new(ErrorCode::InvalidCursor, e.to_string())))?;
+        let pinned = c.snapshot.and_then(|seq| state.store.snapshot_at(seq));
+        Ok((
+            pinned.unwrap_or_else(|| state.store.snapshot()),
+            Some(c.after_id),
+        ))
+    }
+
+    /// Runs a rows plan as one keyset page of `snap` and encodes it,
+    /// continuation cursor included.
+    fn rows_page(
+        state: &ServerState,
+        plan: &hyperbench_query::Plan,
+        snap: &Snapshot,
+        after: Option<usize>,
+        limit: usize,
+    ) -> PageDto {
+        let page = plan.execute_rows(snap.metas(), after, limit);
+        PageDto {
+            partial: Vec::new(),
+            total: page.total,
+            items: page.items,
+            next_cursor: page.next_after.map(|after_id| {
+                PageCursor {
+                    after_id,
+                    // Read-only stores emit unpinned tokens (nothing
+                    // ever moves underneath a reader).
+                    snapshot: state.store.writable().then(|| snap.seq()),
+                }
+                .encode()
+            }),
+        }
+    }
+
     /// `GET /v1/hypergraphs` — cursor-paginated, filterable summaries.
     /// On a writable store, cursors pin the snapshot generation they
     /// started on: a client paging through results sees one consistent
@@ -502,8 +547,7 @@ pub mod v1 {
     /// `POST /v1/query`, straight off the metadata index.
     pub fn list(state: &ServerState, req: &Request) -> Response {
         let mut limit = DEFAULT_LIMIT;
-        let mut after = None;
-        let mut pinned: Option<Arc<Snapshot>> = None;
+        let mut cursor = None;
         let mut params: Vec<(&str, &str)> = Vec::new();
         for (key, value) in &req.query {
             match key.as_str() {
@@ -511,45 +555,19 @@ pub mod v1 {
                     Ok(v) => limit = v,
                     Err(e) => return error_response(e),
                 },
-                "cursor" => match PageCursor::decode(value) {
-                    Ok(c) => {
-                        after = Some(c.after_id);
-                        // A generation the store no longer retains falls
-                        // back to current — ids only grow, so the keyset
-                        // scan stays correct, merely un-pinned.
-                        pinned = c.snapshot.and_then(|seq| state.store.snapshot_at(seq));
-                    }
-                    Err(e) => {
-                        return error_response(ApiError::new(
-                            ErrorCode::InvalidCursor,
-                            e.to_string(),
-                        ))
-                    }
-                },
+                "cursor" => cursor = Some(value.as_str()),
                 _ => params.push((key.as_str(), value.as_str())),
             }
         }
+        let (snap, after) = match page_position(state, cursor) {
+            Ok(position) => position,
+            Err(resp) => return resp,
+        };
         let plan = match compile_filter_params(params) {
             Ok(p) => p,
             Err(e) => return error_response(e),
         };
-        let snap = pinned.unwrap_or_else(|| state.store.snapshot());
-        let page = plan.execute_rows(snap.metas(), after, limit);
-        let dto = PageDto {
-            partial: Vec::new(),
-            total: page.total,
-            items: page.items,
-            next_cursor: page.next_after.map(|after_id| {
-                PageCursor {
-                    after_id,
-                    // Read-only stores keep emitting the legacy token
-                    // shape (nothing ever moves underneath a reader).
-                    snapshot: state.store.writable().then(|| snap.seq()),
-                }
-                .encode()
-            }),
-        };
-        Response::json(200, dto.to_json())
+        Response::json(200, rows_page(state, &plan, &snap, after, limit).to_json())
     }
 
     /// `POST /v1/query` — runs one HBQL query. Row queries answer the
@@ -558,20 +576,9 @@ pub mod v1 {
     /// order. Compile failures are 422 `invalid_query` with a byte-
     /// offset span into the query text.
     pub fn post_query(state: &ServerState, req: &Request) -> Response {
-        let body = match std::str::from_utf8(&req.body) {
-            Ok(s) if !s.trim().is_empty() => s,
-            Ok(_) => {
-                return error_response(ApiError::bad_request(
-                    "empty body; expected a QueryRequest JSON document",
-                ))
-            }
-            Err(_) => return error_response(ApiError::bad_request("body is not UTF-8")),
-        };
-        let parsed = match Json::parse(body) {
+        let parsed = match json_body(req, "a QueryRequest") {
             Ok(j) => j,
-            Err(e) => {
-                return error_response(ApiError::bad_request(format!("body is not JSON: {e}")))
-            }
+            Err(resp) => return resp,
         };
         let request = match QueryRequest::from_json(&parsed) {
             Ok(r) => r,
@@ -604,41 +611,19 @@ pub mod v1 {
                 )))
             }
         };
-        let mut after = None;
-        let mut pinned: Option<Arc<Snapshot>> = None;
-        if let Some(cursor) = &request.cursor {
-            // An ORDER BY page is not in id order, so a keyset cursor
-            // cannot continue it.
-            if plan.has_order() {
-                return error_response(ApiError::invalid_param(
-                    "ORDER BY queries cannot be continued with a cursor; \
-                     raise LIMIT instead",
-                ));
-            }
-            match PageCursor::decode(cursor) {
-                Ok(c) => {
-                    after = Some(c.after_id);
-                    pinned = c.snapshot.and_then(|seq| state.store.snapshot_at(seq));
-                }
-                Err(e) => {
-                    return error_response(ApiError::new(ErrorCode::InvalidCursor, e.to_string()))
-                }
-            }
+        // An ORDER BY page is not in id order, so a keyset cursor
+        // cannot continue it.
+        if request.cursor.is_some() && plan.has_order() {
+            return error_response(ApiError::invalid_param(
+                "ORDER BY queries cannot be continued with a cursor; \
+                 raise LIMIT instead",
+            ));
         }
-        let snap = pinned.unwrap_or_else(|| state.store.snapshot());
-        let page = plan.execute_rows(snap.metas(), after, limit);
-        let dto = QueryResponse::Rows(PageDto {
-            partial: Vec::new(),
-            total: page.total,
-            items: page.items,
-            next_cursor: page.next_after.map(|after_id| {
-                PageCursor {
-                    after_id,
-                    snapshot: state.store.writable().then(|| snap.seq()),
-                }
-                .encode()
-            }),
-        });
+        let (snap, after) = match page_position(state, request.cursor.as_deref()) {
+            Ok(position) => position,
+            Err(resp) => return resp,
+        };
+        let dto = QueryResponse::Rows(rows_page(state, &plan, &snap, after, limit));
         Response::json(200, dto.to_json())
     }
 
@@ -674,23 +659,7 @@ pub mod v1 {
     /// malformed JSON or fields → 400, a syntactically valid request
     /// whose `.hg` document does not parse → 422 `invalid_hypergraph`.
     fn parse_write_request(req: &Request) -> Result<(WriteRequest, Hypergraph), Response> {
-        let body = match std::str::from_utf8(&req.body) {
-            Ok(s) if !s.trim().is_empty() => s,
-            Ok(_) => {
-                return Err(error_response(ApiError::bad_request(
-                    "empty body; expected a WriteRequest JSON document",
-                )))
-            }
-            Err(_) => return Err(error_response(ApiError::bad_request("body is not UTF-8"))),
-        };
-        let parsed = match Json::parse(body) {
-            Ok(j) => j,
-            Err(e) => {
-                return Err(error_response(ApiError::bad_request(format!(
-                    "body is not JSON: {e}"
-                ))))
-            }
-        };
+        let parsed = json_body(req, "a WriteRequest")?;
         let request = match WriteRequest::from_json(&parsed) {
             Ok(r) => r,
             Err(e) => return Err(error_response(ApiError::invalid_param(e.to_string()))),
@@ -830,20 +799,9 @@ pub mod v1 {
     /// otherwise, `400 failed` (with a pollable id) on an unparsable
     /// document.
     pub fn post_analyses(state: &ServerState, req: &Request) -> Response {
-        let body = match std::str::from_utf8(&req.body) {
-            Ok(s) if !s.trim().is_empty() => s,
-            Ok(_) => {
-                return error_response(ApiError::bad_request(
-                    "empty body; expected an AnalyzeRequest JSON document",
-                ))
-            }
-            Err(_) => return error_response(ApiError::bad_request("body is not UTF-8")),
-        };
-        let parsed = match Json::parse(body) {
+        let parsed = match json_body(req, "an AnalyzeRequest") {
             Ok(j) => j,
-            Err(e) => {
-                return error_response(ApiError::bad_request(format!("body is not JSON: {e}")))
-            }
+            Err(resp) => return resp,
         };
         let request = match AnalyzeRequest::from_json(&parsed) {
             Ok(r) => r,
@@ -919,202 +877,5 @@ pub mod v1 {
             Some(status) => Response::json(200, resource_of(id, &status).to_json()),
             None => error_response(ApiError::not_found(format!("no analysis with id {id}"))),
         }
-    }
-}
-
-/// The unversioned PR-1 routes, kept as thin deprecated adapters over
-/// the `/v1` logic: same core code paths, original payload shapes.
-pub mod legacy {
-    use super::*;
-
-    /// `GET /hypergraphs` — offset pagination + filter query params.
-    /// The params desugar into HBQL and run on the same planner as the
-    /// `/v1` routes; the offset-page payload shape stays frozen.
-    pub fn list_hypergraphs(state: &ServerState, req: &Request) -> Response {
-        let mut offset = 0usize;
-        let mut limit = DEFAULT_LIMIT;
-        let mut params: Vec<(&str, &str)> = Vec::new();
-        for (key, value) in &req.query {
-            match key.as_str() {
-                "offset" => match value.parse() {
-                    Ok(v) => offset = v,
-                    Err(_) => {
-                        return error_response(ApiError::invalid_param(format!(
-                            "bad value {value:?} for offset"
-                        )))
-                    }
-                },
-                "limit" => match parse_limit_legacy(value) {
-                    Ok(v) => limit = v,
-                    Err(e) => return error_response(e),
-                },
-                _ => params.push((key.as_str(), value.as_str())),
-            }
-        }
-        let plan = match compile_filter_params(params) {
-            Ok(p) => p,
-            Err(e) => return error_response(e),
-        };
-        let snap = state.store.snapshot();
-        let page = plan.execute_rows_offset(snap.metas(), offset, limit);
-        Response::json(
-            200,
-            Json::obj([
-                (schema::TOTAL, Json::int(page.total)),
-                ("offset", Json::int(page.offset)),
-                ("limit", Json::int(page.limit)),
-                (
-                    schema::ITEMS,
-                    Json::Arr(
-                        page.items
-                            .iter()
-                            .map(EntrySummary::to_legacy_json)
-                            .collect(),
-                    ),
-                ),
-            ]),
-        )
-    }
-
-    /// `GET /hypergraphs/{id}` — full entry in the PR-1 shape (no
-    /// `analyzed` flag; `analysis` carries the record or `null`).
-    pub fn get_hypergraph(state: &ServerState, params: &Params) -> Response {
-        let id = match parse_entry_id(params) {
-            Ok(id) => id,
-            Err(e) => return error_response(e),
-        };
-        let snap = state.store.snapshot();
-        let e = match snap.try_get(id) {
-            Ok(Some(e)) => e,
-            Ok(None) => {
-                return error_response(ApiError::not_found(format!("no hypergraph with id {id}")))
-            }
-            Err(e) => return storage_error(e),
-        };
-        let detail = detail_of(e);
-        let s = &detail.summary;
-        Response::json(
-            200,
-            Json::obj([
-                (schema::ID, Json::int(s.id)),
-                (schema::COLLECTION, Json::str(&s.collection)),
-                (schema::CLASS, Json::str(&s.class)),
-                (schema::VERTICES, Json::int(s.vertices)),
-                (schema::EDGES, Json::int(s.edges)),
-                (schema::ARITY, Json::int(s.arity)),
-                (
-                    schema::EDGE_LIST,
-                    Json::Arr(
-                        detail
-                            .edge_list
-                            .iter()
-                            .map(|e| {
-                                Json::obj([
-                                    (schema::NAME, Json::str(&e.name)),
-                                    (
-                                        schema::VERTICES,
-                                        Json::Arr(e.vertices.iter().map(Json::str).collect()),
-                                    ),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-                (
-                    "analysis",
-                    detail
-                        .analysis
-                        .as_ref()
-                        .map_or(Json::Null, AnalysisReport::to_json),
-                ),
-            ]),
-        )
-    }
-
-    /// `GET /hypergraphs/{id}/hg` — identical to the `/v1` handler.
-    pub fn get_hypergraph_raw(state: &ServerState, params: &Params) -> Response {
-        v1::raw_hg(state, params)
-    }
-
-    /// `POST /analyze` — raw `.hg` body, server-default options; the
-    /// PR-1 response shapes (`job` key, flat `result`).
-    pub fn post_analyze(state: &ServerState, req: &Request) -> Response {
-        let body = match std::str::from_utf8(&req.body) {
-            Ok(s) if !s.trim().is_empty() => s,
-            Ok(_) => {
-                return error_response(ApiError::bad_request(
-                    "empty body; expected an .hg document",
-                ))
-            }
-            Err(_) => return error_response(ApiError::bad_request("body is not UTF-8")),
-        };
-        let options = AnalyzeOptions::defaults(&state.analysis);
-        let deadline = req.deadline().map(|d| Instant::now() + d);
-        match submit_analysis(state, body, options, req.trace_id, deadline) {
-            Err(message) => {
-                // Record the failure so the job id remains pollable, but
-                // answer 400 immediately.
-                let id = state.jobs.submit_failed(message.clone());
-                Response::json(
-                    400,
-                    Json::obj([
-                        (schema::CODE, Json::str(ErrorCode::ParseError.as_str())),
-                        (schema::ERROR, Json::str(message)),
-                        ("job", Json::int(id)),
-                    ]),
-                )
-            }
-            Ok(Err(e)) => submit_error(e),
-            Ok(Ok(id)) => match state.jobs.status(id) {
-                // A cache hit completes synchronously; tell the client.
-                Some(JobStatus::Done { result, cached }) => Response::json(
-                    200,
-                    Json::obj([
-                        ("job", Json::int(id)),
-                        (schema::STATUS, Json::str("done")),
-                        (schema::CACHED, Json::Bool(cached)),
-                        (schema::RESULT, report_of(&result.record).to_json()),
-                    ]),
-                ),
-                _ => Response::json(
-                    202,
-                    Json::obj([
-                        ("job", Json::int(id)),
-                        (schema::STATUS, Json::str("queued")),
-                    ]),
-                ),
-            },
-        }
-    }
-
-    /// `GET /jobs/{id}` — poll a submitted analysis (PR-1 shape).
-    pub fn get_job(state: &ServerState, params: &Params) -> Response {
-        let id = match params.get("id").unwrap_or_default().parse::<u64>() {
-            Ok(id) => id,
-            Err(_) => {
-                return error_response(ApiError::invalid_param(
-                    "job id must be a non-negative integer",
-                ))
-            }
-        };
-        let Some(status) = state.jobs.status(id) else {
-            return error_response(ApiError::not_found(format!("no job with id {id}")));
-        };
-        let mut fields = vec![
-            ("job".to_string(), Json::int(id)),
-            (schema::STATUS.to_string(), Json::str(status.label())),
-        ];
-        match status {
-            JobStatus::Done { result, cached } => {
-                fields.push((schema::CACHED.to_string(), Json::Bool(cached)));
-                fields.push((
-                    schema::RESULT.to_string(),
-                    report_of(&result.record).to_json(),
-                ));
-            }
-            JobStatus::Failed(msg) => fields.push((schema::ERROR.to_string(), Json::str(msg))),
-            JobStatus::Queued | JobStatus::Running => {}
-        }
-        Response::json(200, Json::Obj(fields))
     }
 }

@@ -21,12 +21,12 @@ use std::time::{Duration, Instant};
 const MAX_LINE: usize = 8 * 1024;
 /// Upper bound on the number of headers.
 const MAX_HEADERS: usize = 64;
-/// Upper bound on the whole head (request line + all header lines) — a
-/// belt-and-braces cap on top of the per-line and per-count bounds, so a
-/// drip-fed head can never pin more than this much buffer.
-pub const MAX_HEAD: usize = 64 * 1024;
-/// Upper bound on request bodies (a generous cap for `.hg` uploads).
-pub const MAX_BODY: usize = 8 * 1024 * 1024;
+/// [`MAX_HEAD`] bounds the whole head (request line + all header lines)
+/// — a belt-and-braces cap on top of the per-line and per-count bounds,
+/// so a drip-fed head can never pin more than this much buffer;
+/// [`MAX_BODY`] bounds request bodies. Both sides of the wire share
+/// them.
+pub use hyperbench_api::http::{MAX_BODY, MAX_HEAD};
 /// Whole-request deadline: a client gets this long to deliver the full
 /// request (line + headers + body). Socket read timeouts only bound each
 /// individual read, so without this a one-byte-at-a-time client could

@@ -1,7 +1,8 @@
-//! Background analysis jobs: `POST /analyze` enqueues, a dedicated worker
-//! pool drains, `GET /jobs/{id}` polls. The queue is bounded — a full
-//! queue turns into a 503 at the HTTP layer instead of unbounded memory
-//! growth — and results are published to the shared [`AnalysisCache`].
+//! Background analysis jobs: `POST /v1/analyses` enqueues, a dedicated
+//! worker pool drains, `GET /v1/analyses/{id}` polls. The queue is
+//! bounded — a full queue turns into a 503 at the HTTP layer instead of
+//! unbounded memory growth — and results are published to the shared
+//! [`AnalysisCache`].
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -36,17 +37,6 @@ pub struct AnalyzeOptions {
 }
 
 impl AnalyzeOptions {
-    /// The server-default options for a configured analysis budget
-    /// (what the legacy `POST /analyze` route always uses).
-    pub fn defaults(config: &AnalysisConfig) -> AnalyzeOptions {
-        AnalyzeOptions {
-            method: AnalyzeMethod::Hd,
-            k_max: config.k_max,
-            per_check: config.per_check,
-            jobs: config.jobs.max(1),
-        }
-    }
-
     /// A stable string folded into the content hash and dedup identity.
     ///
     /// `jobs` is deliberately *not* part of the key: the engine
@@ -103,19 +93,7 @@ pub enum JobStatus {
     Failed(String),
 }
 
-impl JobStatus {
-    /// The label used in JSON payloads.
-    pub fn label(&self) -> &'static str {
-        match self {
-            JobStatus::Queued => "queued",
-            JobStatus::Running => "running",
-            JobStatus::Done { .. } => "done",
-            JobStatus::Failed(_) => "failed",
-        }
-    }
-}
-
-/// Counters exposed through `GET /stats`.
+/// Counters exposed through `GET /v1/stats`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct JobStats {
     /// Jobs submitted over the server's lifetime.
@@ -621,7 +599,13 @@ mod tests {
     }
 
     fn opts() -> AnalyzeOptions {
-        AnalyzeOptions::defaults(&AnalysisConfig::default())
+        let config = AnalysisConfig::default();
+        AnalyzeOptions {
+            method: AnalyzeMethod::Hd,
+            k_max: config.k_max,
+            per_check: config.per_check,
+            jobs: 1,
+        }
     }
 
     #[test]

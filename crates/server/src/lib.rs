@@ -8,8 +8,7 @@
 //!   a few event-loop threads drive non-blocking sockets through an
 //!   incremental HTTP parser and buffered writes, with HTTP/1.1
 //!   keep-alive and pipelining — concurrent-connection capacity is not
-//!   bounded by thread count (the legacy thread-per-connection engine
-//!   is gone; the reactor is the one IO path),
+//!   bounded by thread count,
 //! * a worker-side thread pool ([`pool`]) runs the slow handlers the
 //!   reactor offloads (mutating requests: `.hg` parsing, analysis
 //!   submission, WAL commits),
@@ -43,9 +42,9 @@
 //! | `GET /v1/stats` | repository aggregates + cache/job counters |
 //! | `GET /v1/healthz` | liveness |
 //!
-//! The unversioned PR-1 routes (`/hypergraphs`, `/analyze`, `/jobs/{id}`,
-//! `/stats`, `/healthz`) remain as deprecated adapters over the same
-//! handlers, serving their original payload shapes.
+//! Beside it only the operational routes are unversioned: `GET
+//! /metrics` and the test-only `POST /debug/failpoints`. Every other
+//! path answers the structured 404.
 //!
 //! ```no_run
 //! use hyperbench_repo::Repository;
@@ -105,9 +104,9 @@ pub struct ServerConfig {
     pub job_queue_capacity: usize,
     /// Capacity of the analysis LRU cache.
     pub cache_capacity: usize,
-    /// Budgets for `POST /analyze` runs. `analysis.jobs` doubles as the
-    /// per-job parallelism ceiling for the `jobs` field of typed
-    /// `POST /v1/analyses` requests: the total CPU budget of the
+    /// Default and ceiling budgets for `POST /v1/analyses` runs.
+    /// `analysis.jobs` is the per-job parallelism ceiling for the
+    /// request's `jobs` field: the total CPU budget of the
     /// analysis tier is `analysis_workers × jobs`.
     pub analysis: AnalysisConfig,
     /// Path of the analysis-cache spill segment. When set, finished
@@ -162,14 +161,6 @@ pub(crate) enum Endpoint {
     // Test-only fault-injection arming route; answers 404 unless the
     // binary was built with `hyperbench-fault/failpoints`.
     DebugFailpoints,
-    // Deprecated unversioned PR-1 routes (adapters).
-    List,
-    Detail,
-    RawHg,
-    Analyze,
-    Job,
-    Stats,
-    Health,
 }
 
 fn build_router() -> Router<Endpoint> {
@@ -187,14 +178,7 @@ fn build_router() -> Router<Endpoint> {
         .add(Method::Get, "/v1/stats", Endpoint::V1Stats)
         .add(Method::Get, "/v1/healthz", Endpoint::V1Health)
         .add(Method::Get, "/metrics", Endpoint::Metrics)
-        .add(Method::Post, "/debug/failpoints", Endpoint::DebugFailpoints)
-        .add(Method::Get, "/hypergraphs", Endpoint::List)
-        .add(Method::Get, "/hypergraphs/{id}", Endpoint::Detail)
-        .add(Method::Get, "/hypergraphs/{id}/hg", Endpoint::RawHg)
-        .add(Method::Post, "/analyze", Endpoint::Analyze)
-        .add(Method::Get, "/jobs/{id}", Endpoint::Job)
-        .add(Method::Get, "/stats", Endpoint::Stats)
-        .add(Method::Get, "/healthz", Endpoint::Health);
+        .add(Method::Post, "/debug/failpoints", Endpoint::DebugFailpoints);
     router
 }
 
@@ -370,7 +354,7 @@ impl Server {
     }
 
     /// The reactor requires epoll; there is no serving engine on other
-    /// platforms (the legacy thread-per-connection pool was retired).
+    /// platforms.
     #[cfg(not(target_os = "linux"))]
     pub fn run(self) {
         let _ = self.listener;
@@ -475,15 +459,10 @@ pub(crate) fn dispatch(
                 Endpoint::V1Query => handlers::v1::post_query(state, request),
                 Endpoint::V1Analyses => handlers::v1::post_analyses(state, request),
                 Endpoint::V1Analysis => handlers::v1::get_analysis(state, &params),
-                Endpoint::V1Stats | Endpoint::Stats => handlers::get_stats(state),
-                Endpoint::V1Health | Endpoint::Health => handlers::get_healthz(state),
+                Endpoint::V1Stats => handlers::get_stats(state),
+                Endpoint::V1Health => handlers::get_healthz(state),
                 Endpoint::Metrics => handlers::get_metrics(),
                 Endpoint::DebugFailpoints => handlers::post_failpoints(request),
-                Endpoint::List => handlers::legacy::list_hypergraphs(state, request),
-                Endpoint::Detail => handlers::legacy::get_hypergraph(state, &params),
-                Endpoint::RawHg => handlers::legacy::get_hypergraph_raw(state, &params),
-                Endpoint::Analyze => handlers::legacy::post_analyze(state, request),
-                Endpoint::Job => handlers::legacy::get_job(state, &params),
             },
             RouteMatch::MethodMismatch => error_response(ApiError::new(
                 ErrorCode::MethodNotAllowed,
@@ -617,8 +596,8 @@ fn serve_repo(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hyperbench_api::http::ResponseReader;
     use hyperbench_core::builder::hypergraph_from_edges;
-    use std::io::{Read, Write};
 
     fn test_server() -> (std::thread::JoinHandle<()>, SocketAddr, ShutdownHandle) {
         test_server_with(|s| s)
@@ -645,23 +624,23 @@ mod tests {
         (join, addr, handle)
     }
 
-    fn request(addr: SocketAddr, raw: &str) -> String {
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream.write_all(raw.as_bytes()).unwrap();
-        let mut out = String::new();
-        stream.read_to_string(&mut out).unwrap();
-        out
+    /// One exchange on a fresh connection: (status, body text).
+    fn request(addr: SocketAddr, raw: &str) -> (u16, String) {
+        let response = ResponseReader::new(TcpStream::connect(addr).unwrap())
+            .exchange(raw.as_bytes())
+            .unwrap();
+        (response.status, response.text())
     }
 
     #[test]
     fn bind_run_shutdown() {
         let (join, addr, shutdown) = test_server();
-        let response = request(
+        let (status, body) = request(
             addr,
-            "GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+            "GET /v1/healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
         );
-        assert!(response.starts_with("HTTP/1.1 200 OK"), "got: {response}");
-        assert!(response.contains("\"status\":\"ok\""), "got: {response}");
+        assert_eq!(status, 200, "got: {body}");
+        assert!(body.contains("\"status\":\"ok\""), "got: {body}");
         shutdown.shutdown();
         join.join().unwrap();
     }
@@ -669,12 +648,12 @@ mod tests {
     #[test]
     fn unknown_route_is_404_with_json() {
         let (join, addr, shutdown) = test_server();
-        let response = request(
+        let (status, body) = request(
             addr,
             "GET /nope HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
         );
-        assert!(response.starts_with("HTTP/1.1 404"), "got: {response}");
-        assert!(response.contains("\"error\""), "got: {response}");
+        assert_eq!(status, 404, "got: {body}");
+        assert!(body.contains("\"error\""), "got: {body}");
         shutdown.shutdown();
         join.join().unwrap();
     }
@@ -683,7 +662,7 @@ mod tests {
     fn write_verbs_are_forbidden_without_a_wal() {
         let (join, addr, shutdown) = test_server();
         let body = r#"{"hypergraph":"e(a,b)."}"#;
-        let response = request(
+        let (status, answer) = request(
             addr,
             &format!(
                 "POST /v1/hypergraphs HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\
@@ -691,8 +670,8 @@ mod tests {
                 body.len()
             ),
         );
-        assert!(response.starts_with("HTTP/1.1 403"), "got: {response}");
-        assert!(response.contains("\"read_only\""), "got: {response}");
+        assert_eq!(status, 403, "got: {answer}");
+        assert!(answer.contains("\"read_only\""), "got: {answer}");
         shutdown.shutdown();
         join.join().unwrap();
     }

@@ -19,43 +19,16 @@
 //! `return` kills all of them — so a chaos test can take down one
 //! replica of one shard without touching its peers.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use crate::http::{MAX_BODY, MAX_HEAD};
+use hyperbench_api::http::{encode_request, ResponseReader};
 
-/// One decoded upstream response: status, headers (names lowercased),
-/// and the full body.
-#[derive(Debug)]
-pub struct UpstreamResponse {
-    /// The HTTP status code.
-    pub status: u16,
-    /// Response headers, names lowercased.
-    pub headers: Vec<(String, String)>,
-    /// The response body.
-    pub body: Vec<u8>,
-    /// Whether the upstream kept the connection open.
-    keep_alive: bool,
-}
-
-impl UpstreamResponse {
-    /// The first value of a header, by lowercase name.
-    pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
-    }
-
-    /// Parsed `Retry-After` seconds, when the upstream sent one.
-    pub fn retry_after(&self) -> Option<u32> {
-        self.header("retry-after")
-            .and_then(|v| v.trim().parse().ok())
-    }
-}
+/// One decoded upstream response.
+pub use hyperbench_api::http::Response as UpstreamResponse;
 
 /// Cancels an in-flight [`UpstreamPool::exchange_with`] from another
 /// thread: hedged reads hand the losing attempt's token to the winner,
@@ -189,7 +162,7 @@ impl UpstreamPool {
         body: &[u8],
         cancel: Option<&CancelToken>,
     ) -> io::Result<UpstreamResponse> {
-        let request = self.serialize(method, path_and_query, headers, body);
+        let request = encode_request(method, path_and_query, &self.addr_text, headers, body);
         if let Some(stream) = self.checkout() {
             match self.try_exchange(stream, &request, cancel) {
                 Ok(response) => return Ok(response),
@@ -232,33 +205,6 @@ impl UpstreamPool {
         }
     }
 
-    fn serialize(
-        &self,
-        method: &str,
-        path_and_query: &str,
-        headers: &[(&str, &str)],
-        body: &[u8],
-    ) -> Vec<u8> {
-        let mut out = Vec::with_capacity(256 + body.len());
-        out.extend_from_slice(method.as_bytes());
-        out.push(b' ');
-        out.extend_from_slice(path_and_query.as_bytes());
-        out.extend_from_slice(b" HTTP/1.1\r\nhost: ");
-        out.extend_from_slice(self.addr_text.as_bytes());
-        out.extend_from_slice(b"\r\ncontent-length: ");
-        out.extend_from_slice(body.len().to_string().as_bytes());
-        out.extend_from_slice(b"\r\n");
-        for (name, value) in headers {
-            out.extend_from_slice(name.as_bytes());
-            out.extend_from_slice(b": ");
-            out.extend_from_slice(value.as_bytes());
-            out.extend_from_slice(b"\r\n");
-        }
-        out.extend_from_slice(b"\r\n");
-        out.extend_from_slice(body);
-        out
-    }
-
     fn try_exchange(
         &self,
         mut stream: TcpStream,
@@ -276,7 +222,12 @@ impl UpstreamPool {
                     format!("injected read failure from {}", self.addr_text),
                 ));
             }
-            read_response(&mut stream)
+            let mut reader = ResponseReader::new(&mut stream);
+            let response = reader.read_response()?;
+            // Bytes behind the declared body mean the upstream and this
+            // pool disagree about framing; such a connection is never
+            // offered to the next exchange.
+            Ok((reader.is_drained(), response))
         })();
         if let Some(token) = cancel {
             token.clear();
@@ -284,127 +235,18 @@ impl UpstreamPool {
                 return Err(io::Error::new(io::ErrorKind::Interrupted, "cancelled"));
             }
         }
-        match result {
-            Ok(response) => {
-                if response.keep_alive {
-                    self.checkin(stream);
-                }
-                Ok(response)
-            }
-            Err(e) => Err(e),
+        let (drained, response) = result?;
+        if response.keep_alive && drained {
+            self.checkin(stream);
         }
+        Ok(response)
     }
-}
-
-/// Reads and decodes one HTTP/1.1 response (status line, headers, and
-/// a `Content-Length` body). The shard servers always frame responses
-/// with `Content-Length`, so chunked decoding is out of scope.
-fn read_response(stream: &mut TcpStream) -> io::Result<UpstreamResponse> {
-    let mut buf = Vec::with_capacity(1024);
-    let mut chunk = [0u8; 4096];
-    let head_end = loop {
-        if let Some(pos) = find_head_end(&buf) {
-            break pos;
-        }
-        if buf.len() > MAX_HEAD {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "upstream response head too large",
-            ));
-        }
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "upstream closed mid-response",
-            ));
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    };
-    let head = std::str::from_utf8(&buf[..head_end])
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-UTF-8 response head"))?;
-    let mut lines = head.split("\r\n");
-    let status_line = lines.next().unwrap_or("");
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("bad status line {status_line:?}"),
-            )
-        })?;
-    let mut headers = Vec::new();
-    for line in lines {
-        if line.is_empty() {
-            continue;
-        }
-        let Some((name, value)) = line.split_once(':') else {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("bad header line {line:?}"),
-            ));
-        };
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-    }
-    let content_length: usize = headers
-        .iter()
-        .find(|(k, _)| k == "content-length")
-        .map(|(_, v)| {
-            v.parse()
-                .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "bad content-length"))
-        })
-        .transpose()?
-        .unwrap_or(0);
-    if content_length > MAX_BODY {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "upstream response body too large",
-        ));
-    }
-    let keep_alive = headers
-        .iter()
-        .find(|(k, _)| k == "connection")
-        .map(|(_, v)| !v.eq_ignore_ascii_case("close"))
-        .unwrap_or(true);
-    let body_start = head_end + 4;
-    let mut body = buf.split_off(body_start.min(buf.len()));
-    // Read the rest of the body straight into its final buffer: a
-    // proxied response is copied back out verbatim, so every extra
-    // staging copy (and every 4 KiB-sized read syscall) is pure
-    // per-request overhead on the routed path.
-    if body.len() < content_length {
-        let mut filled = body.len();
-        body.resize(content_length, 0);
-        while filled < content_length {
-            let n = stream.read(&mut body[filled..])?;
-            if n == 0 {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "upstream closed mid-body",
-                ));
-            }
-            filled += n;
-        }
-    }
-    body.truncate(content_length);
-    Ok(UpstreamResponse {
-        status,
-        headers,
-        body,
-        keep_alive,
-    })
-}
-
-/// The byte offset of the `\r\n\r\n` head terminator, if present.
-fn find_head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Read;
     use std::net::TcpListener;
 
     fn serve_once(response: &'static [u8]) -> SocketAddr {
@@ -456,6 +298,15 @@ mod tests {
         }
         // Both exchanges rode one keep-alive connection.
         assert_eq!(pool.idle.lock().unwrap().len(), 1);
+
+        // An upstream that sends bytes past its declared body disagrees
+        // with this pool about framing: the answer is served, the
+        // connection is not offered to the next exchange.
+        let addr = serve_once(b"HTTP/1.1 200 OK\r\ncontent-length: 2\r\n\r\nokjunk");
+        let pool = UpstreamPool::new(addr);
+        let response = pool.exchange("GET", "/v1/health", &[], &[]).unwrap();
+        assert_eq!(response.body, b"ok");
+        assert!(pool.idle.lock().unwrap().is_empty());
     }
 
     #[test]

@@ -143,22 +143,31 @@ impl Histogram {
         let shard = &self.shards[shard_of_current_thread()];
         shard.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         shard.sum.fetch_add(v, Ordering::Relaxed);
-        shard.count.fetch_add(1, Ordering::Relaxed);
+        // Publishes the bucket and sum updates above; pairs with the
+        // `Acquire` load in `snapshot`.
+        shard.count.fetch_add(1, Ordering::Release);
     }
 
     /// Merges all shards into a point-in-time snapshot. Concurrent
     /// recording may land an observation's bucket and count in
-    /// different scrapes; both only ever grow.
+    /// different scrapes; both only ever grow, and a snapshot never
+    /// counts an observation it has not bucketed: **the bucket total
+    /// is always ≥ `count`** (and `sum` covers at least the counted
+    /// observations). Each shard's `count` is read first, with
+    /// `Acquire`: every `observe` whose `Release` increment that load
+    /// sees had already added to its bucket and to `sum`, so the reads
+    /// that follow include it however long the scraper was descheduled
+    /// in between.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let mut buckets = [0u64; HISTOGRAM_BUCKETS];
         let mut sum = 0u64;
         let mut count = 0u64;
         for shard in &self.shards {
+            count += shard.count.load(Ordering::Acquire);
+            sum += shard.sum.load(Ordering::Relaxed);
             for (acc, b) in buckets.iter_mut().zip(shard.buckets.iter()) {
                 *acc += b.load(Ordering::Relaxed);
             }
-            sum += shard.sum.load(Ordering::Relaxed);
-            count += shard.count.load(Ordering::Relaxed);
         }
         HistogramSnapshot {
             buckets,

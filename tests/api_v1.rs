@@ -1,78 +1,20 @@
 //! End-to-end test of the versioned `/v1` API over a real TCP socket,
 //! driven through the native `hyperbench_api::Client`: keyset cursor
 //! paging, typed analysis submission (hd/ghd/fhd), decomposition
-//! retrieval with client-side re-validation via `decomp::validate`,
-//! structured error codes, and legacy-route coexistence.
+//! retrieval with client-side re-validation via `decomp::validate`, and
+//! structured error codes.
 
-use std::net::SocketAddr;
 use std::time::Duration;
 
 use hyperbench_api::{
-    AnalysisStatus, AnalyzeMethod, AnalyzeRequest, Client, ClientError, ErrorCode, Json, ListQuery,
+    AnalysisStatus, AnalyzeMethod, AnalyzeRequest, Client, ErrorCode, Json, ListQuery,
 };
-use hyperbench_core::builder::hypergraph_from_edges;
 use hyperbench_core::format::parse_hg;
 use hyperbench_decomp::validate::{validate_ghd, validate_hd};
-use hyperbench_repo::{analyze_instance, AnalysisConfig, Repository};
-use hyperbench_server::{Server, ServerConfig, ShutdownHandle};
-
-/// A server over a deterministic 12-entry repository: 8 analyzed CQ
-/// entries (alternating SPARQL/TPC-H, triangles and paths) plus 4
-/// unanalyzed CSP entries — the same corpus as `server_http.rs`, so the
-/// two suites assert the same totals through both API surfaces.
-fn start_server() -> (std::thread::JoinHandle<()>, SocketAddr, ShutdownHandle) {
-    let mut repo = Repository::new();
-    let cfg = AnalysisConfig::default();
-    for i in 0..8 {
-        let h = if i % 2 == 0 {
-            hypergraph_from_edges(&[("R", &["a", "b"]), ("S", &["b", "c"]), ("T", &["c", "a"])])
-        } else {
-            hypergraph_from_edges(&[("e", &["a", "b"]), ("f", &["b", "c"])])
-        };
-        let rec = analyze_instance(&h, &cfg);
-        let coll = if i % 2 == 0 { "SPARQL" } else { "TPC-H" };
-        let id = repo.insert(h, coll, "CQ Application");
-        repo.set_analysis(id, rec);
-    }
-    for i in 0..4 {
-        let name = format!("x{i}");
-        repo.insert(
-            hypergraph_from_edges(&[("c", &[name.as_str(), "y"])]),
-            "xcsp",
-            "CSP Random",
-        );
-    }
-    let server = Server::bind(
-        repo,
-        &ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            threads: 6,
-            analysis_workers: 2,
-            job_queue_capacity: 16,
-            cache_capacity: 32,
-            analysis: AnalysisConfig::default(),
-            spill: None,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind ephemeral port");
-    let addr = server.local_addr();
-    let shutdown = server.shutdown_handle();
-    let join = std::thread::spawn(move || server.run());
-    (join, addr, shutdown)
-}
+use hyperbench_integration_tests::fixture::{expect_api_error, start_server};
+use hyperbench_integration_tests::http::post;
 
 const WAIT: Duration = Duration::from_secs(30);
-
-fn expect_api_error(result: Result<impl std::fmt::Debug, ClientError>, code: ErrorCode) {
-    match result {
-        Err(ClientError::Api { error, status }) => {
-            assert_eq!(error.code, code, "unexpected code (HTTP {status}): {error}");
-            assert_eq!(status, code.http_status());
-        }
-        other => panic!("expected {code:?} ApiError, got {other:?}"),
-    }
-}
 
 #[test]
 fn cursor_paging_walks_the_repository_exactly_once() {
@@ -298,7 +240,7 @@ fn parse_failures_are_pollable_failed_resources() {
     let client = Client::new(addr);
 
     // Submitting garbage answers 400 — but as an AnalysisResource with
-    // a pollable id, mirroring the legacy contract.
+    // a pollable id.
     let failed = client
         .submit(&AnalyzeRequest::hd("this is not hg((("))
         .expect("failed submissions still decode as resources");
@@ -310,63 +252,18 @@ fn parse_failures_are_pollable_failed_resources() {
     assert!(polled.error.as_deref().unwrap().contains("parse error"));
     // A structurally-invalid AnalyzeRequest (unknown method) is a
     // plain structured 400, no job id burned.
-    use std::io::{Read, Write};
-    let body = r#"{"hypergraph":"e(a,b).","method":"magic"}"#;
-    let mut stream = std::net::TcpStream::connect(addr).unwrap();
-    stream
-        .write_all(
-            format!(
-                "POST /v1/analyses HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-                body.len()
-            )
-            .as_bytes(),
-        )
-        .unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).unwrap();
-    assert!(response.starts_with("HTTP/1.1 400"), "got: {response}");
-    let parsed = Json::parse(response.split_once("\r\n\r\n").unwrap().1).unwrap();
+    let (status, body) = post(
+        addr,
+        "/v1/analyses",
+        r#"{"hypergraph":"e(a,b).","method":"magic"}"#,
+    );
+    assert_eq!(status, 400, "got: {body}");
+    let parsed = Json::parse(&body).unwrap();
     assert_eq!(
         parsed.get("code").and_then(Json::as_str),
         Some("invalid_param"),
         "body: {parsed}"
     );
-
-    shutdown.shutdown();
-    join.join().unwrap();
-}
-
-#[test]
-fn legacy_and_v1_routes_coexist() {
-    let (join, addr, shutdown) = start_server();
-    let client = Client::new(addr);
-
-    // v1 detail and legacy detail describe the same entry.
-    let detail = client.entry(0).unwrap();
-    assert_eq!(detail.summary.vertices, 3);
-    assert_eq!(detail.edge_list.len(), 3);
-    assert_eq!(detail.analysis.as_ref().unwrap().hw_exact, Some(2));
-
-    // Raw .hg is served by both surfaces.
-    let raw = client.raw_hg(0).unwrap();
-    assert!(raw.contains("R(a,b)"), "raw hg was: {raw}");
-
-    // Legacy routes still answer underneath (PR-1 shapes): drive one
-    // manually over the same socket the client uses.
-    use std::io::{Read, Write};
-    let mut stream = std::net::TcpStream::connect(addr).unwrap();
-    stream
-        .write_all(
-            b"GET /hypergraphs?offset=2&limit=3 HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
-        )
-        .unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).unwrap();
-    assert!(response.starts_with("HTTP/1.1 200"), "got: {response}");
-    let body = response.split_once("\r\n\r\n").unwrap().1;
-    let page = Json::parse(body).unwrap();
-    assert_eq!(page.get("offset").and_then(Json::as_int), Some(2));
-    assert_eq!(page.get("total").and_then(Json::as_int), Some(12));
 
     shutdown.shutdown();
     join.join().unwrap();

@@ -12,9 +12,9 @@
 //! reproduces exactly.
 #![cfg(all(target_os = "linux", feature = "failpoints"))]
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::path::{Path, PathBuf};
+use std::io::{BufRead, BufReader};
+use std::net::SocketAddr;
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -23,19 +23,10 @@ use hyperbench_api::{
     WriteRequest,
 };
 use hyperbench_core::format::parse_hg;
+use hyperbench_integration_tests::fixture::{doc, expect_api_error, start_writable, tmpdir};
+use hyperbench_integration_tests::http::{post, send};
 use hyperbench_repo::Repository;
-use hyperbench_server::{Server, ServerConfig, ShutdownHandle};
-
-fn doc(i: usize) -> String {
-    format!("r{i}(a{i},b{i}),s{i}(b{i},c{i}),t{i}(c{i},a{i}).")
-}
-
-fn tmpdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("hyperbench-chaos-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("tmpdir");
-    dir
-}
+use hyperbench_server::{Server, ServerConfig};
 
 /// The chaos seed: fixed in CI, overridable locally to explore. Every
 /// randomized schedule derives from it, so a red run reproduces.
@@ -67,61 +58,10 @@ impl Rng {
     }
 }
 
-/// Binds a WAL-backed writable in-process server.
-fn start_writable(tag: &str) -> (std::thread::JoinHandle<()>, SocketAddr, ShutdownHandle) {
-    let dir = tmpdir(tag);
-    let server = Server::bind(
-        Repository::new(),
-        &ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            threads: 4,
-            analysis_workers: 1,
-            job_queue_capacity: 16,
-            cache_capacity: 32,
-            wal: Some(dir.join("repo.wal")),
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind ephemeral port");
-    let addr = server.local_addr();
-    let shutdown = server.shutdown_handle();
-    let join = std::thread::spawn(move || server.run());
-    (join, addr, shutdown)
-}
-
-/// Sends one raw HTTP/1.1 request on a fresh connection; returns
-/// (status, head, body) so headers like `Retry-After` can be asserted.
-fn raw_http(addr: SocketAddr, raw: String) -> (u16, String, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    stream.write_all(raw.as_bytes()).expect("send request");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read response");
-    let status: u16 = response
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line in {response:?}"));
-    let (head, body) = response
-        .split_once("\r\n\r\n")
-        .map(|(h, b)| (h.to_string(), b.to_string()))
-        .unwrap_or((response, String::new()));
-    (status, head, body)
-}
-
 /// Arms (or with an empty spec, clears) failpoints through the
 /// test-only debug route; panics unless the server answers 200.
 fn arm(addr: SocketAddr, spec: &str) {
-    let (status, _, body) = raw_http(
-        addr,
-        format!(
-            "POST /debug/failpoints HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\
-             Connection: close\r\n\r\n{spec}",
-            spec.len()
-        ),
-    );
+    let (status, body) = post(addr, "/debug/failpoints", spec);
     assert_eq!(status, 200, "arming {spec:?} failed: {body}");
 }
 
@@ -136,36 +76,16 @@ fn metric(text: &str, name: &str) -> Option<f64> {
     })
 }
 
-fn expect_api_error(result: Result<impl std::fmt::Debug, ClientError>, code: ErrorCode) {
-    match result {
-        Err(ClientError::Api { error, status }) => {
-            assert_eq!(error.code, code, "unexpected code (HTTP {status}): {error}");
-            assert_eq!(status, code.http_status());
-        }
-        other => panic!("expected {code:?} ApiError, got {other:?}"),
-    }
-}
-
 /// The debug route round-trips: arming lists the active points, a bad
 /// spec is a structured 400, an empty body clears everything.
 #[test]
 fn failpoints_route_arms_lists_and_clears() {
     let (join, addr, shutdown) = start_writable("route");
     arm(addr, "wal.append=2*off->1*return(x);spill.append=sleep(1)");
-    let (status, _, body) = raw_http(
-        addr,
-        "POST /debug/failpoints HTTP/1.1\r\nHost: t\r\nContent-Length: 0\r\n\
-         Connection: close\r\n\r\n"
-            .to_string(),
-    );
+    let (status, body) = post(addr, "/debug/failpoints", "");
     assert_eq!(status, 200, "{body}");
 
-    let (status, _, body) = raw_http(
-        addr,
-        "POST /debug/failpoints HTTP/1.1\r\nHost: t\r\nContent-Length: 17\r\n\
-         Connection: close\r\n\r\nwal.append=frobni"
-            .to_string(),
-    );
+    let (status, body) = post(addr, "/debug/failpoints", "wal.append=frobni");
     assert_eq!(status, 400, "{body}");
     assert_eq!(
         Json::parse(&body)
@@ -206,15 +126,16 @@ fn degraded_store_sheds_writes_serves_reads_and_recovers() {
     // …and so is every later write, with a Retry-After hint, straight
     // from the degraded check (no WAL touch).
     let body = format!("{{\"hypergraph\":{}}}", Json::Str(doc(3)));
-    let (status, head, payload) = raw_http(
+    let refused = send(
         addr,
-        format!(
+        &format!(
             "POST /v1/hypergraphs HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\n\
              Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
             body.len()
         ),
     );
-    assert_eq!(status, 503, "{payload}");
+    let payload = refused.text();
+    assert_eq!(refused.status, 503, "{payload}");
     assert_eq!(
         Json::parse(&payload)
             .unwrap()
@@ -224,9 +145,9 @@ fn degraded_store_sheds_writes_serves_reads_and_recovers() {
         "{payload}"
     );
     assert!(
-        head.lines()
-            .any(|l| l.to_ascii_lowercase().starts_with("retry-after:")),
-        "degraded 503 must carry Retry-After: {head}"
+        refused.retry_after().is_some(),
+        "degraded 503 must carry Retry-After: {:?}",
+        refused.headers
     );
 
     // Reads keep answering from the last committed snapshot.

@@ -1,10 +1,11 @@
 //! Crash-recovery guarantees, attacked from two directions:
 //!
-//! 1. **Property**: any byte-truncation of a WAL recovers to a
-//!    consistent prefix of the committed records — never a partial
-//!    record, never a reordering, and the cut is reported as a torn
-//!    tail unless it falls exactly on a frame boundary. Damage *before*
-//!    intact frames must instead fail loudly as corruption.
+//! 1. **Property**: any byte-truncation of a WAL — or of an
+//!    analysis-cache spill segment, which shares its frame scanner —
+//!    recovers to a consistent prefix of the committed records — never
+//!    a partial record, never a reordering, and the cut is reported as
+//!    a torn tail unless it falls exactly on a frame boundary. Damage
+//!    *before* intact frames must instead fail loudly as corruption.
 //! 2. **Live socket**: a writable pack-backed server is `kill -9`ed
 //!    mid-write-stream; on restart every acknowledged write survives
 //!    (verified by content hash via idempotent re-`POST`), unacked
@@ -13,7 +14,7 @@
 
 use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -21,15 +22,13 @@ use std::time::Duration;
 
 use hyperbench_api::{Client, WriteRequest};
 use hyperbench_core::format::parse_hg;
+use hyperbench_integration_tests::fixture::{doc, tmpdir};
 use hyperbench_repo::store::pack::content_hash_of;
+use hyperbench_repo::store::spill::{self, SpillRecord};
 use hyperbench_repo::store::wal::{self, WalEntry, WalRecord};
 use hyperbench_repo::store::StoreError;
-use hyperbench_repo::Repository;
+use hyperbench_repo::{analyze_instance, AnalysisConfig, Repository};
 use proptest::prelude::*;
-
-fn doc(i: usize) -> String {
-    format!("r{i}(a{i},b{i}),s{i}(b{i},c{i}),t{i}(c{i},a{i}).")
-}
 
 fn entry(id: u64, i: usize) -> WalEntry {
     WalEntry {
@@ -70,36 +69,88 @@ fn sample_records() -> Vec<WalRecord> {
 }
 
 fn sample_bytes() -> (Vec<u8>, Vec<usize>) {
+    concat_frames(sample_records().iter().map(wal::encode))
+}
+
+/// A spill segment of three results with different payload sizes.
+fn sample_spill_records() -> Vec<SpillRecord> {
+    (0..3)
+        .map(|i| {
+            let text = doc(i);
+            let mut record =
+                analyze_instance(&parse_hg(&text).unwrap(), &AnalysisConfig::default());
+            record.hw_steps.clear(); // per-k timings are not persisted
+            SpillRecord {
+                hash: 0x9e37_79b9 * (i as u64 + 1),
+                keyed: format!("hd:{i}\n{text}"),
+                method: "hd".to_string(),
+                hg_text: text,
+                record,
+                witness_json: (i % 2 == 0).then(|| format!(r#"{{"width":{i}}}"#)),
+                fractional_width: None,
+            }
+        })
+        .collect()
+}
+
+/// A file image of the given frames, plus every frame boundary in it.
+fn concat_frames(frames: impl Iterator<Item = Vec<u8>>) -> (Vec<u8>, Vec<usize>) {
     let mut bytes = Vec::new();
     let mut boundaries = vec![0usize];
-    for r in sample_records() {
-        bytes.extend_from_slice(&wal::encode(&r));
+    for frame in frames {
+        bytes.extend_from_slice(&frame);
         boundaries.push(bytes.len());
     }
     (bytes, boundaries)
 }
 
-// Cutting the log anywhere yields exactly the records whose frames
+/// `wal::scan` and `spill::scan`: the intact records of a file image
+/// plus whatever stopped the scan.
+type Scan<T> = fn(&[u8]) -> (Vec<T>, Option<StoreError>);
+
+/// What a scan of `image[..cut]` must answer: exactly the records whose
+/// frames fit before the cut, in order, and a torn tail (per `is_torn`)
+/// whenever the cut falls inside a frame.
+fn check_cut<T: PartialEq + std::fmt::Debug>(
+    (image, boundaries): &(Vec<u8>, Vec<usize>),
+    full: &[T],
+    cut: usize,
+    scan: Scan<T>,
+    is_torn: fn(&StoreError) -> bool,
+) -> proptest::TestCaseResult {
+    let cut = cut.min(image.len());
+    let (records, err) = scan(&image[..cut]);
+    let expect = boundaries.iter().filter(|&&b| b > 0 && b <= cut).count();
+    prop_assert_eq!(records.len(), expect, "longest whole-frame prefix");
+    prop_assert_eq!(&records[..], &full[..expect], "prefix is unaltered");
+    if boundaries.contains(&cut) {
+        prop_assert!(err.is_none(), "clean cut at a frame boundary: {err:?}");
+    } else {
+        prop_assert!(
+            err.as_ref().is_some_and(is_torn),
+            "mid-frame cut must be a torn tail, got {err:?}"
+        );
+    }
+    Ok(())
+}
+
+// Cutting either log anywhere yields exactly the records whose frames
 // fit before the cut, in order — and flags the torn tail whenever the
 // cut falls inside a frame.
 proptest! {
     #[test]
     fn any_truncation_recovers_a_consistent_prefix(cut in 0usize..=1024) {
-        let (bytes, boundaries) = sample_bytes();
-        let cut = cut.min(bytes.len());
-        let (records, err) = wal::scan(&bytes[..cut]);
-        let full = sample_records();
-        let expect = boundaries.iter().filter(|&&b| b > 0 && b <= cut).count();
-        prop_assert_eq!(records.len(), expect, "longest whole-frame prefix");
-        prop_assert_eq!(&records[..], &full[..expect], "prefix is unaltered");
-        if boundaries.contains(&cut) {
-            prop_assert!(err.is_none(), "clean cut at a frame boundary: {err:?}");
-        } else {
-            prop_assert!(
-                matches!(err, Some(StoreError::WalTornTail { .. })),
-                "mid-frame cut must be a torn tail, got {err:?}"
-            );
-        }
+        check_cut(&sample_bytes(), &sample_records(), cut, wal::scan, |e| {
+            matches!(e, StoreError::WalTornTail { .. })
+        })?;
+        let spilled = sample_spill_records();
+        check_cut(
+            &concat_frames(spilled.iter().map(SpillRecord::encode)),
+            &spilled,
+            cut,
+            spill::scan,
+            |e| matches!(e, StoreError::SpillTornTail { .. }),
+        )?;
     }
 }
 
@@ -150,13 +201,6 @@ fn truncated_wal_file_reopens_with_the_committed_prefix() {
         Some(content_hash_of(&parse_hg(&doc(2)).unwrap())),
         "entry 0 carries the replacement content"
     );
-}
-
-fn tmpdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("hyperbench-crash-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("tmpdir");
-    dir
 }
 
 /// Spawns the writable pack server over `dir` and parses its bound

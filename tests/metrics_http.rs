@@ -12,7 +12,9 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
+use hyperbench_api::AnalyzeRequest;
 use hyperbench_core::builder::hypergraph_from_edges;
+use hyperbench_integration_tests::http::{get, post, send};
 use hyperbench_repo::{analyze_instance, AnalysisConfig, Repository};
 use hyperbench_server::json::Json;
 use hyperbench_server::{Server, ServerConfig, ShutdownHandle};
@@ -60,44 +62,6 @@ fn start_pack_server() -> (std::thread::JoinHandle<()>, SocketAddr, ShutdownHand
     let shutdown = server.shutdown_handle();
     let join = std::thread::spawn(move || server.run());
     (join, addr, shutdown)
-}
-
-/// Sends one raw HTTP request, returns (status, body).
-fn http(addr: SocketAddr, raw: String) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    stream.write_all(raw.as_bytes()).expect("send request");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read response");
-    let status: u16 = response
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line in {response:?}"));
-    let body = response
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
-}
-
-fn get(addr: SocketAddr, path: &str) -> (u16, String) {
-    http(
-        addr,
-        format!("GET {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n"),
-    )
-}
-
-fn post(addr: SocketAddr, path: &str, body: &str) -> (u16, String) {
-    http(
-        addr,
-        format!(
-            "POST {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-            body.len()
-        ),
-    )
 }
 
 fn json(body: &str) -> Json {
@@ -158,14 +122,16 @@ fn metrics_reflect_a_known_request_mix() {
     }
 
     // --- M POSTs: one analysis (cache miss), the same doc again (hit) ---
-    let doc = "q1(u,v),q2(v,w),q3(w,u).";
-    let (status, body) = post(addr, "/analyze", doc);
+    let doc = AnalyzeRequest::hd("q1(u,v),q2(v,w),q3(w,u).")
+        .to_json()
+        .to_string();
+    let (status, body) = post(addr, "/v1/analyses", &doc);
     assert!(status == 200 || status == 202, "{status}: {body}");
     dispatched += 1;
-    let job_id = json(&body).get("job").and_then(Json::as_int).unwrap();
+    let job_id = json(&body).get("id").and_then(Json::as_int).unwrap();
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
-        let (status, body) = get(addr, &format!("/jobs/{job_id}"));
+        let (status, body) = get(addr, &format!("/v1/analyses/{job_id}"));
         assert_eq!(status, 200, "{body}");
         dispatched += 1;
         match json(&body).get("status").and_then(Json::as_str) {
@@ -179,7 +145,7 @@ fn metrics_reflect_a_known_request_mix() {
             }
         }
     }
-    let (status, body) = post(addr, "/analyze", doc);
+    let (status, body) = post(addr, "/v1/analyses", &doc);
     assert_eq!(status, 200, "cache hit answers synchronously: {body}");
     assert_eq!(
         json(&body).get("cached").and_then(Json::as_bool),
@@ -188,11 +154,11 @@ fn metrics_reflect_a_known_request_mix() {
     dispatched += 1;
 
     // --- one 413: an honest Content-Length beyond the body cap ---
-    let (status, _) = http(
+    let oversized = send(
         addr,
-        "POST /analyze HTTP/1.1\r\nHost: test\r\nContent-Length: 9000000\r\n\r\n".to_string(),
+        "POST /v1/analyses HTTP/1.1\r\nHost: test\r\nContent-Length: 9000000\r\n\r\n",
     );
-    assert_eq!(status, 413);
+    assert_eq!(oversized.status, 413);
 
     // --- one 408: a partial request past the read deadline ---
     {
@@ -261,7 +227,7 @@ fn metrics_reflect_a_known_request_mix() {
     assert!(stat_counter(&stats, "hyperbench_reactor_epoll_wakeups_total") >= 1);
     assert!(stat_counter(&stats, "hyperbench_reactor_write_bytes_total") >= 1);
 
-    // Legacy stats shape is still intact next to the telemetry section.
+    // The repository and jobs sections sit next to the telemetry one.
     let repo = stats.get("repository").expect("repository section");
     assert_eq!(repo.get("entries").and_then(Json::as_int), Some(4));
     let jobs = stats.get("jobs").expect("jobs section");

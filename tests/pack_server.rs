@@ -7,11 +7,12 @@
 //! is a cache hit served from disk, witness included).
 
 use std::net::SocketAddr;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Duration;
 
 use hyperbench_api::{AnalysisStatus, AnalyzeRequest, Client, ListQuery};
 use hyperbench_core::builder::hypergraph_from_edges;
+use hyperbench_integration_tests::fixture::tmpdir;
 use hyperbench_repo::{analyze_instance, store, AnalysisConfig, Filter, Repository};
 use hyperbench_server::{Server, ServerConfig, ShutdownHandle};
 
@@ -65,16 +66,6 @@ fn start_packed_server(
     let shutdown = server.shutdown_handle();
     let join = std::thread::spawn(move || server.run());
     (join, addr, shutdown)
-}
-
-fn tmpdir(name: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!(
-        "hyperbench-pack-server-{name}-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&d);
-    std::fs::create_dir_all(&d).unwrap();
-    d
 }
 
 #[test]

@@ -2,87 +2,16 @@
 //! row queries with keyset paging and `ORDER BY`, aggregation with
 //! `GROUP BY`, 422 `invalid_query` rejections carrying byte-offset
 //! spans, snapshot-pinned cursors holding steady under concurrent
-//! writes, and the unknown-filter-key rejection both legacy-param
-//! routes share now that they desugar through the same planner.
+//! writes, and the unknown-filter-key rejection of the list route's
+//! `?key=value` params, which desugar through the same planner.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 
 use hyperbench_api::{
     Client, ClientError, ErrorCode, Json, ListQuery, QueryRequest, QueryResponse, WriteRequest,
 };
-use hyperbench_core::builder::hypergraph_from_edges;
-use hyperbench_repo::{analyze_instance, AnalysisConfig, Repository};
-use hyperbench_server::{Server, ServerConfig, ShutdownHandle};
-
-/// A server over a deterministic 12-entry repository: 8 analyzed CQ
-/// entries (alternating SPARQL/TPC-H, triangles and paths) plus 4
-/// unanalyzed CSP entries — the corpus `api_v1.rs` and
-/// `server_http.rs` also assert against.
-fn start_server() -> (std::thread::JoinHandle<()>, SocketAddr, ShutdownHandle) {
-    let mut repo = Repository::new();
-    let cfg = AnalysisConfig::default();
-    for i in 0..8 {
-        let h = if i % 2 == 0 {
-            hypergraph_from_edges(&[("R", &["a", "b"]), ("S", &["b", "c"]), ("T", &["c", "a"])])
-        } else {
-            hypergraph_from_edges(&[("e", &["a", "b"]), ("f", &["b", "c"])])
-        };
-        let rec = analyze_instance(&h, &cfg);
-        let coll = if i % 2 == 0 { "SPARQL" } else { "TPC-H" };
-        let id = repo.insert(h, coll, "CQ Application");
-        repo.set_analysis(id, rec);
-    }
-    for i in 0..4 {
-        let name = format!("x{i}");
-        repo.insert(
-            hypergraph_from_edges(&[("c", &[name.as_str(), "y"])]),
-            "xcsp",
-            "CSP Random",
-        );
-    }
-    let server = Server::bind(
-        repo,
-        &ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            threads: 4,
-            analysis_workers: 1,
-            job_queue_capacity: 16,
-            cache_capacity: 32,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind ephemeral port");
-    let addr = server.local_addr();
-    let shutdown = server.shutdown_handle();
-    let join = std::thread::spawn(move || server.run());
-    (join, addr, shutdown)
-}
-
-/// Binds a WAL-backed writable server over an empty repository.
-fn start_writable(tag: &str) -> (std::thread::JoinHandle<()>, SocketAddr, ShutdownHandle) {
-    let dir =
-        std::env::temp_dir().join(format!("hyperbench-query-api-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("tmpdir");
-    let server = Server::bind(
-        Repository::new(),
-        &ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            threads: 4,
-            analysis_workers: 1,
-            job_queue_capacity: 16,
-            cache_capacity: 32,
-            wal: Some(dir.join("repo.wal")),
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind ephemeral port");
-    let addr = server.local_addr();
-    let shutdown = server.shutdown_handle();
-    let join = std::thread::spawn(move || server.run());
-    (join, addr, shutdown)
-}
+use hyperbench_integration_tests::fixture::{start_server, start_writable};
+use hyperbench_integration_tests::http::{get, post};
 
 fn rows(response: QueryResponse) -> hyperbench_api::PageDto {
     match response {
@@ -91,33 +20,12 @@ fn rows(response: QueryResponse) -> hyperbench_api::PageDto {
     }
 }
 
-/// Issues one raw HTTP request and returns (status, parsed JSON body) —
-/// for assertions the typed client flattens away (error spans, exact
-/// route payloads).
-fn raw_json(addr: SocketAddr, request: &str) -> (u16, Json) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.write_all(request.as_bytes()).expect("send");
-    let mut text = String::new();
-    stream.read_to_string(&mut text).expect("read");
-    let status: u16 = text
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .expect("status line");
-    let body = text.split("\r\n\r\n").nth(1).expect("body");
-    (status, Json::parse(body).expect("JSON body"))
-}
-
+/// `POST /v1/query` over a raw socket: (status, parsed JSON body) — for
+/// what the typed client flattens away (error spans).
 fn post_query_raw(addr: SocketAddr, query: &str) -> (u16, Json) {
     let body = QueryRequest::new(query).to_json().to_string();
-    raw_json(
-        addr,
-        &format!(
-            "POST /v1/query HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\
-             Connection: close\r\n\r\n{body}",
-            body.len()
-        ),
-    )
+    let (status, answer) = post(addr, "/v1/query", &body);
+    (status, Json::parse(&answer).expect("JSON body"))
 }
 
 #[test]
@@ -353,56 +261,34 @@ fn query_cursors_pin_their_snapshot_under_writes() {
     join.join().unwrap();
 }
 
+/// The list route's `?key=value` filter params desugar into HBQL, so an
+/// unknown key is rejected by the one planner: the answer names the bad
+/// key and lists the valid vocabulary. (The unversioned list route that
+/// once shared this path is retired; `server_http.rs` pins its 404.)
 #[test]
 fn both_legacy_param_routes_reject_unknown_keys_identically() {
     let (join, addr, shutdown) = start_server();
 
-    let (v1_status, v1_body) = raw_json(
-        addr,
-        "GET /v1/hypergraphs?hw_max=3 HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
-    );
-    let (legacy_status, legacy_body) = raw_json(
-        addr,
-        "GET /hypergraphs?hw_max=3 HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
-    );
-    assert_eq!(v1_status, 400);
-    assert_eq!(legacy_status, 400);
-    // One desugaring path ⇒ identical rejections on both routes —
-    // naming the bad key and listing the valid vocabulary — up to the
-    // per-request trace id each payload carries.
+    let (status, body) = get(addr, "/v1/hypergraphs?hw_max=3");
+    assert_eq!(status, 400);
+    let body = Json::parse(&body).expect("JSON body");
     assert_eq!(
-        v1_body.get("code").and_then(Json::as_str),
-        legacy_body.get("code").and_then(Json::as_str)
-    );
-    assert_eq!(
-        v1_body.get("error").and_then(Json::as_str),
-        legacy_body.get("error").and_then(Json::as_str)
-    );
-    assert!(
-        v1_body.get("request_id").is_some() && legacy_body.get("request_id").is_some(),
-        "both rejections carry their request's trace id"
-    );
-    assert_eq!(
-        v1_body.get("code").and_then(Json::as_str),
+        body.get("code").and_then(Json::as_str),
         Some("invalid_param")
     );
-    let message = v1_body.get("error").and_then(Json::as_str).unwrap();
+    assert!(
+        body.get("request_id").is_some(),
+        "the rejection carries its request's trace id"
+    );
+    let message = body.get("error").and_then(Json::as_str).unwrap();
     assert!(message.contains("hw_max"), "names the key: {message}");
     assert!(
         message.contains("hw_le") && message.contains("collection"),
         "lists the vocabulary: {message}"
     );
 
-    // Bad values keep answering 400 on both routes too.
-    let (s1, _) = raw_json(
-        addr,
-        "GET /v1/hypergraphs?min_edges=many HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
-    );
-    let (s2, _) = raw_json(
-        addr,
-        "GET /hypergraphs?min_edges=many HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
-    );
-    assert_eq!((s1, s2), (400, 400));
+    // Bad values answer 400 too.
+    assert_eq!(get(addr, "/v1/hypergraphs?min_edges=many").0, 400);
 
     shutdown.shutdown();
     join.join().unwrap();

@@ -11,7 +11,9 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
+use hyperbench_api::http::ResponseReader;
 use hyperbench_core::builder::hypergraph_from_edges;
+use hyperbench_integration_tests::http::{connect, get};
 use hyperbench_repo::{AnalysisConfig, Repository};
 use hyperbench_server::json::Json;
 use hyperbench_server::{Server, ServerConfig, ShutdownHandle};
@@ -61,43 +63,11 @@ fn start_reactor(
     (join, addr, shutdown)
 }
 
-fn connect(addr: SocketAddr) -> TcpStream {
-    let stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    stream
-        .set_write_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    stream
-}
-
-/// Reads exactly one HTTP response (head + `Content-Length` body) off a
-/// keep-alive connection, leaving the stream positioned at the next
-/// response. Returns (status, body).
-fn read_one_response(stream: &mut TcpStream) -> (u16, String) {
-    let mut head = Vec::new();
-    let mut byte = [0u8; 1];
-    while !head.ends_with(b"\r\n\r\n") {
-        let n = stream.read(&mut byte).expect("read response head");
-        assert!(n > 0, "connection closed mid-head: {head:?}");
-        head.push(byte[0]);
-        assert!(head.len() < 64 * 1024, "unbounded response head");
-    }
-    let head = String::from_utf8(head).expect("UTF-8 head");
-    let status: u16 = head
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line in {head:?}"));
-    let content_length: usize = head
-        .lines()
-        .find_map(|l| l.strip_prefix("Content-Length: "))
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or_else(|| panic!("no Content-Length in {head:?}"));
-    let mut body = vec![0u8; content_length];
-    stream.read_exact(&mut body).expect("read response body");
-    (status, String::from_utf8(body).expect("UTF-8 body"))
+/// One request and its response on a kept-open connection, leaving the
+/// connection positioned at the next response: (status, body).
+fn exchange(conn: &mut ResponseReader<TcpStream>, request: &str) -> (u16, String) {
+    let response = conn.exchange(request.as_bytes()).expect("response");
+    (response.status, response.text())
 }
 
 fn json(body: &str) -> Json {
@@ -117,7 +87,8 @@ fn drip_fed_pipelined_requests_match_one_shot() {
                GET /v1/hypergraphs/0/hg HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n";
 
     let one_shot = {
-        let mut stream = connect(addr);
+        let mut conn = connect(addr);
+        let stream = conn.get_mut();
         stream.write_all(raw.as_bytes()).unwrap();
         let mut out = String::new();
         stream.read_to_string(&mut out).expect("read one-shot");
@@ -133,7 +104,8 @@ fn drip_fed_pipelined_requests_match_one_shot() {
     assert!(one_shot.contains("Connection: close"), "{one_shot}");
 
     let dripped = {
-        let mut stream = connect(addr);
+        let mut conn = connect(addr);
+        let stream = conn.get_mut();
         for chunk in raw.as_bytes() {
             stream.write_all(std::slice::from_ref(chunk)).unwrap();
             stream.flush().unwrap();
@@ -156,12 +128,12 @@ fn drip_fed_pipelined_requests_match_one_shot() {
 #[test]
 fn keep_alive_serves_sequential_requests() {
     let (join, addr, shutdown) = start_reactor(Duration::from_secs(10));
-    let mut stream = connect(addr);
+    let mut conn = connect(addr);
     for round in 0..5 {
-        stream
-            .write_all(b"GET /v1/hypergraphs/1 HTTP/1.1\r\nHost: t\r\n\r\n")
-            .unwrap();
-        let (status, body) = read_one_response(&mut stream);
+        let (status, body) = exchange(
+            &mut conn,
+            "GET /v1/hypergraphs/1 HTTP/1.1\r\nHost: t\r\n\r\n",
+        );
         assert_eq!(status, 200, "round {round}: {body}");
         let detail = json(&body);
         assert_eq!(
@@ -173,10 +145,10 @@ fn keep_alive_serves_sequential_requests() {
     }
     // An error response on a keep-alive connection still answers
     // structured JSON, then the server closes the connection.
-    stream
-        .write_all(b"GET /v1/hypergraphs/999 HTTP/1.1\r\nHost: t\r\n\r\n")
-        .unwrap();
-    let (status, body) = read_one_response(&mut stream);
+    let (status, body) = exchange(
+        &mut conn,
+        "GET /v1/hypergraphs/999 HTTP/1.1\r\nHost: t\r\n\r\n",
+    );
     assert_eq!(status, 404, "{body}");
     assert_eq!(
         json(&body).get("code").and_then(Json::as_str),
@@ -195,14 +167,12 @@ fn slowloris_gets_structured_408_and_starves_nobody() {
     let (join, addr, shutdown) = start_reactor(Duration::from_millis(400));
     let started = Instant::now();
     let mut slow = connect(addr);
+    let slow = slow.get_mut();
     slow.write_all(b"GET /v1/hyperg").unwrap(); // partial request line, then silence
 
     // While the slow client squats, normal clients are unaffected.
     for _ in 0..4 {
-        let mut ok = connect(addr);
-        ok.write_all(b"GET /v1/hypergraphs/0 HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
-            .unwrap();
-        let (status, _) = read_one_response(&mut ok);
+        let (status, _) = get(addr, "/v1/hypergraphs/0");
         assert_eq!(status, 200);
         std::thread::sleep(Duration::from_millis(50));
     }
@@ -229,7 +199,8 @@ fn slowloris_gets_structured_408_and_starves_nobody() {
 #[test]
 fn oversized_head_gets_structured_413() {
     let (join, addr, shutdown) = start_reactor(Duration::from_secs(10));
-    let mut stream = connect(addr);
+    let mut conn = connect(addr);
+    let stream = conn.get_mut();
     let huge = format!(
         "GET /v1/healthz HTTP/1.1\r\nX-Flood: {}\r\n\r\n",
         "a".repeat(16 * 1024)
@@ -253,18 +224,18 @@ fn oversized_head_gets_structured_413() {
 #[test]
 fn sixty_four_keepalive_connections_on_two_threads() {
     let (join, addr, shutdown) = start_reactor(Duration::from_secs(10));
-    let mut conns: Vec<TcpStream> = (0..64).map(|_| connect(addr)).collect();
+    let mut conns: Vec<_> = (0..64).map(|_| connect(addr)).collect();
     for round in 0..3 {
         // Fire all 64 requests before reading any answer, so they are
         // genuinely concurrent in the server.
-        for stream in conns.iter_mut() {
-            stream
+        for conn in conns.iter_mut() {
+            conn.get_mut()
                 .write_all(b"GET /v1/hypergraphs/0 HTTP/1.1\r\nHost: t\r\n\r\n")
                 .unwrap();
         }
-        for (i, stream) in conns.iter_mut().enumerate() {
-            let (status, body) = read_one_response(stream);
-            assert_eq!(status, 200, "round {round}, conn {i}: {body}");
+        for (i, conn) in conns.iter_mut().enumerate() {
+            let response = conn.read_response().expect("response");
+            assert_eq!(response.status, 200, "round {round}, conn {i}");
         }
     }
     drop(conns);
@@ -279,28 +250,25 @@ fn sixty_four_keepalive_connections_on_two_threads() {
 #[test]
 fn post_analyses_offload_completes_over_keep_alive() {
     let (join, addr, shutdown) = start_reactor(Duration::from_secs(10));
-    let mut stream = connect(addr);
+    let mut conn = connect(addr);
     let body = r#"{"hypergraph":"q1(u,v),q2(v,w),q3(w,u).","method":"hd"}"#;
-    stream
-        .write_all(
-            format!(
-                "POST /v1/analyses HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\n\
-                 Content-Length: {}\r\n\r\n{body}",
-                body.len()
-            )
-            .as_bytes(),
-        )
-        .unwrap();
-    let (status, answer) = read_one_response(&mut stream);
+    let (status, answer) = exchange(
+        &mut conn,
+        &format!(
+            "POST /v1/analyses HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\n\
+             Content-Length: {}\r\n\r\n{body}",
+            body.len()
+        ),
+    );
     assert!(status == 200 || status == 202, "{status}: {answer}");
     let id = json(&answer).get("id").and_then(Json::as_int).expect("id");
 
     let deadline = Instant::now() + Duration::from_secs(30);
     let report = loop {
-        stream
-            .write_all(format!("GET /v1/analyses/{id} HTTP/1.1\r\nHost: t\r\n\r\n").as_bytes())
-            .unwrap();
-        let (status, answer) = read_one_response(&mut stream);
+        let (status, answer) = exchange(
+            &mut conn,
+            &format!("GET /v1/analyses/{id} HTTP/1.1\r\nHost: t\r\n\r\n"),
+        );
         assert_eq!(status, 200, "poll: {answer}");
         let resource = json(&answer);
         match resource.get("status").and_then(Json::as_str) {
@@ -324,12 +292,12 @@ fn post_analyses_offload_completes_over_keep_alive() {
     join.join().unwrap();
 }
 
-/// HTTP/1.0 requests (no keep-alive by default) still close per
-/// request, exactly like the legacy engine.
+/// HTTP/1.0 requests (no keep-alive by default) close per request.
 #[test]
 fn http10_closes_after_response() {
     let (join, addr, shutdown) = start_reactor(Duration::from_secs(10));
-    let mut stream = connect(addr);
+    let mut conn = connect(addr);
+    let stream = conn.get_mut();
     stream
         .write_all(b"GET /v1/hypergraphs/0 HTTP/1.0\r\nHost: t\r\n\r\n")
         .unwrap();
@@ -350,19 +318,16 @@ fn expired_propagated_deadline_is_answered_408_before_dispatch() {
     let (join, addr, shutdown) = start_reactor(Duration::from_secs(10));
     let body = r#"{"hypergraph":"p(a,b)."}"#;
 
-    let mut stream = connect(addr);
-    stream
-        .write_all(
-            format!(
-                "POST /v1/hypergraphs HTTP/1.1\r\nHost: t\r\n\
-                 x-hyperbench-deadline-ms: 0\r\nContent-Type: application/json\r\n\
-                 Content-Length: {}\r\n\r\n{body}",
-                body.len()
-            )
-            .as_bytes(),
-        )
-        .unwrap();
-    let (status, answer) = read_one_response(&mut stream);
+    let mut conn = connect(addr);
+    let (status, answer) = exchange(
+        &mut conn,
+        &format!(
+            "POST /v1/hypergraphs HTTP/1.1\r\nHost: t\r\n\
+             x-hyperbench-deadline-ms: 0\r\nContent-Type: application/json\r\n\
+             Content-Length: {}\r\n\r\n{body}",
+            body.len()
+        ),
+    );
     assert_eq!(status, 408, "{answer}");
     assert_eq!(
         json(&answer).get("code").and_then(Json::as_str),
@@ -372,18 +337,15 @@ fn expired_propagated_deadline_is_answered_408_before_dispatch() {
 
     // Same request with a generous budget reaches the handler; this
     // server is read-only, so the write path answers its normal 403.
-    stream
-        .write_all(
-            format!(
-                "POST /v1/hypergraphs HTTP/1.1\r\nHost: t\r\n\
-                 x-hyperbench-deadline-ms: 60000\r\nContent-Type: application/json\r\n\
-                 Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-                body.len()
-            )
-            .as_bytes(),
-        )
-        .unwrap();
-    let (status, answer) = read_one_response(&mut stream);
+    let (status, answer) = exchange(
+        &mut conn,
+        &format!(
+            "POST /v1/hypergraphs HTTP/1.1\r\nHost: t\r\n\
+             x-hyperbench-deadline-ms: 60000\r\nContent-Type: application/json\r\n\
+             Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
+            body.len()
+        ),
+    );
     assert_eq!(status, 403, "{answer}");
     assert_eq!(
         json(&answer).get("code").and_then(Json::as_str),

@@ -9,8 +9,7 @@
 //! The router exists only on Linux (it rides the epoll reactor).
 #![cfg(target_os = "linux")]
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Duration;
@@ -18,42 +17,11 @@ use std::time::Duration;
 use hyperbench_api::{
     Client, ClientError, ErrorCode, Json, ListQuery, QueryRequest, QueryResponse, WriteRequest,
 };
+use hyperbench_integration_tests::fixture::{doc, start_writable};
+use hyperbench_integration_tests::http;
 use hyperbench_router::{RouterOptions, ShardMap};
 use hyperbench_server::reactor::ReactorOptions;
-use hyperbench_server::{Server, ServerConfig, ShutdownHandle};
-
-fn doc(i: usize) -> String {
-    format!("r{i}(a{i},b{i}),s{i}(b{i},c{i}),t{i}(c{i},a{i}).")
-}
-
-fn tmpdir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("hyperbench-router-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("tmpdir");
-    dir
-}
-
-/// One writable WAL-backed shard server on an ephemeral port.
-fn start_shard(tag: &str) -> (SocketAddr, ShutdownHandle) {
-    let dir = tmpdir(tag);
-    let server = Server::bind(
-        hyperbench_repo::Repository::new(),
-        &ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            threads: 4,
-            analysis_workers: 1,
-            job_queue_capacity: 16,
-            cache_capacity: 32,
-            wal: Some(dir.join("repo.wal")),
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind shard");
-    let addr = server.local_addr();
-    let shutdown = server.shutdown_handle();
-    std::thread::spawn(move || server.run());
-    (addr, shutdown)
-}
+use hyperbench_server::ShutdownHandle;
 
 /// The router over `lines` (the shard-map text), on an ephemeral port.
 /// The serving thread is leaked; the returned flag stops its probers.
@@ -70,6 +38,13 @@ fn start_router(lines: &str, opts: RouterOptions) -> (SocketAddr, Arc<AtomicBool
     (addr, shutdown)
 }
 
+/// One writable WAL-backed shard server on an ephemeral port; its
+/// serving thread is leaked.
+fn start_shard(tag: &str) -> (SocketAddr, ShutdownHandle) {
+    let (_join, addr, shutdown) = start_writable(tag);
+    (addr, shutdown)
+}
+
 fn client(addr: SocketAddr) -> Client {
     Client::new(addr).with_timeout(Duration::from_secs(30))
 }
@@ -82,48 +57,21 @@ fn fast_probes() -> RouterOptions {
     }
 }
 
-/// One raw HTTP/1.1 exchange, for requests the typed client cannot
-/// spell (custom headers, admin verbs). Returns (status, body).
-fn raw_http(addr: SocketAddr, request: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    stream.write_all(request.as_bytes()).expect("send");
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read");
-    let text = String::from_utf8_lossy(&raw).to_string();
-    let status: u16 = text
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .expect("status line");
-    let body = text
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
-}
-
+/// A raw `GET`, for requests the typed client cannot spell (custom
+/// headers, admin routes): (status, JSON body or `Null`).
 fn get_json(addr: SocketAddr, path: &str, extra_header: Option<&str>) -> (u16, Json) {
     let extra = extra_header.map(|h| format!("{h}\r\n")).unwrap_or_default();
-    let (status, body) = raw_http(
+    let r = http::send(
         addr,
         &format!("GET {path} HTTP/1.1\r\nhost: x\r\n{extra}connection: close\r\n\r\n"),
     );
-    let json = Json::parse(&body).unwrap_or(Json::Null);
-    (status, json)
+    (r.status, Json::parse(&r.text()).unwrap_or(Json::Null))
 }
 
+/// A bodiless raw `POST` (the admin verbs).
 fn post(addr: SocketAddr, path: &str) -> (u16, Json) {
-    let (status, body) = raw_http(
-        addr,
-        &format!(
-            "POST {path} HTTP/1.1\r\nhost: x\r\ncontent-length: 0\r\nconnection: close\r\n\r\n"
-        ),
-    );
-    let json = Json::parse(&body).unwrap_or(Json::Null);
-    (status, json)
+    let (status, body) = http::post(addr, path, "");
+    (status, Json::parse(&body).unwrap_or(Json::Null))
 }
 
 fn field<'j>(j: &'j Json, name: &str) -> &'j Json {
@@ -420,10 +368,7 @@ fn topology_reports_roles_breakers_and_health() {
     }
 
     // The router's metrics family is live.
-    let (status, metrics) = raw_http(
-        router,
-        "GET /metrics HTTP/1.1\r\nhost: x\r\nconnection: close\r\n\r\n",
-    );
+    let (status, metrics) = http::get(router, "/metrics");
     assert_eq!(status, 200);
     // Exact gauge values are not asserted: every in-process router in
     // this test binary feeds the same global registry.

@@ -18,35 +18,22 @@
 //! (fixed in CI) so a red run reproduces exactly.
 #![cfg(all(target_os = "linux", feature = "failpoints"))]
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use hyperbench_api::{Client, ClientError, ErrorCode, Json, ListQuery, WriteRequest};
+use hyperbench_integration_tests::fixture::{doc, start_writable};
+use hyperbench_integration_tests::http;
 use hyperbench_router::{RouterOptions, ShardMap};
 use hyperbench_server::reactor::ReactorOptions;
-use hyperbench_server::{Server, ServerConfig, ShutdownHandle};
+use hyperbench_server::ShutdownHandle;
 
 /// The failpoint registry is process-global: two tests arming the same
 /// point would stomp each other's schedules. Chaos tests take this
 /// lock for their whole run.
 static CHAOS: Mutex<()> = Mutex::new(());
-
-fn doc(i: usize) -> String {
-    format!("r{i}(a{i},b{i}),s{i}(b{i},c{i}),t{i}(c{i},a{i}).")
-}
-
-fn tmpdir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "hyperbench-router-chaos-{tag}-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("tmpdir");
-    dir
-}
 
 /// The chaos seed: fixed in CI, overridable locally to explore.
 fn seed() -> u64 {
@@ -76,28 +63,6 @@ impl Rng {
     }
 }
 
-/// One writable WAL-backed shard server on an ephemeral port.
-fn start_shard(tag: &str) -> (SocketAddr, ShutdownHandle) {
-    let dir = tmpdir(tag);
-    let server = Server::bind(
-        hyperbench_repo::Repository::new(),
-        &ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            threads: 4,
-            analysis_workers: 1,
-            job_queue_capacity: 16,
-            cache_capacity: 32,
-            wal: Some(dir.join("repo.wal")),
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind shard");
-    let addr = server.local_addr();
-    let shutdown = server.shutdown_handle();
-    std::thread::spawn(move || server.run());
-    (addr, shutdown)
-}
-
 /// The router over `lines`, with fast probes so breaker transitions
 /// land within a test's patience.
 fn start_router(lines: &str) -> (SocketAddr, Arc<AtomicBool>) {
@@ -117,61 +82,31 @@ fn start_router(lines: &str) -> (SocketAddr, Arc<AtomicBool>) {
     (addr, shutdown)
 }
 
-fn client(addr: SocketAddr) -> Client {
-    Client::new(addr).with_timeout(Duration::from_secs(30))
+/// One writable WAL-backed shard server on an ephemeral port; its
+/// serving thread is leaked.
+fn start_shard(tag: &str) -> (SocketAddr, ShutdownHandle) {
+    let (_join, addr, shutdown) = start_writable(tag);
+    (addr, shutdown)
 }
 
-/// One raw HTTP/1.1 exchange on a fresh connection.
-fn raw_http(addr: SocketAddr, request: String) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    stream.write_all(request.as_bytes()).expect("send");
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read");
-    let text = String::from_utf8_lossy(&raw).to_string();
-    let status: u16 = text
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .expect("status line");
-    let body = text
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
+fn client(addr: SocketAddr) -> Client {
+    Client::new(addr).with_timeout(Duration::from_secs(30))
 }
 
 /// Arms (or with an empty spec, clears) failpoints through the
 /// router's debug route.
 fn arm(router: SocketAddr, spec: &str) {
-    let (status, body) = raw_http(
-        router,
-        format!(
-            "POST /debug/failpoints HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\
-             Connection: close\r\n\r\n{spec}",
-            spec.len()
-        ),
-    );
+    let (status, body) = http::post(router, "/debug/failpoints", spec);
     assert_eq!(status, 200, "arming {spec:?} failed: {body}");
 }
 
 fn post(addr: SocketAddr, path: &str) -> (u16, Json) {
-    let (status, body) = raw_http(
-        addr,
-        format!(
-            "POST {path} HTTP/1.1\r\nhost: x\r\ncontent-length: 0\r\nconnection: close\r\n\r\n"
-        ),
-    );
+    let (status, body) = http::post(addr, path, "");
     (status, Json::parse(&body).unwrap_or(Json::Null))
 }
 
 fn get_json(addr: SocketAddr, path: &str) -> (u16, Json) {
-    let (status, body) = raw_http(
-        addr,
-        format!("GET {path} HTTP/1.1\r\nhost: x\r\nconnection: close\r\n\r\n"),
-    );
+    let (status, body) = http::get(addr, path);
     (status, Json::parse(&body).unwrap_or(Json::Null))
 }
 
@@ -188,10 +123,7 @@ fn field<'j>(j: &'j Json, name: &str) -> &'j Json {
 
 /// Reads one metric value off the router's Prometheus exposition.
 fn metric(router: SocketAddr, name: &str) -> f64 {
-    let (code, body) = raw_http(
-        router,
-        "GET /metrics HTTP/1.1\r\nhost: x\r\nconnection: close\r\n\r\n".to_string(),
-    );
+    let (code, body) = http::get(router, "/metrics");
     assert_eq!(code, 200);
     body.lines()
         .find_map(|line| {

@@ -1,114 +1,42 @@
-//! End-to-end test of `hyperbench-server` over a real TCP socket: an
+//! End-to-end test of `hyperbench-server` over raw TCP sockets: an
 //! ephemeral-port server on a small generated repository, exercised for
-//! pagination, filter params, `POST /analyze` + job polling, cache hits,
-//! 404/400 handling, and ≥4 truly concurrent clients.
+//! what the typed client hides — percent-encoded filter params, exact
+//! statuses for 404/405/400 and a malformed request line, analysis
+//! submission + polling with a whitespace-insensitive cache hit,
+//! `/v1/stats`, the retired unversioned paths, and ≥4 truly concurrent
+//! clients.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
-use hyperbench_core::builder::hypergraph_from_edges;
-use hyperbench_repo::{analyze_instance, AnalysisConfig, Repository};
+use hyperbench_api::AnalyzeRequest;
+use hyperbench_integration_tests::fixture::start_server;
+use hyperbench_integration_tests::http::{get, post, send};
 use hyperbench_server::json::Json;
-use hyperbench_server::{Server, ServerConfig, ShutdownHandle};
-
-/// A server over a deterministic 12-entry repository: 8 analyzed CQ
-/// entries (alternating SPARQL/TPC-H collections, triangles and paths)
-/// plus 4 unanalyzed CSP entries.
-fn start_server() -> (std::thread::JoinHandle<()>, SocketAddr, ShutdownHandle) {
-    let mut repo = Repository::new();
-    let cfg = AnalysisConfig::default();
-    for i in 0..8 {
-        let h = if i % 2 == 0 {
-            hypergraph_from_edges(&[("R", &["a", "b"]), ("S", &["b", "c"]), ("T", &["c", "a"])])
-        } else {
-            hypergraph_from_edges(&[("e", &["a", "b"]), ("f", &["b", "c"])])
-        };
-        let rec = analyze_instance(&h, &cfg);
-        let coll = if i % 2 == 0 { "SPARQL" } else { "TPC-H" };
-        let id = repo.insert(h, coll, "CQ Application");
-        repo.set_analysis(id, rec);
-    }
-    for i in 0..4 {
-        let name = format!("x{i}");
-        repo.insert(
-            hypergraph_from_edges(&[("c", &[name.as_str(), "y"])]),
-            "xcsp",
-            "CSP Random",
-        );
-    }
-    let server = Server::bind(
-        repo,
-        &ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            threads: 6,
-            analysis_workers: 2,
-            job_queue_capacity: 16,
-            cache_capacity: 32,
-            analysis: AnalysisConfig::default(),
-            spill: None,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind ephemeral port");
-    let addr = server.local_addr();
-    let shutdown = server.shutdown_handle();
-    let join = std::thread::spawn(move || server.run());
-    (join, addr, shutdown)
-}
-
-/// Sends one raw HTTP request, returns (status, body).
-fn http(addr: SocketAddr, raw: String) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    stream.write_all(raw.as_bytes()).expect("send request");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read response");
-    let status: u16 = response
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line in {response:?}"));
-    let body = response
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
-}
-
-fn get(addr: SocketAddr, path: &str) -> (u16, String) {
-    http(
-        addr,
-        format!("GET {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n"),
-    )
-}
-
-fn post(addr: SocketAddr, path: &str, body: &str) -> (u16, String) {
-    http(
-        addr,
-        format!(
-            "POST {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-            body.len()
-        ),
-    )
-}
 
 fn json(body: &str) -> Json {
     Json::parse(body).unwrap_or_else(|e| panic!("bad JSON ({e}): {body}"))
 }
 
-/// Polls `GET /jobs/{id}` until it leaves queued/running.
-fn wait_job(addr: SocketAddr, id: i64) -> Json {
+/// `POST /v1/analyses` with the server-default options.
+fn submit(addr: SocketAddr, doc: &str) -> (u16, String) {
+    post(
+        addr,
+        "/v1/analyses",
+        &AnalyzeRequest::hd(doc).to_json().to_string(),
+    )
+}
+
+/// Polls `GET /v1/analyses/{id}` until it leaves queued/running.
+fn wait_analysis(addr: SocketAddr, id: i64) -> Json {
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
-        let (status, body) = get(addr, &format!("/jobs/{id}"));
+        let (status, body) = get(addr, &format!("/v1/analyses/{id}"));
         assert_eq!(status, 200, "poll failed: {body}");
         let j = json(&body);
         match j.get("status").and_then(Json::as_str) {
             Some("queued") | Some("running") => {
-                assert!(Instant::now() < deadline, "job {id} never finished");
+                assert!(Instant::now() < deadline, "analysis {id} never finished");
                 std::thread::sleep(Duration::from_millis(5));
             }
             _ => return j,
@@ -120,31 +48,25 @@ fn wait_job(addr: SocketAddr, id: i64) -> Json {
 fn full_http_surface() {
     let (join, addr, shutdown) = start_server();
 
-    // --- /healthz ---
-    let (status, body) = get(addr, "/healthz");
+    // --- /v1/healthz ---
+    let (status, body) = get(addr, "/v1/healthz");
     assert_eq!(status, 200);
     let health = json(&body);
     assert_eq!(health.get("status").and_then(Json::as_str), Some("ok"));
     assert_eq!(health.get("entries").and_then(Json::as_int), Some(12));
 
-    // --- pagination ---
-    let (status, body) = get(addr, "/hypergraphs?offset=2&limit=3");
+    // --- a first page: limit, true total, a continuation cursor ---
+    let (status, body) = get(addr, "/v1/hypergraphs?limit=3");
     assert_eq!(status, 200);
     let page = json(&body);
     assert_eq!(page.get("total").and_then(Json::as_int), Some(12));
     let items = page.get("items").and_then(Json::as_arr).unwrap();
     assert_eq!(items.len(), 3);
-    assert_eq!(items[0].get("id").and_then(Json::as_int), Some(2));
-    // Past-the-end page: empty items, true total.
-    let tail = json(&get(addr, "/hypergraphs?offset=100&limit=5").1);
-    assert_eq!(tail.get("total").and_then(Json::as_int), Some(12));
-    assert_eq!(
-        tail.get("items").and_then(Json::as_arr).map(<[Json]>::len),
-        Some(0)
-    );
+    assert_eq!(items[2].get("id").and_then(Json::as_int), Some(2));
+    assert!(page.get("next_cursor").and_then(Json::as_str).is_some());
 
     // --- filter params (percent-encoded class, analysis bounds) ---
-    let filtered = json(&get(addr, "/hypergraphs?class=CQ%20Application&hw_le=1").1);
+    let filtered = json(&get(addr, "/v1/hypergraphs?class=CQ%20Application&hw_le=1").1);
     assert_eq!(filtered.get("total").and_then(Json::as_int), Some(4));
     for item in filtered.get("items").and_then(Json::as_arr).unwrap() {
         assert_eq!(item.get("hw_upper").and_then(Json::as_int), Some(1));
@@ -154,16 +76,16 @@ fn full_http_surface() {
             "paths were inserted under TPC-H"
         );
     }
-    let cyclic = json(&get(addr, "/hypergraphs?cyclic=true&collection=SPARQL").1);
+    let cyclic = json(&get(addr, "/v1/hypergraphs?cyclic=true&collection=SPARQL").1);
     assert_eq!(cyclic.get("total").and_then(Json::as_int), Some(4));
     // Unanalyzed entries match plain filters but not analysis filters.
-    let csp = json(&get(addr, "/hypergraphs?class=CSP%20Random").1);
+    let csp = json(&get(addr, "/v1/hypergraphs?class=CSP%20Random").1);
     assert_eq!(csp.get("total").and_then(Json::as_int), Some(4));
-    let csp_hw = json(&get(addr, "/hypergraphs?class=CSP%20Random&hw_le=9").1);
+    let csp_hw = json(&get(addr, "/v1/hypergraphs?class=CSP%20Random&hw_le=9").1);
     assert_eq!(csp_hw.get("total").and_then(Json::as_int), Some(0));
 
     // --- detail + raw .hg ---
-    let (status, body) = get(addr, "/hypergraphs/0");
+    let (status, body) = get(addr, "/v1/hypergraphs/0");
     assert_eq!(status, 200);
     let detail = json(&body);
     assert_eq!(detail.get("vertices").and_then(Json::as_int), Some(3));
@@ -176,26 +98,50 @@ fn full_http_surface() {
             .map(<[Json]>::len),
         Some(3)
     );
-    let (status, raw) = get(addr, "/hypergraphs/0/hg");
+    let (status, raw) = get(addr, "/v1/hypergraphs/0/hg");
     assert_eq!(status, 200);
     assert!(raw.contains("R(a,b)"), "raw hg was: {raw}");
 
-    // --- 404s ---
-    assert_eq!(get(addr, "/hypergraphs/999").0, 404);
-    assert_eq!(get(addr, "/jobs/999").0, 404);
-    assert_eq!(get(addr, "/nope").0, 404);
+    // --- 404s, each a structured error ---
+    for missing in ["/v1/hypergraphs/999", "/v1/analyses/999", "/nope"] {
+        let (status, body) = get(addr, missing);
+        assert_eq!(status, 404, "GET {missing}: {body}");
+        assert_eq!(
+            json(&body).get("code").and_then(Json::as_str),
+            Some("not_found"),
+            "GET {missing}: {body}"
+        );
+    }
+    // The unversioned PR-1 data routes are retired: every one of their
+    // paths is now just another unknown path.
+    for retired in [
+        "/hypergraphs",
+        "/hypergraphs/0",
+        "/hypergraphs/0/hg",
+        "/jobs/1",
+        "/stats",
+        "/healthz",
+    ] {
+        let (status, body) = get(addr, retired);
+        assert_eq!(status, 404, "GET {retired}: {body}");
+        assert_eq!(
+            json(&body).get("code").and_then(Json::as_str),
+            Some("not_found"),
+            "GET {retired}: {body}"
+        );
+    }
+    assert_eq!(post(addr, "/analyze", "e(a,b).").0, 404);
 
-    // --- 400s ---
-    let (status, body) = get(addr, "/hypergraphs?hw_le=banana");
-    assert_eq!(status, 400);
-    assert!(json(&body).get("error").is_some());
-    assert_eq!(get(addr, "/hypergraphs?frobnicate=1").0, 400);
-    // limit/offset abuse answers structured 400s with stable codes —
-    // zero and non-numeric values are rejected, never defaulted.
+    // --- 400s: structured, with stable codes; nothing is clamped or
+    // defaulted (offset is not a parameter of the keyset contract) ---
     for bad in [
-        "/hypergraphs?limit=0",
-        "/hypergraphs?limit=nope",
-        "/hypergraphs?offset=minus-one",
+        "/v1/hypergraphs?hw_le=banana",
+        "/v1/hypergraphs?frobnicate=1",
+        "/v1/hypergraphs?limit=0",
+        "/v1/hypergraphs?limit=nope",
+        "/v1/hypergraphs?limit=999999",
+        "/v1/hypergraphs?offset=2",
+        "/v1/hypergraphs/notanumber",
     ] {
         let (status, body) = get(addr, bad);
         assert_eq!(status, 400, "GET {bad}: {body}");
@@ -207,30 +153,27 @@ fn full_http_surface() {
         );
         assert!(err.get("error").is_some(), "GET {bad}: {body}");
     }
-    // Over-maximum limits keep their PR-1 clamp on the frozen legacy
-    // route (the /v1 surface rejects them instead).
-    let (status, body) = get(addr, "/hypergraphs?limit=999999");
-    assert_eq!(status, 200, "legacy over-limit must clamp: {body}");
-    assert_eq!(json(&body).get("limit").and_then(Json::as_int), Some(1000));
-    assert_eq!(get(addr, "/hypergraphs/notanumber").0, 400);
-    assert_eq!(post(addr, "/analyze", "this is not an hg file(((").0, 400);
-    assert_eq!(post(addr, "/analyze", "").0, 400);
+    assert_eq!(submit(addr, "this is not an hg file(((").0, 400);
+    assert_eq!(post(addr, "/v1/analyses", "").0, 400);
     // Wrong method → 405.
-    assert_eq!(post(addr, "/hypergraphs", "x").0, 405);
+    let (status, body) = post(addr, "/v1/stats", "x");
+    assert_eq!(status, 405, "{body}");
+    assert_eq!(
+        json(&body).get("code").and_then(Json::as_str),
+        Some("method_not_allowed")
+    );
     // Malformed request line → 400.
-    let (status, _) = http(addr, "BOGUS\r\n\r\n".to_string());
-    assert_eq!(status, 400);
+    assert_eq!(send(addr, "BOGUS\r\n\r\n").status, 400);
 
-    // --- POST /analyze → poll → cache hit on resubmission ---
+    // --- POST /v1/analyses → poll → cache hit on resubmission ---
     let doc = "q1(u,v),q2(v,w),q3(w,u),q4(u,v,w).";
-    let (status, body) = post(addr, "/analyze", doc);
+    let (status, body) = submit(addr, doc);
     assert!(
         status == 200 || status == 202,
         "unexpected {status}: {body}"
     );
-    let submitted = json(&body);
-    let job_id = submitted.get("job").and_then(Json::as_int).unwrap();
-    let finished = wait_job(addr, job_id);
+    let id = json(&body).get("id").and_then(Json::as_int).unwrap();
+    let finished = wait_analysis(addr, id);
     assert_eq!(finished.get("status").and_then(Json::as_str), Some("done"));
     assert_eq!(finished.get("cached").and_then(Json::as_bool), Some(false));
     let result = finished.get("result").unwrap();
@@ -238,14 +181,14 @@ fn full_http_surface() {
 
     // Resubmitting the same document (modulo whitespace) must be a cache
     // hit, answered synchronously.
-    let (status, body) = post(addr, "/analyze", &format!("  {doc}\r\n"));
+    let (status, body) = submit(addr, &format!("  {doc}\r\n"));
     assert_eq!(status, 200, "cache hit should answer immediately: {body}");
     let hit = json(&body);
     assert_eq!(hit.get("cached").and_then(Json::as_bool), Some(true));
     assert_eq!(hit.get("status").and_then(Json::as_str), Some("done"));
 
-    // --- /stats reflects all of the above ---
-    let stats = json(&get(addr, "/stats").1);
+    // --- /v1/stats reflects all of the above ---
+    let stats = json(&get(addr, "/v1/stats").1);
     let repo = stats.get("repository").unwrap();
     assert_eq!(repo.get("entries").and_then(Json::as_int), Some(12));
     assert_eq!(repo.get("analyzed").and_then(Json::as_int), Some(8));
@@ -270,15 +213,15 @@ fn concurrent_clients_get_correct_filtered_json() {
 
     // 8 simultaneous clients (> the issue's ≥4), each hammering a
     // different query whose answer is known, all racing POSTs below.
-    let scenarios: Vec<(String, i64)> = vec![
-        ("/hypergraphs?collection=SPARQL".to_string(), 4),
-        ("/hypergraphs?collection=TPC-H".to_string(), 4),
-        ("/hypergraphs?class=CSP%20Random".to_string(), 4),
-        ("/hypergraphs?hw_le=1".to_string(), 4),
-        ("/hypergraphs?cyclic=true".to_string(), 4),
-        ("/hypergraphs?min_edges=3".to_string(), 4),
-        ("/hypergraphs".to_string(), 12),
-        ("/hypergraphs?analyzed=true".to_string(), 8),
+    let scenarios: Vec<(&str, i64)> = vec![
+        ("/v1/hypergraphs?collection=SPARQL", 4),
+        ("/v1/hypergraphs?collection=TPC-H", 4),
+        ("/v1/hypergraphs?class=CSP%20Random", 4),
+        ("/v1/hypergraphs?hw_le=1", 4),
+        ("/v1/hypergraphs?cyclic=true", 4),
+        ("/v1/hypergraphs?min_edges=3", 4),
+        ("/v1/hypergraphs", 12),
+        ("/v1/hypergraphs?analyzed=true", 8),
     ];
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
@@ -301,10 +244,10 @@ fn concurrent_clients_get_correct_filtered_json() {
         handles.push(scope.spawn(move || {
             for i in 0..4 {
                 let doc = format!("e1(a{i},b{i}),e2(b{i},c{i}),e3(c{i},a{i}).");
-                let (status, body) = post(addr, "/analyze", &doc);
+                let (status, body) = submit(addr, &doc);
                 assert!(status == 200 || status == 202, "{status}: {body}");
-                let id = json(&body).get("job").and_then(Json::as_int).unwrap();
-                let done = wait_job(addr, id);
+                let id = json(&body).get("id").and_then(Json::as_int).unwrap();
+                let done = wait_analysis(addr, id);
                 assert_eq!(done.get("status").and_then(Json::as_str), Some("done"));
             }
         }));

@@ -6,60 +6,12 @@
 //! analysis-cache eviction when a stored instance is replaced or
 //! removed.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use hyperbench_api::{Client, ClientError, ErrorCode, Json, ListQuery, WriteRequest};
+use hyperbench_api::{AnalysisStatus, AnalyzeRequest, Client, ErrorCode, ListQuery, WriteRequest};
+use hyperbench_integration_tests::fixture::{doc, expect_api_error, start_writable};
 use hyperbench_repo::Repository;
-use hyperbench_server::{Server, ServerConfig, ShutdownHandle};
-
-/// A triangle/path/star corpus: `doc(i)` yields a distinct document per
-/// index with a deterministic shape.
-fn doc(i: usize) -> String {
-    format!("r{i}(a{i},b{i}),s{i}(b{i},c{i}),t{i}(c{i},a{i}).")
-}
-
-fn tmpdir(tag: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("hyperbench-write-api-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("tmpdir");
-    dir
-}
-
-/// Binds a WAL-backed writable server over an empty repository.
-fn start_writable(tag: &str) -> (std::thread::JoinHandle<()>, SocketAddr, ShutdownHandle) {
-    let dir = tmpdir(tag);
-    let server = Server::bind(
-        Repository::new(),
-        &ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            threads: 4,
-            analysis_workers: 1,
-            job_queue_capacity: 16,
-            cache_capacity: 32,
-            wal: Some(dir.join("repo.wal")),
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind ephemeral port");
-    let addr = server.local_addr();
-    let shutdown = server.shutdown_handle();
-    let join = std::thread::spawn(move || server.run());
-    (join, addr, shutdown)
-}
-
-fn expect_api_error(result: Result<impl std::fmt::Debug, ClientError>, code: ErrorCode) {
-    match result {
-        Err(ClientError::Api { error, status }) => {
-            assert_eq!(error.code, code, "unexpected code (HTTP {status}): {error}");
-            assert_eq!(status, code.http_status());
-        }
-        other => panic!("expected {code:?} ApiError, got {other:?}"),
-    }
-}
+use hyperbench_server::{Server, ServerConfig};
 
 #[test]
 fn write_verbs_round_trip_with_stable_error_codes() {
@@ -224,66 +176,15 @@ fn cursor_holding_readers_see_a_stable_snapshot_while_writes_land() {
     join.join().unwrap();
 }
 
-/// Sends one raw HTTP request, returns (status, body) — the legacy
-/// `/analyze` route speaks raw `.hg` bodies, not the typed client.
-fn http(addr: SocketAddr, raw: String) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    stream.write_all(raw.as_bytes()).expect("send request");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read response");
-    let status: u16 = response
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line in {response:?}"));
-    let body = response
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
-}
-
-/// Runs `/analyze` on `doc`, waiting out the job if it was a cache
-/// miss, and reports whether the answer came from the cache.
-fn analyze_cached(addr: SocketAddr, doc: &str) -> bool {
-    let (status, body) = http(
-        addr,
-        format!(
-            "POST /analyze HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{doc}",
-            doc.len()
-        ),
-    );
-    assert!(status == 200 || status == 202, "{status}: {body}");
-    let json = Json::parse(&body).unwrap_or_else(|e| panic!("bad JSON ({e}): {body}"));
-    if json.get("cached").and_then(Json::as_bool) == Some(true) {
-        return true;
-    }
-    let job = json
-        .get("job")
-        .and_then(Json::as_int)
-        .unwrap_or_else(|| panic!("no job id in {body}"));
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let (status, body) = http(
-            addr,
-            format!("GET /jobs/{job} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n"),
-        );
-        assert_eq!(status, 200, "{body}");
-        let json = Json::parse(&body).unwrap();
-        match json.get("status").and_then(Json::as_str) {
-            Some("queued") | Some("running") => {
-                assert!(Instant::now() < deadline, "job never finished");
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            other => {
-                assert_eq!(other, Some("done"), "{body}");
-                return false;
-            }
-        }
-    }
+/// Analyzes `doc` with the server-default options, waiting out the job
+/// if it was a cache miss, and reports whether the answer came from
+/// the cache.
+fn analyze_cached(client: &Client, doc: &str) -> bool {
+    let done = client
+        .analyze(&AnalyzeRequest::hd(doc), Duration::from_secs(30))
+        .expect("analysis");
+    assert_eq!(done.status, AnalysisStatus::Done, "{done:?}");
+    done.cached == Some(true)
 }
 
 #[test]
@@ -292,10 +193,13 @@ fn replacing_or_removing_an_instance_evicts_its_cached_analysis() {
     let client = Client::new(addr);
 
     // Warm the cache for two distinct documents.
-    assert!(!analyze_cached(addr, &doc(0)), "first analysis is a miss");
-    assert!(analyze_cached(addr, &doc(0)), "second analysis hits");
-    assert!(!analyze_cached(addr, &doc(1)));
-    assert!(analyze_cached(addr, &doc(1)));
+    assert!(
+        !analyze_cached(&client, &doc(0)),
+        "first analysis is a miss"
+    );
+    assert!(analyze_cached(&client, &doc(0)), "second analysis hits");
+    assert!(!analyze_cached(&client, &doc(1)));
+    assert!(analyze_cached(&client, &doc(1)));
 
     // Store doc 0 as an instance, then replace its content: the cached
     // analysis of the *old* content must be evicted.
@@ -303,16 +207,19 @@ fn replacing_or_removing_an_instance_evicts_its_cached_analysis() {
     let b = client.put_new(&WriteRequest::new(doc(1))).unwrap();
     client.put(a.id, &WriteRequest::new(doc(2))).unwrap();
     assert!(
-        !analyze_cached(addr, &doc(0)),
+        !analyze_cached(&client, &doc(0)),
         "replace evicted the stale analysis"
     );
     // The unrelated document's entry survived the eviction.
-    assert!(analyze_cached(addr, &doc(1)), "unrelated entry untouched");
+    assert!(
+        analyze_cached(&client, &doc(1)),
+        "unrelated entry untouched"
+    );
 
     // Removing an instance evicts its analysis too.
     client.delete(b.id).unwrap();
     assert!(
-        !analyze_cached(addr, &doc(1)),
+        !analyze_cached(&client, &doc(1)),
         "remove evicted the analysis"
     );
 
