@@ -29,10 +29,20 @@ use crate::ast::{
 use crate::error::QueryError;
 use crate::token::{lex, Token, TokenKind};
 
+/// Deepest nesting of `NOT`s and parentheses a `WHERE` expression may
+/// have. The parser, the resolver, the executor and the tree's `Drop`
+/// all recurse as deep as the expression, which is the client's to
+/// choose; past this a query is refused like any other bad query.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses one HBQL query.
 pub fn parse(text: &str) -> Result<Query, QueryError> {
     let tokens = lex(text)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let query = p.query()?;
     let t = p.peek();
     if t.kind != TokenKind::Eof {
@@ -47,6 +57,9 @@ pub fn parse(text: &str) -> Result<Query, QueryError> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// `not_expr` calls on the stack: every `NOT` and every parenthesis
+    /// nests one.
+    depth: usize,
 }
 
 impl Parser {
@@ -237,11 +250,20 @@ impl Parser {
     }
 
     fn not_expr(&mut self) -> Result<Expr, QueryError> {
-        if self.eat(&TokenKind::Not) {
-            Ok(Expr::Not(Box::new(self.not_expr()?)))
-        } else {
-            self.primary()
+        if self.depth == MAX_DEPTH {
+            return Err(QueryError::new(
+                format!("expression nests deeper than {MAX_DEPTH} levels"),
+                self.peek().span,
+            ));
         }
+        self.depth += 1;
+        let expr = if self.eat(&TokenKind::Not) {
+            Expr::Not(Box::new(self.not_expr()?))
+        } else {
+            self.primary()?
+        };
+        self.depth -= 1;
+        Ok(expr)
     }
 
     fn primary(&mut self) -> Result<Expr, QueryError> {
@@ -375,5 +397,28 @@ mod tests {
         assert!(parse("SELECT * LIMIT x").is_err());
         assert!(parse("SELECT * garbage").is_err());
         assert!(parse("SELECT COUNT(edges)").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_spanned_error() {
+        let parens =
+            |n: usize| format!("SELECT * WHERE {}edges = 1{}", "(".repeat(n), ")".repeat(n));
+        let nots = |n: usize| format!("SELECT * WHERE {}edges = 1", "NOT ".repeat(n));
+        // The comparison itself sits one level below its wrappers.
+        assert!(parse(&parens(MAX_DEPTH - 1)).is_ok());
+        assert!(parse(&nots(MAX_DEPTH - 1)).is_ok());
+        // 10⁴ of either overflowed a 2 MiB stack before the cap.
+        for text in [
+            parens(MAX_DEPTH),
+            nots(MAX_DEPTH),
+            parens(10_000),
+            nots(10_000),
+        ] {
+            let e = parse(&text).unwrap_err();
+            assert!(e.message.contains("nests deeper than 128 levels"), "{e:?}");
+            // The span is the token that would have nested too deep.
+            let offender = &text[e.span.start..e.span.end];
+            assert!(matches!(offender, "edges" | "(" | "NOT"), "{offender}");
+        }
     }
 }

@@ -50,8 +50,9 @@ use std::sync::Arc;
 /// Runs the front tier on `listener` until `shutdown` flips: builds
 /// the live routing state for `map`, starts one background health
 /// prober per upstream, and serves the proxy on the reactor. Every
-/// request dispatches on the offload pool (upstream exchanges block),
-/// so `offload_threads` bounds routed concurrency.
+/// request dispatches on the offload pool (upstream exchanges block,
+/// and a worker runs all of a read's attempts itself), so
+/// `offload_threads` bounds routed concurrency.
 #[cfg(target_os = "linux")]
 pub fn serve(
     listener: TcpListener,

@@ -14,11 +14,15 @@
 //! Reads fail over across a shard's replicas and may hedge: when the
 //! first attempt is slower than the upstream's observed p95, a second
 //! attempt goes to the next replica, the first answer wins and the
-//! loser's socket is shut down. Writes go to the shard primary only
+//! loser's socket is closed. The worker serving the request does all
+//! of it itself — it writes the request, sleeps until a socket has an
+//! answer or the hedge delay runs out, and reads the winner; no
+//! attempt gets a thread. Writes go to the shard primary only
 //! and surface the shard's own refusals (a degraded shard's 503 and
 //! `Retry-After` pass through verbatim). List and query pages
 //! scatter-gather over every active shard and merge through
-//! [`crate::scatter`]; a shard with no live upstream fails the page
+//! [`crate::scatter`], which splices the merged page from the shards'
+//! own row bytes; a shard with no live upstream fails the page
 //! with a structured 502 `bad_upstream` naming the shard — unless the
 //! client opted in with `x-hyperbench-allow-partial`, in which case
 //! the page carries a `partial` marker listing the missing shards.
@@ -30,26 +34,26 @@
 //! overload control.
 
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hyperbench_api::cursor::{PageCursor, ScatterCursor, ShardSlot};
-use hyperbench_api::dto::{PageDto, QueryRequest, QueryResponse};
+use hyperbench_api::cursor::{ScatterCursor, ShardSlot};
+use hyperbench_api::dto::QueryRequest;
 use hyperbench_api::error::{ApiError, ErrorCode};
 use hyperbench_api::hash::fnv1a64;
-use hyperbench_api::json::Json;
+use hyperbench_api::json::{Json, Walker};
 use hyperbench_api::{client::percent_encode, schema};
 use hyperbench_server::handlers::{error_response, get_metrics, post_failpoints};
 use hyperbench_server::http::{Method, Request, Response, DEADLINE_HEADER};
 use hyperbench_server::router::{RouteMatch, Router};
-use hyperbench_server::upstream::{CancelToken, UpstreamPool, UpstreamResponse};
+use hyperbench_server::upstream::{wait_readable, Pending, UpstreamPool, UpstreamResponse};
 use hyperbench_server::Dispatch;
 use hyperbench_telemetry::trace;
 
-use crate::health::{Role, Upstream};
+use crate::health::{InFlight, Role, Upstream};
 use crate::map::ShardMap;
 use crate::metrics::metrics;
-use crate::scatter::{merge_pages, ShardPage};
+use crate::scatter::{decode_page, encode_page, merge_pages};
 
 /// Header a client sends to accept partial scatter-gather pages.
 pub const ALLOW_PARTIAL_HEADER: &str = "x-hyperbench-allow-partial";
@@ -312,25 +316,32 @@ impl Dispatch for RouterDispatch {
     }
 }
 
-/// Headers forwarded upstream, owned (threads need them).
-type ForwardHeaders = Vec<(String, String)>;
-
-fn forward_headers(request: &Request) -> ForwardHeaders {
-    let mut out = Vec::new();
-    if let Some(budget) = request.headers.get(DEADLINE_HEADER) {
-        out.push((DEADLINE_HEADER.to_string(), budget.to_string()));
-    }
-    if let Some(ct) = request.headers.get("content-type") {
-        out.push(("content-type".to_string(), ct.to_string()));
-    }
-    out
+/// The request headers forwarded upstream.
+fn forward_headers(request: &Request) -> Vec<(&str, &str)> {
+    [DEADLINE_HEADER, "content-type"]
+        .into_iter()
+        .filter_map(|name| Some((name, request.headers.get(name)?.as_str())))
+        .collect()
 }
 
-fn header_refs(headers: &ForwardHeaders) -> Vec<(&str, &str)> {
-    headers
-        .iter()
-        .map(|(k, v)| (k.as_str(), v.as_str()))
-        .collect()
+/// One read attempt in flight: a request sent to a candidate, its
+/// answer not yet read.
+struct Attempt {
+    /// Index into the read's candidate list.
+    candidate: usize,
+    pending: Pending,
+    started: Instant,
+    _in_flight: InFlight,
+}
+
+/// After a failed attempt: whether another candidate is left to take
+/// its place, counting the failover when one is.
+fn fail_over(next_candidate: usize, candidates: usize) -> bool {
+    let more = next_candidate < candidates;
+    if more {
+        metrics().failovers.inc();
+    }
+    more
 }
 
 /// Maps an upstream content type onto the server's static set.
@@ -363,7 +374,7 @@ fn passthrough(upstream: UpstreamResponse) -> Response {
 }
 
 impl RouterState {
-    fn handle(self: &Arc<Self>, request: &Request) -> Response {
+    fn handle(&self, request: &Request) -> Response {
         metrics().requests.inc();
         let (endpoint, params) = match self.routes.route(request.method, &request.path) {
             RouteMatch::Found(ep, params) => (*ep, params),
@@ -408,7 +419,7 @@ impl RouterState {
     // ----------------------------------------------------------------
 
     fn read_by_id(
-        self: &Arc<Self>,
+        &self,
         request: &Request,
         params: &hyperbench_server::router::Params,
         path_of: impl Fn(usize) -> String,
@@ -435,35 +446,47 @@ impl RouterState {
     }
 
     /// Rewrites a single-shard JSON answer's top-level `id` into the
-    /// global id space.
+    /// global id space: the digits are replaced where they stand, every
+    /// other byte is the shard's. A body that is not a JSON object with
+    /// an integer `id` passes through untouched.
     fn globalize_body_id(&self, response: &mut Response, shard: usize) {
         let Ok(text) = std::str::from_utf8(&response.body) else {
             return;
         };
-        let Ok(mut json) = Json::parse(text) else {
-            return;
-        };
-        if let Json::Obj(fields) = &mut json {
-            for (key, value) in fields.iter_mut() {
-                if key == schema::ID {
-                    if let Some(local) = value.as_int() {
-                        *value = Json::int(self.globalize(shard, local.max(0) as usize));
-                    }
+        let mut id = None;
+        let mut walker = Walker::new(text);
+        let walked = walker.object(|w, key| {
+            let start = w.offset();
+            let value = w.skip_value()?;
+            if key == schema::ID {
+                if let Ok(local) = value.parse::<usize>() {
+                    id = Some((start..w.offset(), local));
                 }
             }
+            Ok(())
+        });
+        if let (Ok(()), Ok(()), Some((digits, local))) = (walked, walker.finish(), id) {
+            let global = self.globalize(shard, local).to_string();
+            response.body.splice(digits, global.into_bytes());
         }
-        response.body = json.to_string().into_bytes();
     }
 
     /// One read against a shard: first candidate (hedged to the second
     /// when slower than the observed p95), then sequential failover
     /// over the rest. `Err` carries the ready-to-send refusal.
+    ///
+    /// The calling thread runs every attempt: it sends, then sleeps on
+    /// the sockets of the attempts in flight (at most two: hedging
+    /// waits for a lone attempt, failing over replaces a failed one).
+    /// The first socket with an answer is read and returned; an
+    /// attempt still in flight then is dropped, which closes its
+    /// socket.
     fn proxied_read(
-        self: &Arc<Self>,
-        shard: &Arc<ShardState>,
-        method: &'static str,
+        &self,
+        shard: &ShardState,
+        method: &str,
         path: &str,
-        headers: &ForwardHeaders,
+        headers: &[(&str, &str)],
         body: &[u8],
     ) -> Result<UpstreamResponse, Response> {
         let m = metrics();
@@ -477,100 +500,86 @@ impl RouterState {
             .unwrap_or(self.opts.hedge_delay_ceiling)
             .clamp(self.opts.hedge_delay_floor, self.opts.hedge_delay_ceiling);
 
-        let (tx, rx) = mpsc::channel::<(usize, std::io::Result<UpstreamResponse>)>();
-        let mut tokens: Vec<Arc<CancelToken>> = Vec::new();
-        let spawn_attempt = |candidate: usize, tokens: &mut Vec<Arc<CancelToken>>| {
-            let upstream = Arc::clone(&candidates[candidate]);
-            let token = Arc::new(CancelToken::new());
-            tokens.push(Arc::clone(&token));
-            let tx = tx.clone();
-            let method = method.to_string();
-            let path = path.to_string();
-            let headers = headers.clone();
-            let body = body.to_vec();
-            std::thread::spawn(move || {
-                let _in_flight = upstream.track();
-                let started = Instant::now();
-                let result = upstream.pool.exchange_with(
-                    &method,
-                    &path,
-                    &header_refs(&headers),
-                    &body,
-                    Some(&token),
-                );
-                match &result {
-                    Ok(_) => upstream.record_success(started.elapsed()),
-                    Err(_) => upstream.record_failure(),
-                }
-                let _ = tx.send((candidate, result));
-            });
-        };
-
-        spawn_attempt(0, &mut tokens);
-        let mut next_candidate = 1;
-        let mut outstanding = 1usize;
+        let mut attempts: Vec<Attempt> = Vec::with_capacity(2);
+        let mut next_candidate = 0;
         let mut hedge_candidate: Option<usize> = None;
+        // Whether the next candidate is due a request: at the start,
+        // when the hedge delay runs out, and in place of a failure.
+        let mut launch = true;
         loop {
+            if launch {
+                launch = false;
+                let candidate = next_candidate;
+                next_candidate += 1;
+                let upstream = &candidates[candidate];
+                let in_flight = upstream.track();
+                let started = Instant::now();
+                match upstream.pool.send(method, path, headers, body) {
+                    Ok(pending) => attempts.push(Attempt {
+                        candidate,
+                        pending,
+                        started,
+                        _in_flight: in_flight,
+                    }),
+                    Err(_) => {
+                        upstream.record_failure();
+                        launch = fail_over(next_candidate, candidates.len());
+                    }
+                }
+                continue;
+            }
+            if attempts.is_empty() {
+                m.bad_upstream.inc();
+                return Err(self.bad_upstream(shard.index, "every read attempt failed"));
+            }
             // Hedge only while the first attempt is the only one out.
             let may_hedge = self.opts.hedge
                 && hedge_candidate.is_none()
-                && outstanding == 1
+                && attempts.len() == 1
                 && next_candidate < candidates.len();
             let wait = if may_hedge {
                 hedge_delay
             } else {
                 self.opts.read_timeout + Duration::from_secs(5)
             };
-            match rx.recv_timeout(wait) {
-                Ok((winner, Ok(response))) => {
-                    let losers = outstanding - 1;
-                    for (i, token) in tokens.iter().enumerate() {
-                        if i != winner {
-                            token.cancel();
+            match wait_readable(attempts.iter().map(|a| &a.pending), wait) {
+                Ok(Some(ready)) => {
+                    let attempt = attempts.swap_remove(ready);
+                    let upstream = &candidates[attempt.candidate];
+                    match upstream.pool.finish(attempt.pending) {
+                        Ok(response) => {
+                            upstream.record_success(attempt.started.elapsed());
+                            if hedge_candidate == Some(attempt.candidate) {
+                                m.hedge_wins.inc();
+                            }
+                            for loser in attempts {
+                                // Closing its socket is the cancellation;
+                                // an upstream outrun by its hedge counts
+                                // as a failure towards its breaker.
+                                candidates[loser.candidate].record_failure();
+                                m.hedges_cancelled.inc();
+                            }
+                            return Ok(response);
+                        }
+                        Err(_) => {
+                            upstream.record_failure();
+                            launch = fail_over(next_candidate, candidates.len());
                         }
                     }
-                    if losers > 0 {
-                        for _ in 0..losers {
-                            m.hedges_cancelled.inc();
-                        }
-                    }
-                    if hedge_candidate == Some(winner) {
-                        m.hedge_wins.inc();
-                    }
-                    return Ok(response);
                 }
-                Ok((_, Err(_))) => {
-                    outstanding -= 1;
-                    if next_candidate < candidates.len() {
-                        m.failovers.inc();
-                        spawn_attempt(next_candidate, &mut tokens);
-                        outstanding += 1;
-                        next_candidate += 1;
-                    } else if outstanding == 0 {
-                        m.bad_upstream.inc();
-                        return Err(self.bad_upstream(shard.index, "every read attempt failed"));
-                    }
+                Ok(None) if may_hedge => {
+                    m.hedges.inc();
+                    hedge_candidate = Some(next_candidate);
+                    launch = true;
                 }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if may_hedge {
-                        m.hedges.inc();
-                        hedge_candidate = Some(next_candidate);
-                        spawn_attempt(next_candidate, &mut tokens);
-                        outstanding += 1;
-                        next_candidate += 1;
-                    } else {
-                        // Attempts outlived the read timeout plus
-                        // slack; treat the shard as unreachable.
-                        for token in &tokens {
-                            token.cancel();
-                        }
-                        m.bad_upstream.inc();
-                        return Err(self.bad_upstream(shard.index, "read attempts timed out"));
+                Ok(None) | Err(_) => {
+                    // Attempts outlived the read timeout plus slack;
+                    // treat the shard as unreachable.
+                    for attempt in attempts {
+                        candidates[attempt.candidate].record_failure();
                     }
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
                     m.bad_upstream.inc();
-                    return Err(self.bad_upstream(shard.index, "every read attempt failed"));
+                    return Err(self.bad_upstream(shard.index, "read attempts timed out"));
                 }
             }
         }
@@ -598,7 +607,7 @@ impl RouterState {
     // ----------------------------------------------------------------
 
     fn write_by_id(
-        self: &Arc<Self>,
+        &self,
         request: &Request,
         params: &hyperbench_server::router::Params,
     ) -> Response {
@@ -619,13 +628,13 @@ impl RouterState {
         )
     }
 
-    fn create(self: &Arc<Self>, request: &Request, path: &str) -> Response {
+    fn create(&self, request: &Request, path: &str) -> Response {
         let shard_index = (fnv1a64(&request.body) % self.shard_count() as u64) as usize;
         self.proxied_write(request, shard_index, "POST", path)
     }
 
     fn proxied_write(
-        self: &Arc<Self>,
+        &self,
         request: &Request,
         shard_index: usize,
         method: &'static str,
@@ -643,10 +652,7 @@ impl RouterState {
         let headers = forward_headers(request);
         let _in_flight = primary.track();
         let started = Instant::now();
-        match primary
-            .pool
-            .exchange(method, path, &header_refs(&headers), &request.body)
-        {
+        match primary.pool.exchange(method, path, &headers, &request.body) {
             Ok(upstream) => {
                 primary.record_success(started.elapsed());
                 let mut response = passthrough(upstream);
@@ -696,15 +702,15 @@ impl RouterState {
     }
 
     /// Fans one request out to every shard with a live slot, in
-    /// parallel. Returns per-shard outcomes; `None` = not fetched
-    /// (slot `Done` or shard draining).
-    #[allow(clippy::type_complexity)]
+    /// parallel: the calling thread fetches the first shard itself and
+    /// starts a thread for each of the others. Returns per-shard
+    /// outcomes; `None` = not fetched (slot `Done` or shard draining).
     fn scatter_fetch(
-        self: &Arc<Self>,
+        &self,
         slots: &[ShardSlot],
-        request_of: impl Fn(usize, ShardSlot) -> (String, Vec<u8>),
-        method: &'static str,
-        headers: &ForwardHeaders,
+        request_of: impl Fn(ShardSlot) -> (String, Vec<u8>) + Sync,
+        method: &str,
+        headers: &[(&str, &str)],
     ) -> Vec<Option<Result<UpstreamResponse, Response>>> {
         let mut guards = Vec::new();
         let mut targets = Vec::new();
@@ -722,115 +728,100 @@ impl RouterState {
             targets.push((index, *slot));
         }
         metrics().scatter_fanout.observe(targets.len() as u64);
-        let (tx, rx) = mpsc::channel();
-        let mut expected = 0;
+        let mut out: Vec<Option<Result<UpstreamResponse, Response>>> =
+            (0..self.shard_count()).map(|_| None).collect();
+        let Some((&(own, own_slot), others)) = targets.split_first() else {
+            return out;
+        };
+        let fetch = |index: usize, slot: ShardSlot| {
+            let (path, body) = request_of(slot);
+            self.proxied_read(&self.shards[index], method, &path, headers, &body)
+        };
         // The ambient request id is a thread-local; fan-out workers
         // re-establish it so a refusal they build is grep-able against
         // the request that caused it.
         let request_id = trace::current_request_id();
-        for (index, slot) in targets {
-            let state = Arc::clone(self);
-            let tx = tx.clone();
-            let (path, body) = request_of(index, slot);
-            let headers = headers.clone();
-            expected += 1;
-            std::thread::spawn(move || {
-                trace::with_request_id(request_id, || {
-                    let shard = Arc::clone(&state.shards[index]);
-                    let outcome = state.proxied_read(&shard, method, &path, &headers, &body);
-                    let _ = tx.send((index, outcome));
+        std::thread::scope(|scope| {
+            let fetch = &fetch;
+            let workers: Vec<_> = others
+                .iter()
+                .map(|&(index, slot)| {
+                    let worker = scope
+                        .spawn(move || trace::with_request_id(request_id, || fetch(index, slot)));
+                    (index, worker)
                 })
-            });
-        }
-        drop(tx);
-        let mut out: Vec<Option<Result<UpstreamResponse, Response>>> =
-            (0..self.shard_count()).map(|_| None).collect();
-        for _ in 0..expected {
-            if let Ok((index, outcome)) = rx.recv() {
-                out[index] = Some(outcome);
+                .collect();
+            out[own] = Some(fetch(own, own_slot));
+            for (index, worker) in workers {
+                out[index] = Some(
+                    worker
+                        .join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+                );
             }
-        }
+        });
         out
     }
 
-    /// Decodes one shard's page answer into merge input.
-    fn decode_page(
-        &self,
-        upstream: UpstreamResponse,
-    ) -> Result<ShardPage<hyperbench_api::dto::EntrySummary>, Response> {
-        if upstream.status != 200 {
-            // A shard-level refusal (e.g. 503 degraded) aborts the
-            // scatter and passes through verbatim.
-            return Err(passthrough(upstream));
-        }
-        let parse_failure = || {
-            error_response(ApiError::new(
-                ErrorCode::Internal,
-                "a shard answered an undecodable page",
-            ))
-        };
-        let text = std::str::from_utf8(&upstream.body).map_err(|_| parse_failure())?;
-        let json = Json::parse(text).map_err(|_| parse_failure())?;
-        // A rows-query page is a PageDto with a `kind` discriminator
-        // bolted on; PageDto::from_json ignores the extra field.
-        let page = PageDto::from_json(&json).map_err(|_| parse_failure())?;
-        let next = match &page.next_cursor {
-            Some(token) => Some(PageCursor::decode(token).map_err(|_| parse_failure())?),
-            None => None,
-        };
-        let total = page.total;
-        let items = page
-            .items
-            .into_iter()
-            .map(|summary| (summary.id, summary))
-            .collect();
-        Ok(ShardPage { items, next, total })
-    }
-
-    /// Merges fetched pages and builds the outgoing page body.
+    /// Merges fetched pages and builds the outgoing page: the body of
+    /// a list page, or with `rows_query` of a rows-query page.
     fn merged_page(
-        self: &Arc<Self>,
+        &self,
         outcomes: Vec<Option<Result<UpstreamResponse, Response>>>,
         slots: &[ShardSlot],
         limit: usize,
         allow_partial: bool,
-    ) -> Result<PageDto, Response> {
-        let mut pages: Vec<Option<ShardPage<hyperbench_api::dto::EntrySummary>>> =
-            Vec::with_capacity(outcomes.len());
+        rows_query: bool,
+    ) -> Response {
+        let mut bodies = Vec::with_capacity(outcomes.len());
         let mut partial = Vec::new();
         for (index, outcome) in outcomes.into_iter().enumerate() {
             match outcome {
-                None => pages.push(None),
-                Some(Ok(upstream)) => pages.push(Some(self.decode_page(upstream)?)),
+                None => bodies.push(None),
+                // A shard-level refusal (e.g. 503 degraded) aborts the
+                // scatter and passes through verbatim.
+                Some(Ok(upstream)) if upstream.status != 200 => return passthrough(upstream),
+                Some(Ok(upstream)) => bodies.push(Some(upstream.body)),
                 Some(Err(refusal)) => {
                     if !allow_partial {
-                        return Err(refusal);
+                        return refusal;
                     }
                     metrics().partial_pages.inc();
                     partial.push(index);
-                    pages.push(None);
+                    bodies.push(None);
                 }
             }
         }
-        let merged = merge_pages(pages, slots, limit);
-        let items = merged
-            .items
-            .into_iter()
-            .map(|(gid, mut summary)| {
-                summary.id = gid;
-                summary
+        let pages = bodies
+            .iter()
+            .map(|body| match body {
+                None => Ok(None),
+                Some(body) => std::str::from_utf8(body)
+                    .map_err(|e| e.to_string())
+                    .and_then(decode_page)
+                    .map(Some),
             })
-            .collect();
-        let mut page = PageDto::new(merged.total, items, merged.cursor.map(|c| c.encode()));
-        page.partial = partial;
-        Ok(page)
+            .collect::<Result<Vec<_>, String>>();
+        let Ok(pages) = pages else {
+            return error_response(ApiError::new(
+                ErrorCode::Internal,
+                "a shard answered an undecodable page",
+            ));
+        };
+        let merged = merge_pages(pages, slots, limit);
+        Response {
+            status: 200,
+            content_type: "application/json",
+            body: encode_page(rows_query, &merged, &partial).into_bytes(),
+            retry_after: None,
+        }
     }
 
-    fn scatter_list(self: &Arc<Self>, request: &Request) -> Response {
+    fn scatter_list(&self, request: &Request) -> Response {
         let mut limit = 50usize;
         let mut cursor_token = None;
-        let mut filters = Vec::new();
-        for (key, value) in request.query.clone() {
+        let mut filters = String::new();
+        for (key, value) in &request.query {
             match key.as_str() {
                 "limit" => match value.parse::<usize>() {
                     Ok(n) if (1..=1000).contains(&n) => limit = n,
@@ -840,43 +831,35 @@ impl RouterState {
                         ))
                     }
                 },
-                "cursor" => cursor_token = Some(value),
-                _ => filters.push((key, value)),
+                "cursor" => cursor_token = Some(value.as_str()),
+                _ => filters.push_str(&format!(
+                    "&{}={}",
+                    percent_encode(key),
+                    percent_encode(value)
+                )),
             }
         }
-        let slots = match self.incoming_slots(cursor_token.as_deref()) {
+        let slots = match self.incoming_slots(cursor_token) {
             Ok(s) => s,
             Err(refusal) => return refusal,
         };
         let allow_partial = request.headers.contains_key(ALLOW_PARTIAL_HEADER);
-        let headers = forward_headers(request);
-        let filters = Arc::new(filters);
         let outcomes = self.scatter_fetch(
             &slots,
-            |_, slot| {
-                let mut path = format!("/v1/hypergraphs?limit={limit}");
-                for (key, value) in filters.iter() {
-                    path.push_str(&format!(
-                        "&{}={}",
-                        percent_encode(key),
-                        percent_encode(value)
-                    ));
-                }
+            |slot| {
+                let mut path = format!("/v1/hypergraphs?limit={limit}{filters}");
                 if let ShardSlot::Resume(c) = slot {
                     path.push_str(&format!("&cursor={}", c.encode()));
                 }
                 (path, Vec::new())
             },
             "GET",
-            &headers,
+            &forward_headers(request),
         );
-        match self.merged_page(outcomes, &slots, limit, allow_partial) {
-            Ok(page) => Response::json(200, page.to_json()),
-            Err(refusal) => refusal,
-        }
+        self.merged_page(outcomes, &slots, limit, allow_partial, false)
     }
 
-    fn scatter_query(self: &Arc<Self>, request: &Request) -> Response {
+    fn scatter_query(&self, request: &Request) -> Response {
         let body = match std::str::from_utf8(&request.body) {
             Ok(s) => s,
             Err(_) => return error_response(ApiError::bad_request("body is not UTF-8")),
@@ -892,34 +875,34 @@ impl RouterState {
             }
         };
         // The router merges by id; ORDER BY and GROUP BY would need a
-        // global sort/aggregation pass it does not implement. The scan
-        // is textual and conservative: a string literal containing the
-        // phrase is also rejected.
-        let lowered = query.query.to_lowercase();
-        for clause in ["order by", "group by"] {
-            if lowered.contains(clause) {
-                return error_response(ApiError::new(
-                    ErrorCode::InvalidQuery,
-                    format!(
-                        "{} is not supported through the router; query a shard directly",
-                        clause.to_uppercase()
-                    ),
-                ));
-            }
+        // global sort/aggregation pass it does not implement. A query
+        // that does not parse is scattered as it is: every shard
+        // answers the same 422 with its span, and that passes through.
+        let parsed = hyperbench_query::parse(&query.query).ok();
+        let unsupported = match &parsed {
+            Some(q) if !q.order_by.is_empty() => Some("ORDER BY"),
+            Some(q) if q.group_by.is_some() => Some("GROUP BY"),
+            _ => None,
+        };
+        if let Some(clause) = unsupported {
+            return error_response(ApiError::new(
+                ErrorCode::InvalidQuery,
+                format!("{clause} is not supported through the router; query a shard directly"),
+            ));
         }
-        let limit = hbql_limit(&lowered).unwrap_or(50);
+        let limit = parsed
+            .and_then(|q| q.limit)
+            .map_or(50, |l| usize::try_from(l).unwrap_or(usize::MAX));
         let slots = match self.incoming_slots(query.cursor.as_deref()) {
             Ok(s) => s,
             Err(refusal) => return refusal,
         };
         let allow_partial = request.headers.contains_key(ALLOW_PARTIAL_HEADER);
-        let headers = forward_headers(request);
-        let text = Arc::new(query.query.clone());
         let outcomes = self.scatter_fetch(
             &slots,
-            |_, slot| {
+            |slot| {
                 let shard_request = QueryRequest {
-                    query: text.as_ref().clone(),
+                    query: query.query.clone(),
                     cursor: match slot {
                         ShardSlot::Resume(c) => Some(c.encode()),
                         _ => None,
@@ -931,12 +914,9 @@ impl RouterState {
                 )
             },
             "POST",
-            &headers,
+            &forward_headers(request),
         );
-        match self.merged_page(outcomes, &slots, limit, allow_partial) {
-            Ok(page) => Response::json(200, QueryResponse::Rows(page).to_json()),
-            Err(refusal) => refusal,
-        }
+        self.merged_page(outcomes, &slots, limit, allow_partial, true)
     }
 
     // ----------------------------------------------------------------
@@ -1073,24 +1053,6 @@ impl RouterState {
     }
 }
 
-/// Extracts the `LIMIT` of an HBQL query by textual scan (lowercased
-/// input). Conservative: the last `limit <n>` pair wins, mirroring
-/// where the grammar puts the clause.
-fn hbql_limit(lowered: &str) -> Option<usize> {
-    let mut words = lowered.split_whitespace().peekable();
-    let mut found = None;
-    while let Some(word) = words.next() {
-        if word == "limit" {
-            if let Some(next) = words.peek() {
-                if let Ok(n) = next.trim_end_matches(';').parse::<usize>() {
-                    found = Some(n);
-                }
-            }
-        }
-    }
-    found
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1123,11 +1085,34 @@ mod tests {
     }
 
     #[test]
-    fn hbql_limit_scan_finds_the_clause() {
-        assert_eq!(hbql_limit("select * where a = 1 limit 20"), Some(20));
-        assert_eq!(hbql_limit("select * limit 5;"), Some(5));
-        assert_eq!(hbql_limit("select * where a = 1"), None);
-        assert_eq!(hbql_limit("select * limit x"), None);
+    fn body_ids_are_globalized_where_they_stand() {
+        let s = state(2);
+        let globalized = |body: &str| {
+            let mut response = Response::json(200, body);
+            s.globalize_body_id(&mut response, 1);
+            String::from_utf8(response.body).unwrap()
+        };
+        // Only the top-level id moves (local 3 on shard 1 of 2 is 7);
+        // every other byte is the shard's, spacing included.
+        assert_eq!(
+            globalized(r#"{"id":3,"nested":{"id":3},"s":"\u00e9 \"id\":3"}"#),
+            r#"{"id":7,"nested":{"id":3},"s":"\u00e9 \"id\":3"}"#
+        );
+        assert_eq!(
+            globalized(r#" { "n" : [1] , "id" : 12 } "#),
+            r#" { "n" : [1] , "id" : 25 } "#
+        );
+        for untouched in [
+            r#"{"id":"3"}"#,
+            r#"{"id":-3}"#,
+            r#"{"name":"x"}"#,
+            r#"[{"id":3}]"#,
+            r#"{"id":3"#,
+            r#"{"id":3} trailing"#,
+            "e1(a,b).",
+        ] {
+            assert_eq!(globalized(untouched), untouched);
+        }
     }
 
     #[test]

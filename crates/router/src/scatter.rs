@@ -13,8 +13,21 @@
 //! never-skip-never-duplicate invariant is provable by property test:
 //! walking any fleet with any page sizes yields exactly the sorted
 //! global id sequence.
+//!
+//! The merge needs three things of a shard's answer — each row's `id`,
+//! the `total` and the `next_cursor` — and the merged page is the
+//! shards' rows again with only their ids moved into the global space.
+//! So a page is never decoded into DTOs: [`decode_page`] scans the
+//! body once for those three and remembers each row as a [`Row`] of
+//! the shard's own bytes, and [`encode_page`] splices the merged body
+//! from them. A row's other fields are the shard's contract with the
+//! client and pass through verbatim.
+
+use std::fmt::Write;
 
 use hyperbench_api::cursor::{PageCursor, ScatterCursor, ShardSlot};
+use hyperbench_api::json::{Json, Walker};
+use hyperbench_api::schema;
 
 /// One shard's fetched page, in the shard's own (local) id space.
 #[derive(Debug, Clone)]
@@ -37,6 +50,127 @@ pub struct Merged<T> {
     pub total: usize,
     /// The next scatter cursor, or `None` when every shard is done.
     pub cursor: Option<ScatterCursor>,
+}
+
+/// One row of a shard's page as the shard wrote it, cut around the
+/// digits of its `id`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Row<'a> {
+    /// The row's bytes up to its id's digits.
+    head: &'a str,
+    /// The row's bytes after them.
+    tail: &'a str,
+}
+
+/// Reads one shard's page body (a list page, or a rows-query page —
+/// the same page with a `kind` in front) into merge input, in one
+/// scan. An `Err` says what made the body undecodable: not JSON, no
+/// `items` array or integer `total`, a row that is not an object with
+/// an integer `id`, or a `next_cursor` that is neither `null` nor one
+/// of the shard's cursor tokens.
+pub fn decode_page(body: &str) -> Result<ShardPage<Row<'_>>, String> {
+    let mut items = None;
+    let mut total = None;
+    let mut next = None;
+    let mut walker = Walker::new(body);
+    walker.object(|w, key| {
+        match &*key {
+            schema::ITEMS => {
+                let mut rows = Vec::new();
+                w.array(|w| {
+                    rows.push(decode_row(w, body)?);
+                    Ok(())
+                })?;
+                items = Some(rows);
+            }
+            schema::TOTAL => total = Some(decode_usize(w, schema::TOTAL)?),
+            schema::NEXT_CURSOR if w.peek() == Some(b'"') => {
+                let token = w.string()?;
+                next = Some(PageCursor::decode(&token).map_err(|e| e.to_string())?);
+            }
+            schema::NEXT_CURSOR => {
+                if w.skip_value()? != "null" {
+                    return Err(format!("{} is not a string", schema::NEXT_CURSOR));
+                }
+            }
+            _ => drop(w.skip_value()?),
+        }
+        Ok(())
+    })?;
+    walker.finish()?;
+    Ok(ShardPage {
+        items: items.ok_or_else(|| format!("no {} array", schema::ITEMS))?,
+        next,
+        total: total.ok_or_else(|| format!("no {}", schema::TOTAL))?,
+    })
+}
+
+fn decode_row<'a>(w: &mut Walker<'a>, body: &'a str) -> Result<(usize, Row<'a>), String> {
+    let start = w.offset();
+    let mut id = None;
+    w.object(|w, key| {
+        if key == schema::ID {
+            let digits = w.offset();
+            id = Some((decode_usize(w, schema::ID)?, digits, w.offset()));
+        } else {
+            w.skip_value()?;
+        }
+        Ok(())
+    })?;
+    let (local, digits, after) = id.ok_or_else(|| format!("a row has no {}", schema::ID))?;
+    let row = Row {
+        head: &body[start..digits],
+        tail: &body[after..w.offset()],
+    };
+    Ok((local, row))
+}
+
+fn decode_usize(w: &mut Walker<'_>, field: &str) -> Result<usize, String> {
+    w.skip_value()?
+        .parse()
+        .map_err(|_| format!("{field} is not a non-negative integer"))
+}
+
+/// Writes the merged page: byte for byte the body
+/// `PageDto::to_json().to_string()` — or, with `rows_query`,
+/// `QueryResponse::Rows(..)` — gives for the same rows, each row being
+/// what its shard sent with the global id in place of the local one.
+/// `partial` lists the shards missing from the page (empty: complete).
+pub fn encode_page(rows_query: bool, merged: &Merged<Row<'_>>, partial: &[usize]) -> String {
+    let rows: usize = merged
+        .items
+        .iter()
+        .map(|(_, row)| row.head.len() + row.tail.len() + 21)
+        .sum();
+    let mut out = String::with_capacity(rows + 256);
+    out.push('{');
+    if rows_query {
+        let _ = write!(out, "\"{}\":\"rows\",", schema::KIND);
+    }
+    let _ = write!(
+        out,
+        "\"{}\":{},\"{}\":[",
+        schema::TOTAL,
+        merged.total,
+        schema::ITEMS
+    );
+    for (i, (gid, row)) in merged.items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "{}{gid}{}", row.head, row.tail);
+    }
+    let next = merged
+        .cursor
+        .as_ref()
+        .map_or(Json::Null, |c| Json::Str(c.encode()));
+    let _ = write!(out, "],\"{}\":{next}", schema::NEXT_CURSOR);
+    if !partial.is_empty() {
+        let shards = Json::Arr(partial.iter().copied().map(Json::int).collect());
+        let _ = write!(out, ",\"{}\":{shards}", schema::PARTIAL);
+    }
+    out.push('}');
+    out
 }
 
 /// Merges one scatter round. `pages[i]` is shard `i`'s fetched page,
@@ -148,7 +282,14 @@ pub fn merge_pages<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hyperbench_api::dto::{EntrySummary, PageDto, QueryResponse};
     use proptest::prelude::*;
+
+    /// The payload of every simulated row: the merge never looks at it.
+    const ROW: Row<'static> = Row {
+        head: "{\"id\":",
+        tail: "}",
+    };
 
     /// Simulates one shard's `GET` given its slot: the items strictly
     /// after the cursor position, capped at `page_limit`.
@@ -156,7 +297,7 @@ mod tests {
         ids: &[usize],
         slot: ShardSlot,
         page_limit: usize,
-    ) -> Option<ShardPage<&'static str>> {
+    ) -> Option<ShardPage<Row<'static>>> {
         let after = match slot {
             ShardSlot::Start => None,
             ShardSlot::Resume(c) => Some(c.after_id),
@@ -167,10 +308,10 @@ mod tests {
             .copied()
             .filter(|&id| after.is_none_or(|a| id > a))
             .collect();
-        let page: Vec<(usize, &'static str)> = remaining
+        let page: Vec<(usize, Row<'static>)> = remaining
             .iter()
             .take(page_limit)
-            .map(|&id| (id, "item"))
+            .map(|&id| (id, ROW))
             .collect();
         let next = if remaining.len() > page.len() {
             Some(PageCursor::after(page.last().unwrap().0))
@@ -191,7 +332,7 @@ mod tests {
         let mut slots = vec![ShardSlot::Start; n];
         let mut served = Vec::new();
         for _round in 0..10_000 {
-            let pages: Vec<Option<ShardPage<&'static str>>> = (0..n)
+            let pages: Vec<Option<ShardPage<Row<'static>>>> = (0..n)
                 .map(|i| shard_fetch(&per_shard[i], slots[i], page_limit))
                 .collect();
             let merged = merge_pages(pages, &slots, limit);
@@ -269,8 +410,156 @@ mod tests {
         z ^ (z >> 31)
     }
 
+    #[test]
+    fn undecodable_pages_are_errors_and_unknown_fields_pass() {
+        let token = PageCursor::after(4).encode();
+        let body = format!(
+            r#" {{"kind":"rows","total":7,"items":[{{"x":[1,{{}}],"id":4,"y":"\u00e9"}}],"next_cursor":"{token}","more":null}} "#
+        );
+        let page = decode_page(&body).unwrap();
+        assert_eq!(page.total, 7);
+        assert_eq!(page.next, Some(PageCursor::after(4)));
+        let row = Row {
+            head: r#"{"x":[1,{}],"id":"#,
+            tail: r#","y":"\u00e9"}"#,
+        };
+        assert_eq!(page.items, vec![(4, row)]);
+
+        for body in [
+            "",
+            "<html>",
+            "[]",
+            r#"{"total":1}"#,
+            r#"{"items":[]}"#,
+            r#"{"total":1,"items":{}}"#,
+            r#"{"total":"1","items":[]}"#,
+            r#"{"total":1,"items":[7]}"#,
+            r#"{"total":1,"items":[{"collection":"c"}]}"#,
+            r#"{"total":1,"items":[{"id":"7"}]}"#,
+            r#"{"total":1,"items":[{"id":-7}]}"#,
+            r#"{"total":1,"items":[{"id":7,"id":7}]}"#,
+            r#"{"total":1,"items":[],"next_cursor":7}"#,
+            r#"{"total":1,"items":[],"next_cursor":"zz"}"#,
+            r#"{"total":1,"items":[]} trailing"#,
+        ] {
+            assert!(decode_page(body).is_err(), "{body}");
+        }
+    }
+
+    /// A string of the characters JSON escapes, and some it does not.
+    fn hostile_string(state: &mut u64) -> String {
+        const ALPHABET: [&str; 10] = ["\"", "\\", "\n", "\u{1}", " ", "id", ":7,", "é", "😀", "}"];
+        (0..mix(state) % 6)
+            .map(|_| ALPHABET[(mix(state) % ALPHABET.len() as u64) as usize])
+            .collect()
+    }
+
+    /// The page the router answered before it spliced bytes: every
+    /// shard body decoded into DTOs, merged, ids rewritten, re-encoded.
+    /// The reference [`decode_page`] and [`encode_page`] are held to.
+    fn dto_path(
+        bodies: &[Option<String>],
+        slots: &[ShardSlot],
+        limit: usize,
+        partial: &[usize],
+        rows_query: bool,
+    ) -> (PageDto, String) {
+        let pages = bodies
+            .iter()
+            .map(|body| {
+                let page = PageDto::from_json(&Json::parse(body.as_ref()?).unwrap()).unwrap();
+                Some(ShardPage {
+                    next: page
+                        .next_cursor
+                        .as_deref()
+                        .map(|token| PageCursor::decode(token).unwrap()),
+                    total: page.total,
+                    items: page.items.into_iter().map(|row| (row.id, row)).collect(),
+                })
+            })
+            .collect();
+        let merged = merge_pages(pages, slots, limit);
+        let rows = merged.items.into_iter().map(|(gid, mut row)| {
+            row.id = gid;
+            row
+        });
+        let mut page = PageDto::new(
+            merged.total,
+            rows.collect(),
+            merged.cursor.map(|c| c.encode()),
+        );
+        page.partial = partial.to_vec();
+        let body = if rows_query {
+            QueryResponse::Rows(page.clone()).to_json().to_string()
+        } else {
+            page.to_json().to_string()
+        };
+        (page, body)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn spliced_pages_equal_the_dto_path_byte_for_byte(
+            n in 1..4usize,
+            limit in 1..121usize,
+            seed in any::<u64>(),
+        ) {
+            let mut state = seed;
+            let rows_query = mix(&mut state) & 1 == 0;
+            let mut partial = Vec::new();
+            let bodies: Vec<Option<String>> = (0..n)
+                .map(|shard| {
+                    // A shard that failed under allow-partial: no page.
+                    if mix(&mut state).is_multiple_of(5) {
+                        partial.push(shard);
+                        return None;
+                    }
+                    let mut id = 0;
+                    let items: Vec<EntrySummary> = (0..mix(&mut state) % 101)
+                        .map(|_| {
+                            id += 1 + (mix(&mut state) % 3) as usize;
+                            EntrySummary {
+                                id,
+                                collection: hostile_string(&mut state),
+                                class: hostile_string(&mut state),
+                                vertices: (mix(&mut state) % 1000) as usize,
+                                edges: (mix(&mut state) % 1000) as usize,
+                                arity: (mix(&mut state) % 10) as usize,
+                                analyzed: mix(&mut state) & 1 == 0,
+                                hw_upper: (mix(&mut state) & 1 == 0).then_some(3),
+                                hw_lower: (mix(&mut state) & 1 == 0).then_some(2),
+                            }
+                        })
+                        .collect();
+                    let next = (mix(&mut state) & 1 == 0).then(|| {
+                        PageCursor {
+                            after_id: id,
+                            snapshot: (mix(&mut state) & 1 == 0).then_some(mix(&mut state) % 99),
+                        }
+                        .encode()
+                    });
+                    let page = PageDto::new(items.len() + (mix(&mut state) % 50) as usize, items, next);
+                    Some(if rows_query {
+                        QueryResponse::Rows(page).to_json().to_string()
+                    } else {
+                        page.to_json().to_string()
+                    })
+                })
+                .collect();
+            let slots = vec![ShardSlot::Start; n];
+
+            let pages: Vec<_> = bodies
+                .iter()
+                .map(|body| body.as_deref().map(|b| decode_page(b).unwrap()))
+                .collect();
+            let spliced = encode_page(rows_query, &merge_pages(pages, &slots, limit), &partial);
+
+            let (page, body) = dto_path(&bodies, &slots, limit, &partial, rows_query);
+            prop_assert_eq!(&spliced, &body);
+            prop_assert_eq!(PageDto::from_json(&Json::parse(&spliced).unwrap()), Ok(page));
+        }
 
         #[test]
         fn merged_walks_never_skip_or_duplicate_an_id(

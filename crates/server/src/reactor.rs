@@ -63,7 +63,7 @@ use crate::Dispatch;
 /// the C library the Rust standard library already links — this adds no
 /// dependency, only declarations.
 mod sys {
-    use std::os::raw::c_int;
+    use std::os::raw::{c_int, c_ulong};
 
     /// Mirror of the kernel's `struct epoll_event`. Packed on x86-64,
     /// naturally aligned elsewhere — exactly as the kernel ABI demands.
@@ -87,7 +87,22 @@ mod sys {
             timeout_ms: c_int,
         ) -> c_int;
         pub fn close(fd: c_int) -> c_int;
+        pub fn poll(fds: *mut PollFd, nfds: c_ulong, timeout_ms: c_int) -> c_int;
     }
+
+    /// Mirror of `struct pollfd`.
+    #[repr(C)]
+    #[derive(Clone, Copy)]
+    pub struct PollFd {
+        /// The descriptor to watch.
+        pub fd: c_int,
+        /// Requested readiness bits.
+        pub events: i16,
+        /// Readiness bits the kernel reports back.
+        pub revents: i16,
+    }
+
+    pub const POLLIN: i16 = 0x001;
 
     pub const EPOLL_CLOEXEC: c_int = 0o2000000;
     pub const EPOLL_CTL_ADD: c_int = 1;
@@ -97,6 +112,47 @@ mod sys {
     pub const EPOLLHUP: u32 = 0x010;
     pub const EPOLLRDHUP: u32 = 0x2000;
     pub const EPOLLET: u32 = 1 << 31;
+}
+
+/// Blocks until one of `fds` has bytes to read — or has hung up or
+/// failed, which the read that follows reports — or `timeout` passes.
+/// Returns the index of the first such descriptor, `None` on timeout.
+///
+/// This is the wait of a thread that owns a handful of client-side
+/// sockets and nothing else (a router worker racing two upstreams);
+/// the event loops below multiplex through epoll.
+pub fn wait_readable(
+    fds: impl IntoIterator<Item = RawFd>,
+    timeout: Duration,
+) -> io::Result<Option<usize>> {
+    let mut set: Vec<sys::PollFd> = fds
+        .into_iter()
+        .map(|fd| sys::PollFd {
+            fd,
+            events: sys::POLLIN,
+            revents: 0,
+        })
+        .collect();
+    let deadline = Instant::now() + timeout;
+    loop {
+        // Round up: a 0 ms wait on a sub-millisecond remainder would spin.
+        let left = deadline.saturating_duration_since(Instant::now());
+        let millis = left.as_micros().div_ceil(1000).min(i32::MAX as u128) as i32;
+        // SAFETY: `set` is a live, exclusively borrowed slice of
+        // `set.len()` initialised `pollfd`s for the whole call.
+        let ready =
+            unsafe { sys::poll(set.as_mut_ptr(), set.len() as std::os::raw::c_ulong, millis) };
+        if ready > 0 {
+            return Ok(set.iter().position(|p| p.revents != 0));
+        }
+        if ready == 0 {
+            return Ok(None);
+        }
+        let error = io::Error::last_os_error();
+        if error.kind() != io::ErrorKind::Interrupted {
+            return Err(error);
+        }
+    }
 }
 
 /// Reactor tuning knobs (surfaced through `Server` builder methods and

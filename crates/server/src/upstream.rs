@@ -3,25 +3,31 @@
 //! A router process accepts downstream requests on the reactor (via
 //! [`crate::Dispatch`]) and proxies them to shard servers over the
 //! pools here. Each [`UpstreamPool`] owns the keep-alive connections
-//! to one upstream address: an exchange checks out an idle connection
-//! (or dials a new one), writes one HTTP/1.1 request, reads one
-//! response, and returns the connection to the pool when the upstream
-//! kept it open. Exchanges are blocking by design — the router
-//! dispatches every request on the reactor's offload pool, so a slow
-//! upstream stalls one worker thread, never the event loop.
+//! to one upstream address. An exchange has two halves:
+//! [`UpstreamPool::send`] checks out an idle connection (or dials a
+//! new one) and writes one HTTP/1.1 request, and
+//! [`UpstreamPool::finish`] reads the response and returns the
+//! connection to the pool when the upstream kept it open. Between the
+//! two the request is a [`Pending`], and a thread that holds several —
+//! a read hedged to a second replica — sleeps in [`wait_readable`]
+//! until the first answer starts to arrive; dropping the others closes
+//! their sockets, which is all the cancellation an abandoned request
+//! needs. Both halves block by design — the router dispatches every
+//! request on the reactor's offload pool, so a slow upstream stalls
+//! one worker thread, never the event loop.
 //!
 //! # Fault injection
 //!
 //! Two failpoints cover the upstream path: `router.upstream_connect`
-//! fires before dialing and `router.upstream_read` fires before the
-//! response read. Both are *address-filtered*: arming with
-//! `return(<host:port>)` kills only that upstream, while a bare
-//! `return` kills all of them — so a chaos test can take down one
-//! replica of one shard without touching its peers.
+//! fires before dialing and `router.upstream_read` fires once the
+//! request is written, before the response is waited for. Both are
+//! *address-filtered*: arming with `return(<host:port>)` kills only
+//! that upstream, while a bare `return` kills all of them — so a chaos
+//! test can take down one replica of one shard without touching its
+//! peers.
 
 use std::io::{self, Write};
-use std::net::{Shutdown, SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -30,50 +36,45 @@ use hyperbench_api::http::{encode_request, ResponseReader};
 /// One decoded upstream response.
 pub use hyperbench_api::http::Response as UpstreamResponse;
 
-/// Cancels an in-flight [`UpstreamPool::exchange_with`] from another
-/// thread: hedged reads hand the losing attempt's token to the winner,
-/// which shuts the loser's socket down so its blocking read fails fast
-/// instead of running to completion.
-#[derive(Debug, Default)]
-pub struct CancelToken {
-    cancelled: AtomicBool,
-    live: Mutex<Option<TcpStream>>,
+/// A request on the wire whose response has not been read:
+/// [`UpstreamPool::finish`] reads it, dropping it abandons it by
+/// closing the socket (a connection with an unread response is never
+/// pooled).
+#[derive(Debug)]
+pub struct Pending {
+    stream: TcpStream,
+    /// The encoded request, for the one retry a stale pooled
+    /// connection earns.
+    request: Vec<u8>,
+    /// Whether `stream` came out of the idle pool.
+    pooled: bool,
 }
 
-impl CancelToken {
-    /// A fresh, un-cancelled token.
-    pub fn new() -> CancelToken {
-        CancelToken::default()
-    }
+/// Blocks until the response to one of `pending` has begun to arrive —
+/// or its connection failed, which [`UpstreamPool::finish`] then
+/// reports — and returns that request's position; `None` once
+/// `timeout` passes with every upstream still silent.
+#[cfg(target_os = "linux")]
+pub fn wait_readable<'p>(
+    pending: impl IntoIterator<Item = &'p Pending>,
+    timeout: Duration,
+) -> io::Result<Option<usize>> {
+    use std::os::fd::AsRawFd;
+    let fds = pending.into_iter().map(|p| p.stream.as_raw_fd());
+    crate::reactor::wait_readable(fds, timeout)
+}
 
-    /// Whether [`CancelToken::cancel`] has been called.
-    pub fn is_cancelled(&self) -> bool {
-        self.cancelled.load(Ordering::Acquire)
-    }
-
-    /// Cancels the exchange: any registered socket is shut down and
-    /// any future registration fails immediately.
-    pub fn cancel(&self) {
-        self.cancelled.store(true, Ordering::Release);
-        if let Some(stream) = self.live.lock().unwrap().take() {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
-    }
-
-    /// Points the token at the exchange's active socket.
-    fn register(&self, stream: &TcpStream) -> io::Result<()> {
-        let mut live = self.live.lock().unwrap();
-        if self.is_cancelled() {
-            return Err(io::Error::new(io::ErrorKind::Interrupted, "cancelled"));
-        }
-        *live = Some(stream.try_clone()?);
-        Ok(())
-    }
-
-    /// Drops the registration once the exchange settles.
-    fn clear(&self) {
-        self.live.lock().unwrap().take();
-    }
+/// Off Linux there is no reactor to serve a front tier from, and no
+/// readiness wait either.
+#[cfg(not(target_os = "linux"))]
+pub fn wait_readable<'p>(
+    _pending: impl IntoIterator<Item = &'p Pending>,
+    _timeout: Duration,
+) -> io::Result<Option<usize>> {
+    Err(io::Error::new(
+        io::ErrorKind::Unsupported,
+        "waiting on several upstreams requires Linux",
+    ))
 }
 
 /// A keep-alive connection pool to one upstream address.
@@ -145,35 +146,51 @@ impl UpstreamPool {
         headers: &[(&str, &str)],
         body: &[u8],
     ) -> io::Result<UpstreamResponse> {
-        self.exchange_with(method, path_and_query, headers, body, None)
+        self.finish(self.send(method, path_and_query, headers, body)?)
     }
 
-    /// One request/response exchange, cancellable from another thread.
-    ///
-    /// A stale pooled connection (closed by the upstream between
-    /// exchanges) is retried once on a fresh dial; a failure on a
-    /// fresh connection surfaces immediately, so the caller's failure
-    /// accounting never double-counts one upstream fault.
-    pub fn exchange_with(
+    /// Writes one request, on an idle pooled connection when there is
+    /// one and on a fresh dial otherwise — also when the pooled one
+    /// turns out stale (closed by the upstream between exchanges)
+    /// already at the write.
+    pub fn send(
         &self,
         method: &str,
         path_and_query: &str,
         headers: &[(&str, &str)],
         body: &[u8],
-        cancel: Option<&CancelToken>,
-    ) -> io::Result<UpstreamResponse> {
+    ) -> io::Result<Pending> {
         let request = encode_request(method, path_and_query, &self.addr_text, headers, body);
-        if let Some(stream) = self.checkout() {
-            match self.try_exchange(stream, &request, cancel) {
-                Ok(response) => return Ok(response),
-                // The pooled socket was stale; fall through to a
-                // fresh dial unless the caller cancelled us.
-                Err(_) if cancel.is_none_or(|c| !c.is_cancelled()) => {}
-                Err(e) => return Err(e),
-            }
+        let pooled = self
+            .checkout()
+            .filter(|stream| self.write(stream, &request).is_ok());
+        let (stream, pooled) = match pooled {
+            Some(stream) => (stream, true),
+            None => (self.dial_and_write(&request)?, false),
+        };
+        Ok(Pending {
+            stream,
+            request,
+            pooled,
+        })
+    }
+
+    /// Reads the response to a sent request.
+    ///
+    /// A pooled connection that turns out stale only now is retried
+    /// once on a fresh dial; a failure on a fresh connection surfaces
+    /// immediately, so the caller's failure accounting never
+    /// double-counts one upstream fault.
+    pub fn finish(&self, pending: Pending) -> io::Result<UpstreamResponse> {
+        let Pending {
+            stream,
+            request,
+            pooled,
+        } = pending;
+        match self.read(stream) {
+            Err(_) if pooled => self.read(self.dial_and_write(&request)?),
+            result => result,
         }
-        let stream = self.connect()?;
-        self.try_exchange(stream, &request, cancel)
     }
 
     /// Dials a fresh connection (through the connect failpoint).
@@ -205,37 +222,30 @@ impl UpstreamPool {
         }
     }
 
-    fn try_exchange(
-        &self,
-        mut stream: TcpStream,
-        request: &[u8],
-        cancel: Option<&CancelToken>,
-    ) -> io::Result<UpstreamResponse> {
-        if let Some(token) = cancel {
-            token.register(&stream)?;
+    fn write(&self, mut stream: &TcpStream, request: &[u8]) -> io::Result<()> {
+        stream.write_all(request)?;
+        if failpoint_hit("router.upstream_read", &self.addr_text) {
+            return Err(io::Error::new(
+                io::ErrorKind::ConnectionReset,
+                format!("injected read failure from {}", self.addr_text),
+            ));
         }
-        let result = (|| {
-            stream.write_all(request)?;
-            if failpoint_hit("router.upstream_read", &self.addr_text) {
-                return Err(io::Error::new(
-                    io::ErrorKind::ConnectionReset,
-                    format!("injected read failure from {}", self.addr_text),
-                ));
-            }
-            let mut reader = ResponseReader::new(&mut stream);
-            let response = reader.read_response()?;
-            // Bytes behind the declared body mean the upstream and this
-            // pool disagree about framing; such a connection is never
-            // offered to the next exchange.
-            Ok((reader.is_drained(), response))
-        })();
-        if let Some(token) = cancel {
-            token.clear();
-            if token.is_cancelled() {
-                return Err(io::Error::new(io::ErrorKind::Interrupted, "cancelled"));
-            }
-        }
-        let (drained, response) = result?;
+        Ok(())
+    }
+
+    fn dial_and_write(&self, request: &[u8]) -> io::Result<TcpStream> {
+        let stream = self.connect()?;
+        self.write(&stream, request)?;
+        Ok(stream)
+    }
+
+    fn read(&self, mut stream: TcpStream) -> io::Result<UpstreamResponse> {
+        let mut reader = ResponseReader::new(&mut stream);
+        let response = reader.read_response()?;
+        // Bytes behind the declared body mean the upstream and this
+        // pool disagree about framing; such a connection is never
+        // offered to the next exchange.
+        let drained = reader.is_drained();
         if response.keep_alive && drained {
             self.checkin(stream);
         }
@@ -322,27 +332,57 @@ mod tests {
     }
 
     #[test]
-    fn cancel_token_aborts_a_blocked_read() {
+    fn the_first_answer_wakes_the_wait_and_a_silent_upstream_times_it_out() {
+        let stall = TcpListener::bind("127.0.0.1:0").unwrap();
+        let silent = UpstreamPool::new(stall.local_addr().unwrap());
+        let answering = UpstreamPool::new(serve_once(
+            b"HTTP/1.1 200 OK\r\ncontent-length: 2\r\nconnection: close\r\n\r\nok",
+        ));
+        let slow = silent.send("GET", "/v1/health", &[], &[]).unwrap();
+        assert_eq!(
+            wait_readable([&slow], Duration::from_millis(20)).unwrap(),
+            None,
+            "nothing was answered"
+        );
+        let fast = answering.send("GET", "/v1/health", &[], &[]).unwrap();
+        assert_eq!(
+            wait_readable([&slow, &fast], Duration::from_secs(10)).unwrap(),
+            Some(1)
+        );
+        assert_eq!(answering.finish(fast).unwrap().body, b"ok");
+
+        // Dropping the unanswered request closes its socket: that is
+        // the whole cancellation, and the upstream sees it as EOF.
+        let (mut accepted, _) = stall.accept().unwrap();
+        drop(slow);
+        let mut request = Vec::new();
+        accepted.read_to_end(&mut request).unwrap();
+        assert!(request.starts_with(b"GET /v1/health HTTP/1.1\r\n"));
+        assert!(silent.idle.lock().unwrap().is_empty());
+    }
+
+    #[test]
+    fn a_pooled_connection_gone_stale_is_retried_on_a_fresh_dial() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        // A server that reads the request and then never answers.
         std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().unwrap();
-            let mut buf = [0u8; 4096];
-            let _ = stream.read(&mut buf);
-            std::thread::sleep(Duration::from_secs(5));
+            // Answer keep-alive, then hang up: the pool is left
+            // holding a dead socket. The second connection answers.
+            for body in [&b"one"[..], b"two"] {
+                let (mut stream, _) = listener.accept().unwrap();
+                let mut buf = [0u8; 4096];
+                let _ = stream.read(&mut buf);
+                stream
+                    .write_all(b"HTTP/1.1 200 OK\r\ncontent-length: 3\r\n\r\n")
+                    .unwrap();
+                stream.write_all(body).unwrap();
+            }
         });
-        let pool =
-            UpstreamPool::with_timeouts(addr, Duration::from_millis(500), Duration::from_secs(10));
-        let token = std::sync::Arc::new(CancelToken::new());
-        let cancel = std::sync::Arc::clone(&token);
-        std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(50));
-            cancel.cancel();
-        });
-        let started = std::time::Instant::now();
-        let result = pool.exchange_with("GET", "/v1/health", &[], &[], Some(&token));
-        assert!(result.is_err());
-        assert!(started.elapsed() < Duration::from_secs(5));
+        let pool = UpstreamPool::new(addr);
+        assert_eq!(pool.exchange("GET", "/a", &[], &[]).unwrap().body, b"one");
+        assert_eq!(pool.idle.lock().unwrap().len(), 1);
+        // Whether the stale socket fails at the write or only at the
+        // read, the exchange lands on the fresh connection.
+        assert_eq!(pool.exchange("GET", "/b", &[], &[]).unwrap().body, b"two");
     }
 }

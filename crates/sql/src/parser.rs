@@ -9,10 +9,19 @@ use crate::ast::*;
 use crate::error::SqlError;
 use crate::token::{tokenize, Keyword, Token};
 
+/// Deepest nesting of subqueries, parentheses and `NOT`s a statement
+/// may have: the parser (and every pass over its tree) recurses as deep
+/// as the statement, which is its author's to choose.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a SQL statement (one query, optional leading `WITH`).
 pub fn parse(sql: &str) -> Result<Statement, SqlError> {
     let tokens = tokenize(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let views = if p.eat_keyword(Keyword::With) {
         p.parse_views()?
     } else {
@@ -32,6 +41,9 @@ pub fn parse(sql: &str) -> Result<Statement, SqlError> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// `parse_query_expr` and `parse_not` calls on the stack: every
+    /// recursion of the grammar passes through one of the two.
+    depth: usize,
 }
 
 impl Parser {
@@ -79,6 +91,18 @@ impl Parser {
         }
     }
 
+    /// Goes one level deeper; the caller comes back up with
+    /// `self.depth -= 1` once its sub-tree is parsed.
+    fn descend(&mut self) -> Result<(), SqlError> {
+        if self.depth == MAX_DEPTH {
+            return Err(SqlError::Parse(format!(
+                "statement nests deeper than {MAX_DEPTH} levels"
+            )));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
     fn expect_ident(&mut self) -> Result<String, SqlError> {
         match self.next() {
             Some(Token::Ident(s)) => Ok(s),
@@ -108,6 +132,7 @@ impl Parser {
 
     /// `select_block ((UNION|INTERSECT|EXCEPT) [ALL|DISTINCT] select_block)*`
     fn parse_query_expr(&mut self) -> Result<QueryExpr, SqlError> {
+        self.descend()?;
         let mut left = self.parse_query_primary()?;
         loop {
             let op = match self.peek() {
@@ -126,6 +151,7 @@ impl Parser {
                 right: Box::new(right),
             };
         }
+        self.depth -= 1;
         Ok(left)
     }
 
@@ -380,11 +406,14 @@ impl Parser {
     }
 
     fn parse_not(&mut self) -> Result<Expr, SqlError> {
-        if self.eat_keyword(Keyword::Not) {
-            let inner = self.parse_not()?;
-            return Ok(Expr::Not(Box::new(inner)));
-        }
-        self.parse_predicate()
+        self.descend()?;
+        let expr = if self.eat_keyword(Keyword::Not) {
+            Expr::Not(Box::new(self.parse_not()?))
+        } else {
+            self.parse_predicate()?
+        };
+        self.depth -= 1;
+        Ok(expr)
     }
 
     fn parse_predicate(&mut self) -> Result<Expr, SqlError> {
@@ -691,6 +720,37 @@ mod tests {
                 assert!(matches!(conj[0], Expr::Cmp { op: CmpOp::Eq, .. }));
             }
             other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_parse_error() {
+        let parens = |n: usize| {
+            format!(
+                "SELECT a FROM t WHERE {}a = 1{}",
+                "(".repeat(n),
+                ")".repeat(n)
+            )
+        };
+        let nots = |n: usize| format!("SELECT a FROM t WHERE {}a = 1", "NOT ".repeat(n));
+        let derived = |n: usize| {
+            format!(
+                "{}SELECT a FROM t{}",
+                "SELECT a FROM (".repeat(n),
+                ") x".repeat(n)
+            )
+        };
+        for statement in [parens(100), nots(100), derived(100)] {
+            assert!(parse(&statement).is_ok(), "{statement}");
+        }
+        // 10⁴ of any of these overflowed a 2 MiB stack before the cap.
+        for statement in [parens(10_000), nots(10_000), derived(10_000)] {
+            match parse(&statement) {
+                Err(SqlError::Parse(why)) => {
+                    assert!(why.contains("nests deeper than 128 levels"), "{why}")
+                }
+                other => panic!("expected a parse error, got {other:?}"),
+            }
         }
     }
 

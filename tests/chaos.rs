@@ -23,6 +23,7 @@ use hyperbench_api::{
     WriteRequest,
 };
 use hyperbench_core::format::parse_hg;
+use hyperbench_integration_tests::chaos_lock;
 use hyperbench_integration_tests::fixture::{doc, expect_api_error, start_writable, tmpdir};
 use hyperbench_integration_tests::http::{post, send};
 use hyperbench_repo::Repository;
@@ -80,6 +81,7 @@ fn metric(text: &str, name: &str) -> Option<f64> {
 /// spec is a structured 400, an empty body clears everything.
 #[test]
 fn failpoints_route_arms_lists_and_clears() {
+    let _guard = chaos_lock();
     let (join, addr, shutdown) = start_writable("route");
     arm(addr, "wal.append=2*off->1*return(x);spill.append=sleep(1)");
     let (status, body) = post(addr, "/debug/failpoints", "");
@@ -106,6 +108,7 @@ fn failpoints_route_arms_lists_and_clears() {
 /// store in place (no restart) and writes flow again.
 #[test]
 fn degraded_store_sheds_writes_serves_reads_and_recovers() {
+    let _guard = chaos_lock();
     let (join, addr, shutdown) = start_writable("degraded");
     let client = Client::new(addr).with_timeout(Duration::from_secs(30));
     let a = client.put_new(&WriteRequest::new(doc(0))).unwrap();
@@ -204,6 +207,7 @@ fn degraded_store_sheds_writes_serves_reads_and_recovers() {
 /// keep answering; clearing the fault heals the same read.
 #[test]
 fn checksum_fault_fails_one_read_and_spares_meta_queries() {
+    let _guard = chaos_lock();
     let dir = tmpdir("checksum");
     let pack = dir.join("repo.pack");
     let mut repo = Repository::new();
@@ -260,6 +264,7 @@ fn checksum_fault_fails_one_read_and_spares_meta_queries() {
 /// rides through them without surfacing a failure.
 #[test]
 fn client_retries_ride_through_connection_chaos() {
+    let _guard = chaos_lock();
     let (join, addr, shutdown) = start_writable("conn-chaos");
     let client = Client::new(addr)
         .with_timeout(Duration::from_secs(30))
@@ -321,6 +326,7 @@ fn spawn_server(dir: &Path, failpoints: Option<&str>) -> (Child, SocketAddr) {
 /// idempotent re-`POST`), with no duplicates.
 #[test]
 fn seeded_chaos_schedule_plus_kill9_loses_no_acked_write() {
+    let _guard = chaos_lock();
     let mut rng = Rng::new(seed());
     let nth = rng.between(2, 6);
     let dir = tmpdir("kill9");
@@ -375,7 +381,20 @@ fn seeded_chaos_schedule_plus_kill9_loses_no_acked_write() {
 /// is back to (at most) its pre-server thread count.
 #[test]
 fn chaos_lifecycle_leaks_no_threads() {
-    let threads = || std::fs::read_dir("/proc/self/task").expect("/proc").count();
+    let _guard = chaos_lock();
+    // The server names every thread it starts `hyperbench-…`; the rest
+    // of the process is the test harness, whose threads come and go
+    // with the tests queued behind the chaos lock.
+    let threads = || {
+        std::fs::read_dir("/proc/self/task")
+            .expect("/proc")
+            .flatten()
+            .filter(|task| {
+                std::fs::read_to_string(task.path().join("comm"))
+                    .is_ok_and(|name| name.starts_with("hyperbench-"))
+            })
+            .count()
+    };
     let baseline = threads();
     {
         let (join, addr, shutdown) = start_writable("leak");

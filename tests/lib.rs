@@ -1,6 +1,18 @@
 //! Shared helpers for the cross-crate integration tests.
 pub mod strategies;
 
+use std::sync::{Mutex, MutexGuard};
+
+static CHAOS: Mutex<()> = Mutex::new(());
+
+/// The failpoint registry is process-global: two tests arming the same
+/// point would stomp each other's schedules, and one counting faults or
+/// threads would count its neighbour's. Every chaos test holds this
+/// lock for its whole run.
+pub fn chaos_lock() -> MutexGuard<'static, ()> {
+    CHAOS.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// Raw-socket HTTP for the suites that assert on statuses, headers and
 /// exact request bytes the typed `Client` would hide. Responses are
 /// decoded by the one shared reader, `hyperbench_api::http`.
@@ -34,6 +46,22 @@ pub mod http {
             &format!("GET {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n"),
         );
         (r.status, r.text())
+    }
+
+    /// One metric's value off the Prometheus exposition at `addr`
+    /// (0 when the name is not listed).
+    pub fn metric(addr: SocketAddr, name: &str) -> f64 {
+        let (status, body) = get(addr, "/metrics");
+        assert_eq!(status, 200, "{body}");
+        body.lines()
+            .find_map(|line| {
+                let mut parts = line.split_whitespace();
+                (parts.next() == Some(name))
+                    .then(|| parts.next())??
+                    .parse()
+                    .ok()
+            })
+            .unwrap_or(0.0)
     }
 
     /// `POST path` with `body` on a fresh connection: (status, body).
@@ -87,6 +115,32 @@ pub mod fixture {
             }
             other => panic!("expected {code:?} ApiError, got {other:?}"),
         }
+    }
+
+    /// Posts two depth bombs — 20 000 × `[` and 20 000 nested `{"a":` —
+    /// to every route that reads a JSON body and asserts each answers a
+    /// structured 400 naming the nesting limit, on a server (or a router
+    /// in front of servers) that is still alive afterwards: the JSON
+    /// parser recursed as deep as the body said before it was capped,
+    /// and the first of these aborted the process.
+    pub fn assert_depth_bombs_are_refused(addr: SocketAddr) {
+        use hyperbench_api::Json;
+        for bomb in ["[".repeat(20_000), "{\"a\":".repeat(20_000)] {
+            for route in ["/v1/query", "/v1/hypergraphs", "/v1/analyses"] {
+                let (status, body) = crate::http::post(addr, route, &bomb);
+                let what = format!("POST {route} with {:?}…: {body}", &bomb[..5]);
+                assert_eq!(status, 400, "{what}");
+                let error = Json::parse(&body).unwrap_or_else(|e| panic!("{e}; {what}"));
+                assert_eq!(
+                    error.get("code").and_then(Json::as_str),
+                    Some("bad_request"),
+                    "{what}"
+                );
+                assert!(body.contains("nesting deeper than 128 levels"), "{what}");
+            }
+        }
+        let (status, body) = crate::http::get(addr, "/v1/healthz");
+        assert_eq!(status, 200, "the process must survive the bombs: {body}");
     }
 
     /// A WAL-backed writable server over an empty repository, on an

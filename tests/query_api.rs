@@ -194,9 +194,20 @@ fn invalid_queries_answer_422_with_byte_spans() {
     assert_eq!(span.get("start").and_then(Json::as_int), Some(23));
     assert_eq!(span.get("end").and_then(Json::as_int), Some(30));
 
-    // Lex and parse failures use the same shape.
-    for bad in ["SELECT * WHERE", "SELECT * WHERE edges ~ 3", "LIMIT 5"] {
+    // Lex and parse failures use the same shape — a depth bomb among
+    // them (10⁴ parentheses or NOTs overflowed a worker's stack and
+    // took the server down before the parser capped its nesting).
+    let parens = format!("SELECT * WHERE {}edges = 1", "(".repeat(10_000));
+    let nots = format!("SELECT * WHERE {}edges = 1", "NOT ".repeat(10_000));
+    for bad in [
+        "SELECT * WHERE",
+        "SELECT * WHERE edges ~ 3",
+        "LIMIT 5",
+        &parens,
+        &nots,
+    ] {
         let (status, body) = post_query_raw(addr, bad);
+        let bad = &bad[..bad.len().min(40)];
         assert_eq!(status, 422, "query {bad:?}");
         assert!(body.get("span").is_some(), "query {bad:?} carries a span");
     }

@@ -3,25 +3,43 @@
 //! in-process on ephemeral ports. Covers the federated id space
 //! (creates hash to a shard, reads route back to it), scatter-gather
 //! list and query paging across the fleet, write pass-through,
-//! partial-page opt-in against a dead shard, drain/undrain, and the
-//! topology report.
+//! partial-page opt-in against a dead shard, drain/undrain, the
+//! topology report, JSON depth bombs, HBQL keywords inside string
+//! literals, and hedged and failed-over reads against a fake replica
+//! that stalls or resets.
 //!
 //! The router exists only on Linux (it rides the epoll reactor).
 #![cfg(target_os = "linux")]
 
-use std::net::SocketAddr;
-use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
-use std::time::Duration;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::time::{Duration, Instant};
 
 use hyperbench_api::{
-    Client, ClientError, ErrorCode, Json, ListQuery, QueryRequest, QueryResponse, WriteRequest,
+    Client, ClientError, ErrorCode, Json, ListQuery, PageDto, QueryRequest, QueryResponse,
+    WriteRequest,
 };
-use hyperbench_integration_tests::fixture::{doc, start_writable};
-use hyperbench_integration_tests::http;
+use hyperbench_integration_tests::fixture::{assert_depth_bombs_are_refused, doc, start_writable};
+use hyperbench_integration_tests::http::{self, metric};
 use hyperbench_router::{RouterOptions, ShardMap};
 use hyperbench_server::reactor::ReactorOptions;
 use hyperbench_server::ShutdownHandle;
+
+/// Every in-process router feeds one metrics registry and every server
+/// adds threads to one process, so a test that asserts a counter moved
+/// by exactly one, or that the thread count stood still, runs alone;
+/// the rest run beside each other.
+static PROCESS: RwLock<()> = RwLock::new(());
+
+fn shared() -> RwLockReadGuard<'static, ()> {
+    PROCESS.read().unwrap_or_else(|e| e.into_inner())
+}
+
+fn alone() -> RwLockWriteGuard<'static, ()> {
+    PROCESS.write().unwrap_or_else(|e| e.into_inner())
+}
 
 /// The router over `lines` (the shard-map text), on an ephemeral port.
 /// The serving thread is leaked; the returned flag stops its probers.
@@ -87,6 +105,7 @@ fn field<'j>(j: &'j Json, name: &str) -> &'j Json {
 
 #[test]
 fn crud_roundtrips_through_the_router_in_a_federated_id_space() {
+    let _process = shared();
     let (a, _ha) = start_shard("crud-a");
     let (b, _hb) = start_shard("crud-b");
     let (router, _stop) = start_router(&format!("{a}\n{b}\n"), fast_probes());
@@ -138,6 +157,7 @@ fn crud_roundtrips_through_the_router_in_a_federated_id_space() {
 
 #[test]
 fn list_pages_merge_the_fleet_in_ascending_global_order() {
+    let _process = shared();
     let (a, _ha) = start_shard("list-a");
     let (b, _hb) = start_shard("list-b");
     let (c_addr, _hc) = start_shard("list-c");
@@ -165,6 +185,7 @@ fn list_pages_merge_the_fleet_in_ascending_global_order() {
 
 #[test]
 fn query_pages_merge_and_order_by_is_rejected() {
+    let _process = shared();
     let (a, _ha) = start_shard("query-a");
     let (b, _hb) = start_shard("query-b");
     let (router, _stop) = start_router(&format!("{a}\n{b}\n"), fast_probes());
@@ -207,6 +228,7 @@ fn query_pages_merge_and_order_by_is_rejected() {
 
 #[test]
 fn a_dead_shard_fails_structurally_and_partial_pages_are_opt_in() {
+    let _process = shared();
     let (a, _ha) = start_shard("dead-a");
     // Shard 1 is an address nothing listens on: bind, note, drop.
     let dead = {
@@ -282,6 +304,7 @@ fn a_dead_shard_fails_structurally_and_partial_pages_are_opt_in() {
 
 #[test]
 fn drain_refuses_new_work_and_undrain_restores_the_shard() {
+    let _process = shared();
     let (a, _ha) = start_shard("drain-a");
     let (b, _hb) = start_shard("drain-b");
     let (router, _stop) = start_router(&format!("{a}\n{b}\n"), fast_probes());
@@ -342,6 +365,7 @@ fn drain_refuses_new_work_and_undrain_restores_the_shard() {
 
 #[test]
 fn topology_reports_roles_breakers_and_health() {
+    let _process = shared();
     let (a, _ha) = start_shard("topo-a");
     let (b, _hb) = start_shard("topo-b");
     // One shard with a replica: primary first.
@@ -374,4 +398,278 @@ fn topology_reports_roles_breakers_and_health() {
     // this test binary feeds the same global registry.
     assert!(metrics.contains("hyperbench_router_requests_total"));
     assert!(metrics.contains("hyperbench_router_upstreams_healthy"));
+}
+
+#[test]
+fn depth_bombs_answer_400_through_the_router_and_the_fleet_lives() {
+    let _process = shared();
+    let (a, _ha) = start_shard("bombs-a");
+    let (b, _hb) = start_shard("bombs-b");
+    let (router, _stop) = start_router(&format!("{a}\n{b}\n"), fast_probes());
+    // The router refuses the query body itself; creates and analyses
+    // route by body hash unread, and the owning shard's 400 comes back.
+    assert_depth_bombs_are_refused(router);
+    for shard in [a, b] {
+        let (status, body) = http::get(shard, "/v1/healthz");
+        assert_eq!(status, 200, "shard {shard} must survive the bombs: {body}");
+    }
+}
+
+/// A rows page with its ids blanked: what a routed page and a
+/// single-node page over the same documents must agree on.
+fn without_ids(response: QueryResponse) -> PageDto {
+    let QueryResponse::Rows(mut page) = response else {
+        panic!("a rows query answers rows");
+    };
+    for row in &mut page.items {
+        row.id = 0;
+    }
+    page.items
+        .sort_by(|x, y| (&x.collection, x.edges).cmp(&(&y.collection, y.edges)));
+    page
+}
+
+#[test]
+fn clause_keywords_inside_string_literals_are_not_clauses() {
+    let _process = shared();
+    let (a, _ha) = start_shard("literal-a");
+    let (b, _hb) = start_shard("literal-b");
+    let (single, _hs) = start_shard("literal-single");
+    let (router, _stop) = start_router(&format!("{a}\n{b}\n"), fast_probes());
+    let (routed, direct) = (client(router), client(single));
+
+    for i in 0..10 {
+        let collection = if i < 5 { "order by" } else { "a limit 3 b" };
+        let request = WriteRequest::labeled(doc(i), collection, "group by");
+        routed.put_new(&request).expect("routed create");
+        direct.put_new(&request).expect("direct create");
+    }
+    for query in [
+        // Read as text these hold ORDER BY, GROUP BY and LIMIT 3.
+        r#"SELECT * WHERE collection = "order by""#,
+        r#"SELECT * WHERE class = "group by" LIMIT 4"#,
+        r#"SELECT * WHERE collection = "a limit 3 b""#,
+    ] {
+        let request = QueryRequest::new(query);
+        let through = routed
+            .query(&request)
+            .unwrap_or_else(|e| panic!("{query} through the router: {e}"));
+        let page = without_ids(through);
+        assert!(!page.items.is_empty(), "{query}");
+        let single_node = direct.query(&request).expect("single node");
+        // Cursor tokens are per-tier; their presence must agree.
+        assert_eq!(
+            page.next_cursor.is_some(),
+            matches!(&single_node, QueryResponse::Rows(p) if p.next_cursor.is_some()),
+            "{query}"
+        );
+        let single_node = without_ids(single_node);
+        assert_eq!(page.total, single_node.total, "{query}");
+        assert_eq!(page.items, single_node.items, "{query}");
+    }
+
+    // A query that does not parse is the shard's to refuse: the span it
+    // reports reaches the client through the router.
+    match routed.query(&QueryRequest::new("SELECT * WHERE edges >= LIMIT")) {
+        Err(ClientError::Api { status: 422, error }) => {
+            assert_eq!(error.code, ErrorCode::InvalidQuery);
+            assert!(error.message.contains("LIMIT"), "{error}");
+        }
+        other => panic!("an unparseable query must answer the shard's 422, got {other:?}"),
+    }
+}
+
+/// What a [`FakeReplica`] does with a request that is not a probe.
+#[derive(Clone, Copy)]
+enum Fake {
+    /// Never answers: holds the request until the router hangs up.
+    Stall,
+    /// Answers half a response, then closes.
+    ResetMidResponse,
+}
+
+/// A fake upstream. It answers `GET /v1/healthz` as a live shard would,
+/// so the router's prober keeps it a healthy first choice for reads,
+/// and treats every other request as its [`Fake`] says.
+struct FakeReplica {
+    addr: SocketAddr,
+    /// Stalled requests whose socket the router has closed.
+    hung_up: Arc<AtomicUsize>,
+}
+
+impl FakeReplica {
+    /// The name of the fake's per-connection threads, which come and go
+    /// with the connections the router opens to it.
+    const THREAD: &'static str = "fake-replica";
+
+    fn start(fake: Fake) -> FakeReplica {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake replica");
+        let addr = listener.local_addr().unwrap();
+        let hung_up = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&hung_up);
+        std::thread::spawn(move || {
+            for stream in listener.incoming().flatten() {
+                let counter = Arc::clone(&counter);
+                std::thread::Builder::new()
+                    .name(FakeReplica::THREAD.to_string())
+                    .spawn(move || FakeReplica::serve(stream, fake, &counter))
+                    .expect("spawn a fake connection");
+            }
+        });
+        FakeReplica { addr, hung_up }
+    }
+
+    /// One connection, kept alive across probes.
+    fn serve(mut stream: TcpStream, fake: Fake, hung_up: &AtomicUsize) {
+        let mut buf = [0u8; 4096];
+        loop {
+            // Requests here are bodiless GETs: the head is all of one.
+            let mut head = Vec::new();
+            while !head.ends_with(b"\r\n\r\n") {
+                match stream.read(&mut buf) {
+                    Ok(0) | Err(_) => return,
+                    Ok(n) => head.extend_from_slice(&buf[..n]),
+                }
+            }
+            if head.starts_with(b"GET /v1/healthz ") {
+                let body = r#"{"status":"ok","entries":0}"#;
+                let answer = format!(
+                    "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\n\
+                     content-length: {}\r\n\r\n{body}",
+                    body.len()
+                );
+                if stream.write_all(answer.as_bytes()).is_err() {
+                    return;
+                }
+                continue;
+            }
+            match fake {
+                Fake::Stall => {
+                    // Blocks until the router closes its end.
+                    while !matches!(stream.read(&mut buf), Ok(0) | Err(_)) {}
+                    hung_up.fetch_add(1, Ordering::SeqCst);
+                }
+                Fake::ResetMidResponse => {
+                    let _ = stream.write_all(
+                        b"HTTP/1.1 200 OK\r\ncontent-type: application/json\r\n\
+                          content-length: 512\r\n\r\n{\"id\":",
+                    );
+                }
+            }
+            return;
+        }
+    }
+
+    /// Waits until the router has hung up on `n` stalled requests.
+    fn await_hung_up(&self, n: usize) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while self.hung_up.load(Ordering::SeqCst) < n {
+            assert!(
+                Instant::now() < deadline,
+                "the router closed {} of {n} stalled sockets",
+                self.hung_up.load(Ordering::SeqCst)
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+}
+
+/// One shard whose replica is `fake`, behind a router that never gives
+/// up on it: its breaker would otherwise open after three lost reads
+/// and end the experiment.
+fn start_fleet_with_fake(
+    tag: &str,
+    fake: &FakeReplica,
+    hedge: bool,
+) -> (Client, SocketAddr, usize) {
+    let (primary, _handle) = start_shard(tag);
+    let opts = RouterOptions {
+        hedge,
+        hedge_delay_ceiling: Duration::from_millis(20),
+        breaker_threshold: u32::MAX,
+        ..fast_probes()
+    };
+    let (router, _stop) = start_router(&format!("{primary} {}\n", fake.addr), opts);
+    let c = client(router);
+    let gid = c.put_new(&WriteRequest::new(doc(0))).expect("create").id;
+    (c, router, gid)
+}
+
+const HEDGE_COUNTERS: [&str; 3] = [
+    "hyperbench_router_hedges_total",
+    "hyperbench_router_hedge_wins_total",
+    "hyperbench_router_hedges_cancelled_total",
+];
+
+#[test]
+fn a_stalled_replica_is_hedged_around_and_cancelled_by_closing_its_socket() {
+    let _process = alone();
+    let fake = FakeReplica::start(Fake::Stall);
+    let (c, router, gid) = start_fleet_with_fake("hedge-stall", &fake, true);
+    let counters = || HEDGE_COUNTERS.map(|name| metric(router, name));
+
+    // The replica is the first choice and never answers: the primary
+    // does, once the hedge delay (at most its ceiling) has run out.
+    let before = counters();
+    let started = Instant::now();
+    assert_eq!(c.entry(gid).expect("hedged read").summary.id, gid);
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_millis(20) + Duration::from_secs(2),
+        "a hedged read is bounded by the hedge ceiling, not the read timeout: {took:?}"
+    );
+    assert_eq!(
+        counters(),
+        before.map(|n| n + 1.0),
+        "one hedge, won by the hedge, its loser cancelled"
+    );
+    // Cancellation is the router closing the loser's socket.
+    fake.await_hung_up(1);
+
+    // No thread is started per attempt, so none can outlive a request:
+    // the process's threads, the fake's own aside, stand still.
+    let threads = || {
+        std::fs::read_dir("/proc/self/task")
+            .expect("/proc")
+            .flatten()
+            .filter(|task| {
+                std::fs::read_to_string(task.path().join("comm"))
+                    .is_ok_and(|name| name.trim() != FakeReplica::THREAD)
+            })
+            .count()
+    };
+    let baseline = threads();
+    for _ in 0..200 {
+        assert_eq!(c.entry(gid).expect("hedged read").summary.id, gid);
+    }
+    assert_eq!(
+        counters(),
+        before.map(|n| n + 201.0),
+        "every read went to the stalled replica first and was hedged"
+    );
+    fake.await_hung_up(201);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while threads() > baseline {
+        assert!(
+            Instant::now() < deadline,
+            "{baseline} threads before 200 hedged reads, {} after",
+            threads()
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+#[test]
+fn a_replica_that_resets_mid_response_fails_over_to_the_primary() {
+    let _process = alone();
+    let fake = FakeReplica::start(Fake::ResetMidResponse);
+    // Hedging off: the one read below must count as a failover only.
+    let (c, router, gid) = start_fleet_with_fake("hedge-reset", &fake, false);
+    let counters = || {
+        ["hyperbench_router_failovers_total", HEDGE_COUNTERS[0]].map(|name| metric(router, name))
+    };
+
+    let [failovers, hedges] = counters();
+    assert_eq!(c.entry(gid).expect("failed-over read").summary.id, gid);
+    assert_eq!(counters(), [failovers + 1.0, hedges]);
 }

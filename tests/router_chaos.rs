@@ -20,20 +20,16 @@
 
 use std::net::SocketAddr;
 use std::sync::atomic::AtomicBool;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hyperbench_api::{Client, ClientError, ErrorCode, Json, ListQuery, WriteRequest};
 use hyperbench_integration_tests::fixture::{doc, start_writable};
-use hyperbench_integration_tests::http;
+use hyperbench_integration_tests::http::metric;
+use hyperbench_integration_tests::{chaos_lock, http};
 use hyperbench_router::{RouterOptions, ShardMap};
 use hyperbench_server::reactor::ReactorOptions;
 use hyperbench_server::ShutdownHandle;
-
-/// The failpoint registry is process-global: two tests arming the same
-/// point would stomp each other's schedules. Chaos tests take this
-/// lock for their whole run.
-static CHAOS: Mutex<()> = Mutex::new(());
 
 /// The chaos seed: fixed in CI, overridable locally to explore.
 fn seed() -> u64 {
@@ -121,21 +117,6 @@ fn field<'j>(j: &'j Json, name: &str) -> &'j Json {
     }
 }
 
-/// Reads one metric value off the router's Prometheus exposition.
-fn metric(router: SocketAddr, name: &str) -> f64 {
-    let (code, body) = http::get(router, "/metrics");
-    assert_eq!(code, 200);
-    body.lines()
-        .find_map(|line| {
-            let mut parts = line.split_whitespace();
-            (parts.next() == Some(name))
-                .then(|| parts.next())??
-                .parse()
-                .ok()
-        })
-        .unwrap_or(0.0)
-}
-
 /// The breaker state and health flag of one upstream as
 /// `/admin/topology` reports them.
 fn upstream_view(router: SocketAddr, shard: usize, upstream: usize) -> (String, bool) {
@@ -206,7 +187,7 @@ fn sync_load(uplinks: &[SocketAddr], docs: &[String]) -> Vec<usize> {
 /// answers, complete and in order, with no partial marker.
 #[test]
 fn replica_kill_mid_scatter_still_answers() {
-    let _guard = CHAOS.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = chaos_lock();
     let (p0, _h0) = start_shard("scatter-p0");
     let (r0, _h1) = start_shard("scatter-r0");
     let (p1, _h2) = start_shard("scatter-p1");
@@ -259,7 +240,7 @@ fn replica_kill_mid_scatter_still_answers() {
 /// clears, the active prober closes it and service resumes.
 #[test]
 fn breaker_opens_on_a_failing_upstream_and_recovers() {
-    let _guard = CHAOS.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = chaos_lock();
     let (a, _ha) = start_shard("breaker-a");
     let (b, _hb) = start_shard("breaker-b");
     let locals0 = sync_load(&[a], &(0..2).map(doc).collect::<Vec<_>>());
@@ -311,7 +292,7 @@ fn breaker_opens_on_a_failing_upstream_and_recovers() {
 /// same content hash) once the shard rejoins the fleet.
 #[test]
 fn drain_loses_zero_acked_requests() {
-    let _guard = CHAOS.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = chaos_lock();
     let (a, _ha) = start_shard("drain-a");
     let (b, _hb) = start_shard("drain-b");
     let (router, _stop) = start_router(&format!("{a}\n{b}\n"));
@@ -391,12 +372,13 @@ fn drain_loses_zero_acked_requests() {
 }
 
 /// A seeded partition cuts one shard's primary off. Reads stay
-/// available — by-id traffic fails over to the replica, scatters merge
+/// available — by-id traffic is the replica's anyway (a read's first
+/// choice; no failover is needed, so none is asserted), scatters merge
 /// the whole fleet — while that shard's writes shed a structured,
 /// retryable 502. Healing the partition restores writes.
 #[test]
 fn seeded_partition_keeps_reads_available_while_writes_shed() {
-    let _guard = CHAOS.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = chaos_lock();
     let mut rng = Rng::new(seed());
     let partitioned = rng.between(0, 1) as usize;
     let per_shard = rng.between(3, 6) as usize;
@@ -439,7 +421,7 @@ fn seeded_partition_keeps_reads_available_while_writes_shed() {
     );
     await_upstream(router, partitioned, 0, "unhealthy", |_, healthy| !healthy);
 
-    // Reads: by-id fails over to the replica, the scatter still merges
+    // Reads: by-id is served by the replica, the scatter still merges
     // the entire fleet.
     let detail = c
         .entry(victim_gid)
@@ -493,8 +475,4 @@ fn seeded_partition_keeps_reads_available_while_writes_shed() {
             Err(e) => panic!("writes never recovered after the heal: {e}"),
         }
     }
-    assert!(
-        metric(router, "hyperbench_router_failovers_total") >= 1.0,
-        "the partition never exercised a failover"
-    );
 }

@@ -3,14 +3,16 @@
 //! what the typed client hides — percent-encoded filter params, exact
 //! statuses for 404/405/400 and a malformed request line, analysis
 //! submission + polling with a whitespace-insensitive cache hit,
-//! `/v1/stats`, the retired unversioned paths, and ≥4 truly concurrent
-//! clients.
+//! `/v1/stats`, the retired unversioned paths, JSON depth bombs, and ≥4
+//! truly concurrent clients.
 
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
 use hyperbench_api::AnalyzeRequest;
-use hyperbench_integration_tests::fixture::start_server;
+use hyperbench_integration_tests::fixture::{
+    assert_depth_bombs_are_refused, start_server, start_writable,
+};
 use hyperbench_integration_tests::http::{get, post, send};
 use hyperbench_server::json::Json;
 
@@ -203,6 +205,14 @@ fn full_http_surface() {
     assert!(jobs.get("done").and_then(Json::as_int).unwrap() >= 2);
     assert!(jobs.get("failed").and_then(Json::as_int).unwrap() >= 1);
 
+    shutdown.shutdown();
+    join.join().unwrap();
+}
+
+#[test]
+fn depth_bombs_answer_400_and_the_server_lives() {
+    let (join, addr, shutdown) = start_writable("depth-bombs");
+    assert_depth_bombs_are_refused(addr);
     shutdown.shutdown();
     join.join().unwrap();
 }
