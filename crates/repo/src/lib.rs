@@ -36,7 +36,7 @@ use std::path::Path;
 
 use hyperbench_core::Hypergraph;
 
-use store::pack::PackStore;
+use store::pack::{PackStore, Record};
 
 /// Class labels mirroring `hyperbench_datagen::BenchClass` but kept
 /// string-typed here so the repository does not depend on the generators.
@@ -113,6 +113,14 @@ pub struct Repository {
     backend: Backend,
 }
 
+impl From<PackStore> for Repository {
+    fn from(pack: PackStore) -> Repository {
+        Repository {
+            backend: Backend::Paged(pack),
+        }
+    }
+}
+
 impl Default for Repository {
     fn default() -> Repository {
         Repository::new()
@@ -133,9 +141,7 @@ impl Repository {
     /// repository is read-only: [`Repository::insert`] and
     /// [`Repository::set_analysis`] panic on it.
     pub fn open_pack(path: &Path) -> Result<Repository, StoreError> {
-        Ok(Repository {
-            backend: Backend::Paged(PackStore::open(path)?),
-        })
+        PackStore::open(path).map(Repository::from)
     }
 
     /// Whether this repository is backed by a pack file (read-only).
@@ -242,6 +248,15 @@ impl Repository {
             Backend::Memory(entries) => IdIter::Entries(entries.iter()),
             Backend::Paged(pack) => IdIter::Keyset(pack.keyset_ids()),
         }
+    }
+
+    /// Every entry as a pack-writer record, in id order: a paged
+    /// backend's rows are carried by their bytes, never hydrated.
+    pub(crate) fn records(&self) -> impl Iterator<Item = Record<'_>> {
+        (0..self.len()).map(move |row| match &self.backend {
+            Backend::Memory(entries) => Record::Entry(&entries[row]),
+            Backend::Paged(pack) => Record::Carried(pack, row),
+        })
     }
 
     /// All entries, in id order. On a paged repository this hydrates

@@ -17,6 +17,8 @@ pub struct RepoMetrics {
     pub pack_page_hydrations: Arc<Counter>,
     /// Checksums verified (data pages plus index/section reads).
     pub pack_checksum_reads: Arc<Counter>,
+    /// Entry payloads parsed from `.hg` text while hydrating records.
+    pub pack_entries_parsed: Arc<Counter>,
     /// WAL records appended (each one durable mutation).
     pub wal_appends: Arc<Counter>,
     /// `fdatasync` calls on the WAL (the commit points).
@@ -61,6 +63,10 @@ pub fn metrics() -> &'static RepoMetrics {
             pack_checksum_reads: r.counter(
                 "hyperbench_pack_checksum_reads_total",
                 "checksums verified across page and section reads",
+            ),
+            pack_entries_parsed: r.counter(
+                "hyperbench_pack_entries_parsed_total",
+                "entry payloads parsed from .hg text while hydrating records",
             ),
             wal_appends: r.counter(
                 "hyperbench_wal_appends_total",

@@ -27,14 +27,36 @@
 //! ## Checkpoint = compaction
 //!
 //! A background checkpointer (or [`MvccStore::checkpoint_now`]) folds
-//! the current snapshot into a brand-new pack file — full rewrite,
-//! which is also exactly pack *compaction*: removed entries disappear,
-//! replaced ones are rewritten, pages are repacked densely. The store
-//! then swaps the new pack in as base, keeps only overlay entries
-//! committed after the checkpointed seq, and rewrites the WAL down to
-//! those, so the log stays proportional to un-checkpointed work. On
-//! open, a non-empty WAL is replayed over the base and (by default)
-//! immediately checkpointed into pack pages.
+//! the current snapshot into a brand-new pack file, which is also
+//! exactly pack *compaction*: removed entries disappear, replaced ones
+//! are rewritten, pages are repacked densely. The store then swaps the
+//! new pack in as base, keeps only overlay entries committed after the
+//! checkpointed seq, and rewrites the WAL down to those, so the log
+//! stays proportional to un-checkpointed work. On open, a non-empty WAL
+//! is replayed over the base and (by default) immediately checkpointed
+//! into pack pages.
+//!
+//! A checkpoint costs what it changes, plus one copy of the rest:
+//!
+//! * **Copied.** A base row no overlay entry shadows is carried by its
+//!   bytes (`pack::Record::Carried`): meta fields, content hash and
+//!   analysis from the index, record bytes from the old pack's data
+//!   region. Only overlay entries (and the rows of a memory base) are
+//!   serialized. Nothing is parsed.
+//! * **Verified.** Every source page is checked against the old page
+//!   table before a byte of it is reused; a rotten page fails the
+//!   checkpoint with [`StoreError::BadPageChecksum`] — the served pack
+//!   and the WAL stay as they were, the overlay keeps answering.
+//! * **Resident.** Pack slots hold `Arc<Entry>`. The new base adopts
+//!   the old base's hydrated slot for every carried row and the
+//!   overlay's entry for every folded one, so reads after a checkpoint
+//!   re-parse nothing and the displaced base owns nothing but its
+//!   index.
+//! * **Freed elsewhere.** A commit never pays for a generation's death:
+//!   snapshots it evicts are dropped after the writer lock is released,
+//!   and a displaced base is parked in `Inner::displaced` until the
+//!   checkpointer thread — which wakes every 200 ms anyway — finds it
+//!   has no other holder and lets it go there.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::path::PathBuf;
@@ -50,7 +72,7 @@ use crate::filter::Filter;
 use crate::metrics::metrics;
 use crate::{Entry, EntryMeta, KeysetPage, Repository};
 
-use super::pack::{self, content_hash_of, DEFAULT_PAGE_SIZE};
+use super::pack::{self, content_hash_of, PackStore, Record, DEFAULT_PAGE_SIZE};
 use super::wal::{self, WalEntry, WalRecord, WalWriter};
 use super::StoreError;
 
@@ -83,9 +105,18 @@ impl MvccOptions {
     }
 }
 
-/// An overlay value: the commit that produced it, and the entry it
+/// A live overlay value: the committed entry and its content hash —
+/// the one the write computed, so no later read re-serializes the
+/// hypergraph to learn it.
+#[derive(Clone)]
+struct Live {
+    entry: Arc<Entry>,
+    hash: u64,
+}
+
+/// An overlay value: the commit that produced it, and what it
 /// committed (`None` is a tombstone).
-type Overlay = BTreeMap<usize, (u64, Option<Arc<Entry>>)>;
+type Overlay = BTreeMap<usize, (u64, Option<Live>)>;
 
 /// One immutable generation of the repository: the base backend plus
 /// every overlay mutation committed up to `seq`. All read methods
@@ -111,8 +142,8 @@ impl std::fmt::Debug for Snapshot {
 impl Snapshot {
     fn new(base: Arc<Repository>, seq: u64, overlay: Overlay) -> Snapshot {
         let mut len = base.len();
-        for (id, (_, entry)) in &overlay {
-            match (entry.is_some(), base.contains(*id)) {
+        for (id, (_, live)) in &overlay {
+            match (live.is_some(), base.contains(*id)) {
                 (true, false) => len += 1,
                 (false, true) => len -= 1,
                 _ => {}
@@ -121,6 +152,24 @@ impl Snapshot {
         Snapshot {
             seq,
             base,
+            overlay,
+            len,
+        }
+    }
+
+    /// The generation one commit after this one: same base, `id` set to
+    /// `live` at `seq`, and a `len` that differs by this write alone.
+    fn next(&self, seq: u64, id: usize, live: Option<Live>) -> Snapshot {
+        let len = match (self.contains(id), live.is_some()) {
+            (false, true) => self.len + 1,
+            (true, false) => self.len - 1,
+            _ => self.len,
+        };
+        let mut overlay = self.overlay.clone();
+        overlay.insert(id, (seq, live));
+        Snapshot {
+            seq,
+            base: Arc::clone(&self.base),
             overlay,
             len,
         }
@@ -144,7 +193,7 @@ impl Snapshot {
     /// Whether an entry with id `id` is live in this generation.
     pub fn contains(&self, id: usize) -> bool {
         match self.overlay.get(&id) {
-            Some((_, entry)) => entry.is_some(),
+            Some((_, live)) => live.is_some(),
             None => self.base.contains(id),
         }
     }
@@ -152,47 +201,63 @@ impl Snapshot {
     /// The content hash of entry `id`, or `None` when absent.
     pub fn content_hash(&self, id: usize) -> Option<u64> {
         match self.overlay.get(&id) {
-            Some((_, Some(e))) => Some(content_hash_of(&e.hypergraph)),
-            Some((_, None)) => None,
+            Some((_, live)) => live.as_ref().map(|l| l.hash),
             None => self.base.content_hash(id),
         }
+    }
+
+    /// A base scan (ascending by `id_of`) merged with the overlay in id
+    /// order: shadowed base items and tombstones skipped, live overlay
+    /// entries turned into items by `over`.
+    fn merged<'a, B>(
+        &'a self,
+        base: impl Iterator<Item = B> + 'a,
+        id_of: impl Fn(&B) -> usize + 'a,
+        over: impl Fn(usize, &'a Arc<Entry>) -> B + 'a,
+    ) -> impl Iterator<Item = B> + 'a {
+        let mut base = base.peekable();
+        let mut overlay = self.overlay.iter().peekable();
+        std::iter::from_fn(move || loop {
+            match (base.peek().map(&id_of), overlay.peek()) {
+                (Some(bid), Some((oid, _))) if bid < **oid => return base.next(),
+                (Some(bid), Some((oid, _))) if bid == **oid => {
+                    base.next(); // shadowed by the overlay
+                }
+                (_, Some(_)) => {
+                    let (id, (_, live)) = overlay.next().expect("peeked");
+                    if let Some(live) = live {
+                        return Some(over(*id, &live.entry));
+                    }
+                }
+                (_, None) => return base.next(),
+            }
+        })
     }
 
     /// The metadata of every live entry, ascending by id — the base
     /// scan merged with the overlay, tombstones skipped.
     pub fn metas(&self) -> impl Iterator<Item = EntryMeta<'_>> {
-        let mut base = self.base.metas().peekable();
-        let mut over = self.overlay.iter().peekable();
-        std::iter::from_fn(move || loop {
-            match (base.peek(), over.peek()) {
-                (Some(b), Some((oid, _))) if b.id < **oid => return base.next(),
-                (Some(b), Some((oid, _))) if b.id == **oid => {
-                    base.next(); // shadowed by the overlay
-                    continue;
-                }
-                (_, Some(_)) => {
-                    let (id, (_, entry)) = over.next().expect("peeked");
-                    match entry {
-                        Some(e) => {
-                            let mut m = EntryMeta::of(e);
-                            m.id = *id;
-                            return Some(m);
-                        }
-                        None => continue, // tombstone
-                    }
-                }
-                (Some(_), None) => return base.next(),
-                (None, None) => return None,
-            }
-        })
+        self.merged(
+            self.base.metas(),
+            |m| m.id,
+            |id, e| EntryMeta {
+                id,
+                ..EntryMeta::of(e)
+            },
+        )
+    }
+
+    /// This generation as the pack writer's record stream: base rows
+    /// carried as the backend holds them, overlay entries shared.
+    fn records(&self) -> impl Iterator<Item = Record<'_>> {
+        self.merged(self.base.records(), Record::id, |_, e| Record::Shared(e))
     }
 
     /// One entry, `Ok(None)` when absent, or the base backend's
     /// hydration error.
     pub fn try_get(&self, id: usize) -> Result<Option<&Entry>, StoreError> {
         match self.overlay.get(&id) {
-            Some((_, Some(e))) => Ok(Some(e)),
-            Some((_, None)) => Ok(None),
+            Some((_, live)) => Ok(live.as_ref().map(|l| &*l.entry)),
             None => self.base.try_get(id),
         }
     }
@@ -243,12 +308,6 @@ impl Snapshot {
     /// Aggregates over this generation's metadata scan.
     pub fn stats(&self) -> RepoStats {
         aggregate_stats_from(self.metas())
-    }
-
-    /// Every live entry in ascending id order (hydrates the base).
-    pub fn try_entries(&self) -> Result<Vec<&Entry>, StoreError> {
-        let ids: Vec<usize> = self.metas().map(|m| m.id).collect();
-        self.hydrate_ids(&ids)
     }
 
     fn hydrate_ids(&self, ids: &[usize]) -> Result<Vec<&Entry>, StoreError> {
@@ -323,6 +382,11 @@ struct CheckpointSignal {
 struct Inner {
     current: RwLock<Arc<Snapshot>>,
     retained: Mutex<VecDeque<Arc<Snapshot>>>,
+    /// Bases checkpoints swapped out. The extra handle parked here means
+    /// no reader or writer dropping an old snapshot is ever the one to
+    /// free a base; the checkpointer thread is
+    /// ([`Inner::release_displaced`]).
+    displaced: Mutex<Vec<Arc<Repository>>>,
     writer: Mutex<Writer>,
     signal: Mutex<CheckpointSignal>,
     wake: Condvar,
@@ -351,6 +415,14 @@ impl Inner {
             *degraded = Some(reason);
             self.wake.notify_all();
         }
+    }
+
+    /// Lets go of every displaced base nobody else holds any more.
+    fn release_displaced(&self) {
+        self.displaced
+            .lock()
+            .expect("displaced bases")
+            .retain(|base| Arc::strong_count(base) > 1);
     }
 }
 
@@ -385,6 +457,7 @@ impl MvccStore {
             inner: Arc::new(Inner {
                 current: RwLock::new(snapshot),
                 retained: Mutex::new(VecDeque::new()),
+                displaced: Mutex::new(Vec::new()),
                 writer: Mutex::new(Writer {
                     wal: None,
                     pending: Vec::new(),
@@ -437,13 +510,11 @@ impl MvccStore {
                 WalRecord::Insert { seq, entry } | WalRecord::Replace { seq, entry } => {
                     let id = entry.id as usize;
                     let entry = Arc::new(entry.clone().into_entry()?);
+                    let hash = content_hash_of(&entry.hypergraph);
                     next_id = next_id.max(id + 1);
                     remove_hash(&mut hashes, overlay_hash(&overlay, &base, id), id);
-                    hashes
-                        .entry(content_hash_of(&entry.hypergraph))
-                        .or_default()
-                        .push(id);
-                    overlay.insert(id, (*seq, Some(entry)));
+                    hashes.entry(hash).or_default().push(id);
+                    overlay.insert(id, (*seq, Some(Live { entry, hash })));
                 }
                 WalRecord::Remove { seq, id } => {
                     let id = *id as usize;
@@ -459,6 +530,7 @@ impl MvccStore {
             inner: Arc::new(Inner {
                 current: RwLock::new(snapshot),
                 retained: Mutex::new(VecDeque::new()),
+                displaced: Mutex::new(Vec::new()),
                 writer: Mutex::new(Writer {
                     wal: Some(writer),
                     pending: recovery.records,
@@ -568,8 +640,10 @@ impl MvccStore {
                 },
                 apply: Apply {
                     id,
-                    entry: Some(Arc::new(entry)),
-                    hash: Some(hash),
+                    live: Some(Live {
+                        entry: Arc::new(entry),
+                        hash,
+                    }),
                 },
                 outcome: Inserted::Created { id, seq },
             })
@@ -621,8 +695,10 @@ impl MvccStore {
                 },
                 apply: Apply {
                     id,
-                    entry: Some(Arc::new(entry)),
-                    hash: Some(hash),
+                    live: Some(Live {
+                        entry: Arc::new(entry),
+                        hash,
+                    }),
                 },
                 outcome: Inserted::Created { id, seq },
             })
@@ -647,11 +723,7 @@ impl MvccStore {
             let seq = writer.next_seq;
             Ok(CommitPlan::Write {
                 record: WalRecord::Remove { seq, id: id as u64 },
-                apply: Apply {
-                    id,
-                    entry: None,
-                    hash: None,
-                },
+                apply: Apply { id, live: None },
                 outcome: Inserted::Created { id, seq },
             })
         })?;
@@ -732,14 +804,12 @@ impl MvccStore {
         // content this write overwrote.
         let displaced_hash = snapshot.content_hash(apply.id);
         remove_hash(&mut writer.hashes, displaced_hash, apply.id);
-        if let Some(h) = apply.hash {
-            writer.hashes.entry(h).or_default().push(apply.id);
+        if let Some(live) = &apply.live {
+            writer.hashes.entry(live.hash).or_default().push(apply.id);
         }
         // Publish the next generation.
-        let mut overlay = snapshot.overlay.clone();
-        overlay.insert(apply.id, (seq, apply.entry));
-        let overlay_len = overlay.len();
-        let next = Arc::new(Snapshot::new(Arc::clone(&snapshot.base), seq, overlay));
+        let next = Arc::new(snapshot.next(seq, apply.id, apply.live));
+        let overlay_len = next.overlay.len();
         let displaced = {
             let mut current = self.inner.current.write().expect("current snapshot");
             std::mem::replace(&mut *current, next)
@@ -747,17 +817,19 @@ impl MvccStore {
         m.mvcc_snapshot_age_us
             .observe(writer.current_since.elapsed().as_micros() as u64);
         writer.current_since = Instant::now();
-        let active = {
+        let evicted: Vec<Arc<Snapshot>> = {
             let mut retained = self.inner.retained.lock().expect("retained snapshots");
             retained.push_back(displaced);
-            while retained.len() > self.inner.retained_snapshots {
-                retained.pop_front();
-            }
-            retained.len() + 1
+            let excess = retained.len().saturating_sub(self.inner.retained_snapshots);
+            let evicted = retained.drain(..excess).collect();
+            m.mvcc_snapshots_active.set(retained.len() as i64 + 1);
+            evicted
         };
         m.mvcc_snapshot_seq.set(seq as i64);
-        m.mvcc_snapshots_active.set(active as i64);
         drop(writer);
+        // Whatever dies with an evicted generation dies outside the
+        // writer lock: the next commit is not kept waiting for a free.
+        drop(evicted);
         if overlay_len >= self.inner.overlay_limit && self.inner.checkpoint_pack.is_some() {
             self.inner.signal.lock().expect("signal").requested = true;
             self.inner.wake.notify_one();
@@ -796,16 +868,15 @@ enum CommitPlan {
 /// The overlay mutation a committed record maps to.
 struct Apply {
     id: usize,
-    entry: Option<Arc<Entry>>,
-    /// Content hash to index for the new value (`None` for removals).
-    hash: Option<u64>,
+    /// The new value and the content hash to index for it (`None` for
+    /// removals).
+    live: Option<Live>,
 }
 
 /// The hash an id currently carries, looking through `overlay` first.
 fn overlay_hash(overlay: &Overlay, base: &Repository, id: usize) -> Option<u64> {
     match overlay.get(&id) {
-        Some((_, Some(e))) => Some(content_hash_of(&e.hypergraph)),
-        Some((_, None)) => None,
+        Some((_, live)) => live.as_ref().map(|l| l.hash),
         None => base.content_hash(id),
     }
 }
@@ -827,23 +898,24 @@ fn remove_hash(hashes: &mut HashMap<u64, Vec<usize>>, hash: Option<u64>, id: usi
 /// is degraded, exits on shutdown.
 fn checkpointer_main(inner: &Inner) {
     loop {
-        {
+        let requested = {
             let mut signal = inner.signal.lock().expect("signal");
-            while !signal.requested
+            if !signal.requested
                 && !inner.shutdown.load(Ordering::SeqCst)
                 && inner.degraded.lock().expect("degraded flag").is_none()
             {
-                let (guard, _) = inner
+                signal = inner
                     .wake
                     .wait_timeout(signal, std::time::Duration::from_millis(200))
-                    .expect("signal wait");
-                signal = guard;
+                    .expect("signal wait")
+                    .0;
             }
-            if inner.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            signal.requested = false;
+            std::mem::take(&mut signal.requested)
+        };
+        if inner.shutdown.load(Ordering::SeqCst) {
+            return;
         }
+        inner.release_displaced();
         if inner.degraded.lock().expect("degraded flag").is_some() {
             if let Err(e) = recover_degraded(inner) {
                 log_error!("mvcc", "degraded-state recovery failed; will retry"; error = e);
@@ -853,11 +925,22 @@ fn checkpointer_main(inner: &Inner) {
             }
             continue;
         }
-        if inner.checkpoint_pack.is_none() {
-            continue; // WAL-only store: the thread only supervises.
-        }
-        if let Err(e) = run_checkpoint(inner) {
-            log_error!("mvcc", "background checkpoint failed"; error = e);
+        // Every commit that lands *during* a checkpoint still sees the
+        // untrimmed overlay and re-arms the request; what counts is the
+        // overlay now.
+        let due = requested
+            && inner.checkpoint_pack.is_some()
+            && inner
+                .current
+                .read()
+                .expect("current snapshot")
+                .overlay
+                .len()
+                >= inner.overlay_limit;
+        if due {
+            if let Err(e) = run_checkpoint(inner) {
+                log_error!("mvcc", "background checkpoint failed"; error = e);
+            }
         }
     }
 }
@@ -886,14 +969,17 @@ fn recover_degraded(inner: &Inner) -> Result<(), StoreError> {
     Ok(())
 }
 
-/// Folds the current snapshot into a fresh pack (full rewrite — also
-/// the pack's compaction), swaps it in as base, trims the overlay and
-/// WAL down to commits newer than the checkpointed seq.
+/// Folds the current snapshot into a fresh pack (also the pack's
+/// compaction), swaps it in as base, trims the overlay and WAL down to
+/// commits newer than the checkpointed seq. What is copied, verified
+/// and kept resident is in the module docs.
 ///
-/// Durability order matters: [`pack::write_pack_entries`] fsyncs the
-/// new pack (data + directory entry) *before* this function rewrites
-/// the WAL, so a power loss can never discard checkpointed records
-/// while the pack that absorbed them is still volatile.
+/// Durability order matters: [`pack::write_records`] fsyncs the new
+/// pack (data + directory entry) *before* this function rewrites the
+/// WAL, so a power loss can never discard checkpointed records while
+/// the pack that absorbed them is still volatile. A crash between the
+/// two reopens the new pack under the old log; replaying records the
+/// pack already absorbed is idempotent.
 ///
 /// Portability note: the new pack is renamed over a path the current
 /// base [`pack::PackStore`] still holds open (serving checkpoints back
@@ -903,26 +989,27 @@ fn recover_degraded(inner: &Inner) -> Result<(), StoreError> {
 /// today; lifting that would need generation-numbered pack files plus
 /// a pointer swap instead of rename-in-place.
 fn run_checkpoint(inner: &Inner) -> Result<bool, StoreError> {
-    hyperbench_fault::fail_point!("checkpoint.run", |msg: String| Err(StoreError::Io(
-        std::io::Error::other(format!("failpoint checkpoint.run: {msg}"))
-    )));
     let Some(pack_path) = inner.checkpoint_pack.as_ref() else {
         return Err(StoreError::Corrupt(
             "no checkpoint pack path configured".to_string(),
         ));
     };
     let started = Instant::now();
-    // The expensive part — serializing every live entry into new pack
+    // The expensive part — copying every live record into new pack
     // pages — runs against a pinned snapshot, outside every lock:
     // commits keep landing while the pack is written.
     let snapshot = Arc::clone(&inner.current.read().expect("current snapshot"));
     if snapshot.overlay.is_empty() {
         return Ok(false);
     }
+    hyperbench_fault::fail_point!("checkpoint.run", |msg: String| Err(StoreError::Io(
+        std::io::Error::other(format!("failpoint checkpoint.run: {msg}"))
+    )));
     let checkpoint_seq = snapshot.seq;
-    let entries = snapshot.try_entries()?;
-    pack::write_pack_entries(entries.into_iter(), pack_path, DEFAULT_PAGE_SIZE)?;
-    let new_base = Arc::new(Repository::open_pack(pack_path)?);
+    pack::write_records(snapshot.records(), pack_path, DEFAULT_PAGE_SIZE)?;
+    let folded = PackStore::open(pack_path)?;
+    folded.adopt(snapshot.records());
+    let new_base = Arc::new(Repository::from(folded));
     drop(snapshot);
     // Swap under the writer lock so no commit interleaves with the
     // WAL rewrite.
@@ -934,7 +1021,7 @@ fn run_checkpoint(inner: &Inner) -> Result<bool, StoreError> {
             .wal_size_bytes
             .set(writer.wal.as_ref().expect("just set").size()? as i64);
     }
-    {
+    let replaced = {
         let mut current = inner.current.write().expect("current snapshot");
         let overlay: Overlay = current
             .overlay
@@ -942,9 +1029,16 @@ fn run_checkpoint(inner: &Inner) -> Result<bool, StoreError> {
             .filter(|(_, (seq, _))| *seq > checkpoint_seq)
             .map(|(id, v)| (*id, v.clone()))
             .collect();
-        *current = Arc::new(Snapshot::new(new_base, current.seq, overlay));
-    }
+        let next = Arc::new(Snapshot::new(new_base, current.seq, overlay));
+        std::mem::replace(&mut *current, next)
+    };
     drop(writer);
+    inner
+        .displaced
+        .lock()
+        .expect("displaced bases")
+        .push(Arc::clone(&replaced.base));
+    drop(replaced);
     let m = metrics();
     m.wal_checkpoints.inc();
     m.wal_checkpoint_us

@@ -34,7 +34,9 @@
 //! Entry payloads hydrate lazily: the first access reads exactly the
 //! pages covering that record, verifies their checksums against the
 //! page table, parses the payload, and caches the [`Entry`] for the
-//! repository's lifetime.
+//! repository's lifetime — and beyond it: slots hold `Arc<Entry>`, and a
+//! pack folded from this one (`Record::Carried`) adopts them, so an
+//! entry is parsed once per process, not once per checkpoint.
 //!
 //! The meta section doubles as the filter index ([`EntryMeta`]), and
 //! the keyset index orders ids for `select_after` cursor paging — both
@@ -42,9 +44,9 @@
 //! touch a data page.
 
 use std::fs::File;
-use std::io::Read;
+use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use hyperbench_core::format::{parse_hg_named, to_hg_unnamed};
 use hyperbench_core::hash::store_fnv64;
@@ -96,7 +98,7 @@ pub struct PackStore {
     metas: Vec<MetaRow>,
     /// Sorted ascending; backs keyset-cursor resume ordering.
     keyset: Vec<u64>,
-    slots: Vec<OnceLock<Entry>>,
+    slots: Vec<OnceLock<Arc<Entry>>>,
 }
 
 impl std::fmt::Debug for PackStore {
@@ -117,7 +119,7 @@ pub fn write_pack(repo: &Repository, path: &Path) -> Result<(), StoreError> {
 /// Writes `repo` as a pack file at `path` with an explicit page size
 /// (tests use tiny pages to exercise multi-page records).
 pub fn write_pack_with(repo: &Repository, path: &Path, page_size: u32) -> Result<(), StoreError> {
-    write_pack_entries(repo.entries(), path, page_size)
+    write_records(repo.records(), path, page_size)
 }
 
 /// The content hash a pack stores per entry: FNV-1a 64 over the
@@ -128,11 +130,58 @@ pub fn content_hash_of(h: &hyperbench_core::Hypergraph) -> u64 {
     store_fnv64(to_hg_unnamed(h).as_bytes())
 }
 
-/// Writes any ascending-id entry sequence as a pack file — the
-/// checkpointer's entry point, where the sequence is a base pack merged
-/// with an MVCC overlay rather than a whole resident repository.
+/// Writes any ascending-id entry sequence as a pack file: the
+/// all-`Record::Entry` case of `write_records`.
 pub fn write_pack_entries<'a>(
     entries: impl Iterator<Item = &'a Entry>,
+    path: &Path,
+    page_size: u32,
+) -> Result<(), StoreError> {
+    write_records(entries.map(Record::Entry), path, page_size)
+}
+
+/// One record of the ascending stream [`write_records`] turns into a
+/// pack.
+pub(crate) enum Record<'a> {
+    /// Row `.1` of an open pack, carried verbatim: its meta fields,
+    /// stored content hash and analysis are copied, and its record
+    /// bytes are read from that pack's data region — every source page
+    /// verified against its page table before a byte of it is reused,
+    /// so a rotten page fails the write with
+    /// [`StoreError::BadPageChecksum`] instead of being laundered under
+    /// a fresh checksum. Nothing is parsed.
+    Carried(&'a PackStore, usize),
+    /// A resident entry, serialized.
+    Entry(&'a Entry),
+    /// A shared resident entry: serialized like [`Record::Entry`], and
+    /// handed to the written pack's slot by [`PackStore::adopt`].
+    Shared(&'a Arc<Entry>),
+}
+
+impl Record<'_> {
+    /// The id of the entry this record writes.
+    pub(crate) fn id(&self) -> usize {
+        match self {
+            Record::Carried(pack, row) => pack.metas[*row].id,
+            Record::Entry(e) => e.id,
+            Record::Shared(e) => e.id,
+        }
+    }
+}
+
+/// Writes an ascending-id record stream as a pack file — the one pack
+/// writer. The data region is streamed page by page (one page resident,
+/// never the whole region); only the index sections are built in
+/// memory.
+///
+/// The file is written under a temp name and renamed, so a crash
+/// mid-write never leaves a half-written pack under the final name. The
+/// temp file is fsynced *before* the rename and the directory *after*
+/// it: callers (the MVCC checkpointer in particular) durably discard
+/// the WAL records this pack folds in as soon as we return, so a power
+/// loss must not be able to surface an old or torn pack.
+pub(crate) fn write_records<'a>(
+    records: impl Iterator<Item = Record<'a>>,
     path: &Path,
     page_size: u32,
 ) -> Result<(), StoreError> {
@@ -141,98 +190,175 @@ pub fn write_pack_entries<'a>(
             "page size {page_size} below the minimum of {MIN_PAGE_SIZE}"
         )));
     }
-    // Data region + meta rows + keyset, in one ascending-id sweep.
-    let mut data = Vec::new();
-    let mut meta = Vec::new();
-    let mut keyset = Vec::new();
-    let mut count: u64 = 0;
-    let mut last_id: Option<usize> = None;
-    for e in entries {
-        if last_id.is_some_and(|last| e.id <= last) {
+    let tmp = path.with_extension("pack.tmp");
+    let written = PackWriter::create(&tmp, page_size).and_then(|mut w| {
+        let mut pages: Option<PageReader<'_>> = None;
+        let mut record = Vec::new();
+        for r in records {
+            record.clear();
+            match r {
+                Record::Carried(pack, row) => {
+                    let m = &pack.metas[row];
+                    let pages = match &mut pages {
+                        Some(p) if std::ptr::eq(p.pack, pack) => p,
+                        other => other.insert(PageReader::new(pack)),
+                    };
+                    pages.read(m.rec_off, m.rec_len, &mut record)?;
+                    w.push(pack.meta_at(row), m.content_hash, &record)?;
+                }
+                Record::Entry(e) => w.push_entry(e, &mut record)?,
+                Record::Shared(e) => w.push_entry(e, &mut record)?,
+            }
+        }
+        w.finish()
+    });
+    let renamed = written.and_then(|()| {
+        std::fs::rename(&tmp, path)?;
+        Ok(super::sync_parent_dir(path)?)
+    });
+    if renamed.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    renamed
+}
+
+/// The streaming half of [`write_records`]: data pages go to the file
+/// as they fill, the page table and index sections wait for
+/// [`PackWriter::finish`], which also goes back to write the header.
+struct PackWriter {
+    file: BufWriter<File>,
+    page_size: u32,
+    /// The data page being filled.
+    page: Vec<u8>,
+    data_len: u64,
+    page_sums: Vec<u64>,
+    meta: Vec<u8>,
+    keyset: Vec<u8>,
+    count: u64,
+    last_id: Option<usize>,
+}
+
+impl PackWriter {
+    fn create(tmp: &Path, page_size: u32) -> Result<PackWriter, StoreError> {
+        let mut file = BufWriter::with_capacity(1 << 20, File::create(tmp)?);
+        // The header needs lengths known only at the end.
+        file.write_all(&[0u8; HEADER_LEN as usize])?;
+        Ok(PackWriter {
+            file,
+            page_size,
+            page: Vec::with_capacity(page_size as usize),
+            data_len: 0,
+            page_sums: Vec::new(),
+            meta: Vec::new(),
+            keyset: Vec::new(),
+            count: 0,
+            last_id: None,
+        })
+    }
+
+    /// Serializes a resident entry into `record` and appends it.
+    fn push_entry(&mut self, e: &Entry, record: &mut Vec<u8>) -> Result<(), StoreError> {
+        let hg_text = to_hg_unnamed(&e.hypergraph);
+        codec::put_str(record, e.hypergraph.name());
+        codec::put_str(record, &hg_text);
+        self.push(EntryMeta::of(e), store_fnv64(hg_text.as_bytes()), record)
+    }
+
+    /// Appends one entry: its record bytes to the data region, its row
+    /// to the meta section and its id to the keyset.
+    fn push(
+        &mut self,
+        m: EntryMeta<'_>,
+        content_hash: u64,
+        record: &[u8],
+    ) -> Result<(), StoreError> {
+        if let Some(last) = self.last_id.filter(|&last| m.id <= last) {
             return Err(StoreError::Corrupt(format!(
-                "pack writer: entry id {} not after {}",
-                e.id,
-                last_id.unwrap_or(0)
+                "pack writer: entry id {} not after {last}",
+                m.id
             )));
         }
-        last_id = Some(e.id);
-        let hg_text = to_hg_unnamed(&e.hypergraph);
-        let rec_off = data.len() as u64;
-        codec::put_str(&mut data, e.hypergraph.name());
-        codec::put_str(&mut data, &hg_text);
-        let rec_len = data.len() as u64 - rec_off;
-        codec::put_u64(&mut meta, e.id as u64);
-        codec::put_u64(&mut meta, rec_off);
-        codec::put_u64(&mut meta, rec_len);
-        codec::put_str(&mut meta, &e.collection);
-        codec::put_str(&mut meta, &e.class);
-        codec::put_u64(&mut meta, e.hypergraph.num_vertices() as u64);
-        codec::put_u64(&mut meta, e.hypergraph.num_edges() as u64);
-        codec::put_u64(&mut meta, e.hypergraph.arity() as u64);
-        codec::put_u64(&mut meta, store_fnv64(hg_text.as_bytes()));
-        match &e.analysis {
+        self.last_id = Some(m.id);
+        codec::put_u64(&mut self.meta, m.id as u64);
+        codec::put_u64(&mut self.meta, self.data_len);
+        codec::put_u64(&mut self.meta, record.len() as u64);
+        codec::put_str(&mut self.meta, m.collection);
+        codec::put_str(&mut self.meta, m.class);
+        codec::put_u64(&mut self.meta, m.vertices as u64);
+        codec::put_u64(&mut self.meta, m.edges as u64);
+        codec::put_u64(&mut self.meta, m.arity as u64);
+        codec::put_u64(&mut self.meta, content_hash);
+        match m.analysis {
             Some(rec) => {
-                codec::put_u8(&mut meta, 1);
-                codec::put_analysis(&mut meta, rec);
+                codec::put_u8(&mut self.meta, 1);
+                codec::put_analysis(&mut self.meta, rec);
             }
-            None => codec::put_u8(&mut meta, 0),
+            None => codec::put_u8(&mut self.meta, 0),
         }
-        codec::put_u64(&mut keyset, e.id as u64);
-        count += 1;
+        codec::put_u64(&mut self.keyset, m.id as u64);
+        self.count += 1;
+        self.data_len += record.len() as u64;
+        let mut rest = record;
+        while !rest.is_empty() {
+            let room = self.page_size as usize - self.page.len();
+            let (head, tail) = rest.split_at(room.min(rest.len()));
+            self.page.extend_from_slice(head);
+            rest = tail;
+            if self.page.len() == self.page_size as usize {
+                self.flush_page()?;
+            }
+        }
+        Ok(())
     }
-    // Page table over the data region.
-    let mut ptab = Vec::new();
-    let pages: Vec<&[u8]> = data.chunks(page_size as usize).collect();
-    codec::put_u64(&mut ptab, pages.len() as u64);
-    for page in &pages {
-        codec::put_u64(&mut ptab, store_fnv64(page));
-    }
-    // Trailing section checksums.
-    for section in [&mut ptab, &mut meta, &mut keyset] {
-        let sum = store_fnv64(section);
-        codec::put_u64(section, sum);
-    }
-    // Header.
-    let data_off = HEADER_LEN;
-    let ptab_off = data_off + data.len() as u64;
-    let meta_off = ptab_off + ptab.len() as u64;
-    let keyset_off = meta_off + meta.len() as u64;
-    let mut header = Vec::with_capacity(HEADER_LEN as usize);
-    header.extend_from_slice(&MAGIC);
-    codec::put_u32(&mut header, VERSION);
-    codec::put_u32(&mut header, page_size);
-    codec::put_u64(&mut header, count);
-    codec::put_u64(&mut header, data.len() as u64);
-    codec::put_u64(&mut header, ptab_off);
-    codec::put_u64(&mut header, ptab.len() as u64);
-    codec::put_u64(&mut header, meta_off);
-    codec::put_u64(&mut header, meta.len() as u64);
-    codec::put_u64(&mut header, keyset_off);
-    codec::put_u64(&mut header, keyset.len() as u64);
-    let sum = store_fnv64(&header);
-    codec::put_u64(&mut header, sum);
-    debug_assert_eq!(header.len() as u64, HEADER_LEN);
 
-    let mut out = header;
-    out.extend_from_slice(&data);
-    out.extend_from_slice(&ptab);
-    out.extend_from_slice(&meta);
-    out.extend_from_slice(&keyset);
-    // Write via a temp file + rename so a crash mid-write never leaves
-    // a half-written pack under the final name. The temp file is
-    // fsynced *before* the rename and the directory *after* it:
-    // callers (the MVCC checkpointer in particular) durably discard
-    // the WAL records this pack folds in as soon as we return, so a
-    // power loss must not be able to surface an old or torn pack.
-    let tmp = path.with_extension("pack.tmp");
-    {
-        let mut f = File::create(&tmp)?;
-        std::io::Write::write_all(&mut f, &out)?;
-        f.sync_all()?;
+    fn flush_page(&mut self) -> Result<(), StoreError> {
+        self.page_sums.push(store_fnv64(&self.page));
+        self.file.write_all(&self.page)?;
+        self.page.clear();
+        Ok(())
     }
-    std::fs::rename(&tmp, path)?;
-    super::sync_parent_dir(path)?;
-    Ok(())
+
+    /// Writes the last partial page, the three checksummed sections and
+    /// the header, then makes the file durable.
+    fn finish(mut self) -> Result<(), StoreError> {
+        if !self.page.is_empty() {
+            self.flush_page()?;
+        }
+        let mut ptab = Vec::with_capacity(8 * self.page_sums.len() + 16);
+        codec::put_u64(&mut ptab, self.page_sums.len() as u64);
+        for &sum in &self.page_sums {
+            codec::put_u64(&mut ptab, sum);
+        }
+        let (mut meta, mut keyset) = (self.meta, self.keyset);
+        for section in [&mut ptab, &mut meta, &mut keyset] {
+            let sum = store_fnv64(section);
+            codec::put_u64(section, sum);
+            self.file.write_all(section)?;
+        }
+        let ptab_off = HEADER_LEN + self.data_len;
+        let meta_off = ptab_off + ptab.len() as u64;
+        let keyset_off = meta_off + meta.len() as u64;
+        let mut header = Vec::with_capacity(HEADER_LEN as usize);
+        header.extend_from_slice(&MAGIC);
+        codec::put_u32(&mut header, VERSION);
+        codec::put_u32(&mut header, self.page_size);
+        codec::put_u64(&mut header, self.count);
+        codec::put_u64(&mut header, self.data_len);
+        codec::put_u64(&mut header, ptab_off);
+        codec::put_u64(&mut header, ptab.len() as u64);
+        codec::put_u64(&mut header, meta_off);
+        codec::put_u64(&mut header, meta.len() as u64);
+        codec::put_u64(&mut header, keyset_off);
+        codec::put_u64(&mut header, keyset.len() as u64);
+        let sum = store_fnv64(&header);
+        codec::put_u64(&mut header, sum);
+        debug_assert_eq!(header.len() as u64, HEADER_LEN);
+        let mut file = self.file.into_inner().map_err(|e| e.into_error())?;
+        file.seek(SeekFrom::Start(0))?;
+        file.write_all(&header)?;
+        file.sync_all()?;
+        Ok(())
+    }
 }
 
 /// Reads a checksummed section (body + trailing FNV-1a 64) and returns
@@ -248,7 +374,8 @@ fn read_section(
             "{what}: section of {len} bytes cannot hold its checksum"
         )));
     }
-    let mut bytes = read_at(file, off, len as usize)?;
+    let mut bytes = vec![0u8; len as usize];
+    read_at(file, off, &mut bytes)?;
     let body_len = bytes.len() - 8;
     let stored = u64::from_le_bytes(bytes[body_len..].try_into().unwrap());
     crate::metrics::metrics().pack_checksum_reads.inc();
@@ -259,23 +386,77 @@ fn read_section(
     Ok(bytes)
 }
 
-/// Reads `len` bytes at `off` from the pack file.
-fn read_at(file: &Mutex<File>, off: u64, len: usize) -> Result<Vec<u8>, StoreError> {
-    let mut buf = vec![0u8; len];
+/// Fills `buf` from the pack file at `off`.
+fn read_at(file: &Mutex<File>, off: u64, buf: &mut [u8]) -> Result<(), StoreError> {
     let file = file.lock().expect("pack file lock");
     #[cfg(unix)]
     {
         use std::os::unix::fs::FileExt;
-        file.read_exact_at(&mut buf, off)?;
+        file.read_exact_at(buf, off)?;
     }
     #[cfg(not(unix))]
     {
-        use std::io::{Seek, SeekFrom};
         let mut file = file;
         (*file).seek(SeekFrom::Start(off))?;
-        (*file).read_exact(&mut buf)?;
+        (*file).read_exact(buf)?;
     }
-    Ok(buf)
+    Ok(())
+}
+
+/// Reads byte ranges of a pack's data region page by page, verifying
+/// each page's checksum against the page table before any byte of it is
+/// used. The last verified page stays resident, so a sweep over
+/// back-to-back records reads and verifies every page once.
+struct PageReader<'a> {
+    pack: &'a PackStore,
+    /// The page number `page` holds, once one was read and verified.
+    resident: Option<usize>,
+    page: Vec<u8>,
+}
+
+impl<'a> PageReader<'a> {
+    fn new(pack: &'a PackStore) -> PageReader<'a> {
+        PageReader {
+            pack,
+            resident: None,
+            page: Vec::new(),
+        }
+    }
+
+    /// Appends the logical byte range `[off, off+len)` of the data
+    /// region to `out`.
+    fn read(&mut self, off: u64, len: u64, out: &mut Vec<u8>) -> Result<(), StoreError> {
+        if len == 0 {
+            return Ok(());
+        }
+        let pack = self.pack;
+        let first_page = (off / pack.page_size) as usize;
+        let last_page = ((off + len - 1) / pack.page_size) as usize;
+        out.reserve(len as usize);
+        for page in first_page..=last_page {
+            let page_start = page as u64 * pack.page_size;
+            let page_len = (pack.data_len - page_start).min(pack.page_size) as usize;
+            if self.resident != Some(page) {
+                hyperbench_fault::fail_point!("pack.read_page", |_msg: String| Err(
+                    StoreError::BadPageChecksum { page }
+                ));
+                self.resident = None;
+                self.page.resize(page_len, 0);
+                read_at(&pack.file, HEADER_LEN + page_start, &mut self.page)?;
+                let m = crate::metrics::metrics();
+                m.pack_page_hydrations.inc();
+                m.pack_checksum_reads.inc();
+                if store_fnv64(&self.page) != pack.page_sums[page] {
+                    return Err(StoreError::BadPageChecksum { page });
+                }
+                self.resident = Some(page);
+            }
+            let copy_from = off.saturating_sub(page_start) as usize;
+            let copy_to = ((off + len - page_start) as usize).min(page_len);
+            out.extend_from_slice(&self.page[copy_from..copy_to]);
+        }
+        Ok(())
+    }
 }
 
 impl PackStore {
@@ -470,9 +651,14 @@ impl PackStore {
         let row = self
             .row_of(id)
             .unwrap_or_else(|| panic!("no entry with id {id}"));
+        self.meta_at(row)
+    }
+
+    /// The metadata view of the entry at row index `row`.
+    fn meta_at(&self, row: usize) -> EntryMeta<'_> {
         let row = &self.metas[row];
         EntryMeta {
-            id,
+            id: row.id,
             collection: &row.collection,
             class: &row.class,
             vertices: row.vertices,
@@ -503,54 +689,43 @@ impl PackStore {
         }
         let meta = &self.metas[row];
         let id = meta.id;
-        let bytes = self.read_record(meta.rec_off, meta.rec_len)?;
+        let mut bytes = Vec::new();
+        PageReader::new(self).read(meta.rec_off, meta.rec_len, &mut bytes)?;
         let mut r = Reader::new(&bytes, "pack entry record");
         let name = r.str()?;
         let hg_text = r.str()?;
+        crate::metrics::metrics().pack_entries_parsed.inc();
         let hypergraph = parse_hg_named(&hg_text, &name).map_err(|e| {
             StoreError::Corrupt(format!("pack record for entry {id}: bad .hg payload: {e}"))
         })?;
-        let entry = Entry {
+        let entry = Arc::new(Entry {
             id,
             collection: meta.collection.clone(),
             class: meta.class.clone(),
             hypergraph,
             analysis: meta.analysis.clone(),
-        };
+        });
         // A concurrent hydration may have won the race; either value is
         // identical, so whichever landed first is served.
         let _ = self.slots[row].set(entry);
         Ok(self.slots[row].get().expect("slot was just set"))
     }
 
-    /// Reads the logical byte range `[off, off+len)` of the data
-    /// region, page by page, verifying each page checksum against the
-    /// page table before any byte is used.
-    fn read_record(&self, off: u64, len: u64) -> Result<Vec<u8>, StoreError> {
-        if len == 0 {
-            return Ok(Vec::new());
-        }
-        let first_page = (off / self.page_size) as usize;
-        let last_page = ((off + len - 1) / self.page_size) as usize;
-        let mut out = Vec::with_capacity(len as usize);
-        for page in first_page..=last_page {
-            hyperbench_fault::fail_point!("pack.read_page", |_msg: String| Err(
-                StoreError::BadPageChecksum { page }
-            ));
-            let page_start = page as u64 * self.page_size;
-            let page_len = (self.data_len - page_start).min(self.page_size) as usize;
-            let bytes = read_at(&self.file, HEADER_LEN + page_start, page_len)?;
-            let m = crate::metrics::metrics();
-            m.pack_page_hydrations.inc();
-            m.pack_checksum_reads.inc();
-            if store_fnv64(&bytes) != self.page_sums[page] {
-                return Err(StoreError::BadPageChecksum { page });
+    /// Seeds this pack's slots with what `records` — the stream this
+    /// pack was written from — already holds parsed: the source pack's
+    /// hydrated slot for a carried row, the entry itself for a shared
+    /// one. Reads of those rows then never touch a page or the parser.
+    pub(crate) fn adopt<'a>(&self, records: impl Iterator<Item = Record<'a>>) {
+        for (slot, record) in self.slots.iter().zip(records) {
+            let resident = match record {
+                Record::Carried(pack, row) => pack.slots[row].get(),
+                Record::Shared(e) => Some(e),
+                Record::Entry(_) => None,
+            };
+            if let Some(e) = resident {
+                let _ = slot.set(Arc::clone(e));
             }
-            let copy_from = off.saturating_sub(page_start) as usize;
-            let copy_to = ((off + len - page_start) as usize).min(page_len);
-            out.extend_from_slice(&bytes[copy_from..copy_to]);
         }
-        Ok(out)
     }
 }
 

@@ -874,14 +874,18 @@ impl RouterState {
                 return error_response(ApiError::invalid_param(format!("bad query request: {e}")))
             }
         };
-        // The router merges by id; ORDER BY and GROUP BY would need a
-        // global sort/aggregation pass it does not implement. A query
-        // that does not parse is scattered as it is: every shard
-        // answers the same 422 with its span, and that passes through.
+        // The router merges by id; ORDER BY, GROUP BY and a bare
+        // aggregate (`SELECT COUNT(*)`) would need a global
+        // sort/aggregation pass it does not implement. A query that
+        // does not parse is scattered as it is: every shard answers the
+        // same 422 with its span, and that passes through.
         let parsed = hyperbench_query::parse(&query.query).ok();
         let unsupported = match &parsed {
             Some(q) if !q.order_by.is_empty() => Some("ORDER BY"),
             Some(q) if q.group_by.is_some() => Some("GROUP BY"),
+            Some(q) if matches!(q.select, hyperbench_query::ast::Select::Items(_)) => {
+                Some("an aggregate select list")
+            }
             _ => None,
         };
         if let Some(clause) = unsupported {

@@ -6,7 +6,11 @@
 //!    a partial record, never a reordering, and the cut is reported as
 //!    a torn tail unless it falls exactly on a frame boundary. Damage
 //!    *before* intact frames must instead fail loudly as corruption.
-//! 2. **Live socket**: a writable pack-backed server is `kill -9`ed
+//! 2. **Between the two files of a checkpoint**: the folded pack is
+//!    renamed into place but the process dies before the WAL is
+//!    trimmed. Reopening replays the whole log over a pack that already
+//!    absorbed it and lands on exactly the pre-crash state.
+//! 3. **Live socket**: a writable pack-backed server is `kill -9`ed
 //!    mid-write-stream; on restart every acknowledged write survives
 //!    (verified by content hash via idempotent re-`POST`), unacked
 //!    writes leave no duplicates, and the replayed state lands in the
@@ -200,6 +204,88 @@ fn truncated_wal_file_reopens_with_the_committed_prefix() {
         snap.content_hash(0),
         Some(content_hash_of(&parse_hg(&doc(2)).unwrap())),
         "entry 0 carries the replacement content"
+    );
+}
+
+/// What a generation holds, for comparing two of them.
+fn fingerprint(
+    snap: &hyperbench_repo::store::mvcc::Snapshot,
+) -> Vec<(usize, Option<u64>, String, String)> {
+    snap.metas()
+        .map(|m| {
+            let text = hyperbench_core::format::to_hg(&snap.get(m.id).unwrap().hypergraph);
+            (
+                m.id,
+                snap.content_hash(m.id),
+                m.collection.to_string(),
+                text,
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn crash_after_the_pack_rename_before_the_wal_trim_reopens_to_the_same_state() {
+    use hyperbench_repo::store::mvcc::{Inserted, MvccOptions, MvccStore};
+    let dir = tmpdir("rename-no-trim");
+    let (pack, wal_path) = (dir.join("repo.pack"), dir.join("repo.wal"));
+    let hg = |i: usize| parse_hg(&doc(i)).unwrap();
+    let mut base = Repository::new();
+    for i in 0..5 {
+        base.insert(hg(i), "base", "CQ Application");
+    }
+    hyperbench_repo::store::pack::write_pack(&base, &pack).unwrap();
+    let open = |checkpoint_on_open: bool| {
+        let opts = MvccOptions {
+            checkpoint_on_open,
+            ..MvccOptions::new(wal_path.clone(), Some(pack.clone()))
+        };
+        MvccStore::open(Repository::open_pack(&pack).unwrap(), opts).unwrap()
+    };
+
+    // Carried rows (0, 4), a replace (1), a tombstone over a base row
+    // (2), replace-then-delete (3), an insert that stays (6) and one
+    // deleted again (5: a tombstone for an id the folded pack never had).
+    let store = open(true);
+    let five = store.insert(hg(10), "uploads", "Uploaded").unwrap().id();
+    store.replace(1, hg(11), "swapped", "Uploaded").unwrap();
+    store.remove(2).unwrap();
+    let six = store.insert(hg(12), "uploads", "Uploaded").unwrap().id();
+    store.remove(five).unwrap();
+    store.replace(3, hg(13), "swapped", "Uploaded").unwrap();
+    store.remove(3).unwrap();
+    let before = fingerprint(&store.snapshot());
+    assert_eq!(
+        before.iter().map(|f| f.0).collect::<Vec<_>>(),
+        vec![0, 1, 4, six]
+    );
+    let untrimmed = std::fs::read(&wal_path).unwrap();
+    assert!(store.checkpoint_now().unwrap());
+    drop(store);
+    // The crash: the rename is durable, the trim never happened.
+    std::fs::write(&wal_path, &untrimmed).unwrap();
+
+    let store = open(false);
+    assert_eq!(fingerprint(&store.snapshot()), before);
+    // The idempotent-create index and the id high-water mark came back
+    // too: a known document keeps its id, a new one gets a fresh id.
+    assert_eq!(
+        store.insert(hg(12), "uploads", "Uploaded").unwrap(),
+        Inserted::Existing { id: six }
+    );
+    assert!(store.insert(hg(10), "uploads", "Uploaded").unwrap().id() > six);
+    drop(store);
+
+    // Checkpoint-on-open folds the replayed log into the pack again.
+    std::fs::write(&wal_path, &untrimmed).unwrap();
+    let store = open(true);
+    assert_eq!(fingerprint(&store.snapshot()), before);
+    assert!(wal::read_all(&wal_path).unwrap().is_empty());
+    drop(store);
+    let packed = Repository::open_pack(&pack).unwrap();
+    assert_eq!(
+        packed.metas().map(|m| m.id).collect::<Vec<_>>(),
+        before.iter().map(|f| f.0).collect::<Vec<_>>()
     );
 }
 

@@ -4,7 +4,9 @@
 //! folded into one implementation each: logs and segments written by
 //! older binaries must still replay, and clients hold cursor tokens
 //! across upgrades. (The published FNV-1a vectors, and the store
-//! variant's, sit with `hyperbench_core::hash`.)
+//! variant's, sit with `hyperbench_core::hash`.) The pack file was
+//! captured from the commit before its writer began streaming pages and
+//! carrying records by their bytes.
 
 use hyperbench_api::{PageCursor, ScatterCursor, ShardSlot};
 use hyperbench_core::properties::StructuralProperties;
@@ -18,6 +20,47 @@ fn unhex(hex: &str) -> Vec<u8> {
         .step_by(2)
         .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex literal"))
         .collect()
+}
+
+#[test]
+fn pack_file() {
+    use hyperbench_repo::{Entry, Repository};
+    let mut repo = Repository::new();
+    for (id, name, text) in [
+        (3, "", "e(a,b),f(b,c)."),
+        (7, "csp/instance-7", "c(x,y,z)."),
+    ] {
+        repo.insert_entry(Entry {
+            id,
+            collection: "SPARQL".to_string(),
+            class: "CQ Application".to_string(),
+            hypergraph: hyperbench_core::format::parse_hg_named(text, name).unwrap(),
+            analysis: None,
+        })
+        .unwrap();
+    }
+    let golden = unhex(
+        "48425041434b310a0200000040000000020000000000000038000000000000009000000000000000\
+         1800000000000000a800000000000000b2000000000000005a010000000000001800000000000000\
+         5efd5f6eb91cdf9000000000100000006528612c62292c0a6628622c63292e0a0e0000006373702f\
+         696e7374616e63652d370a0000006328782c792c7a292e0a0100000000000000f96f1211e4e523f8\
+         99d2495e53f874010300000000000000000000000000000018000000000000000600000053504152\
+         514c0e0000004351204170706c69636174696f6e0300000000000000020000000000000002000000\
+         000000000aea8d7ae79dabe900070000000000000018000000000000002000000000000000060000\
+         0053504152514c0e0000004351204170706c69636174696f6e030000000000000001000000000000\
+         000300000000000000aad9d02dab8f82390031b8e514af4fdda00300000000000000070000000000\
+         0000010a683d54eaacbf",
+    );
+    let dir = hyperbench_integration_tests::fixture::tmpdir("golden-pack");
+    let (written, repacked) = (dir.join("written.pack"), dir.join("repacked.pack"));
+    hyperbench_repo::store::pack::write_pack_with(&repo, &written, 64).unwrap();
+    assert_eq!(std::fs::read(&written).unwrap(), golden);
+    // Re-packing an open pack carries its records by their bytes.
+    std::fs::write(&written, &golden).unwrap();
+    let opened = Repository::open_pack(&written).unwrap();
+    hyperbench_repo::store::pack::write_pack_with(&opened, &repacked, 64).unwrap();
+    assert_eq!(std::fs::read(&repacked).unwrap(), golden);
+    assert_eq!(opened.entry(7).hypergraph.name(), "csp/instance-7");
 }
 
 #[test]

@@ -221,6 +221,7 @@ fn metrics_reflect_a_known_request_mix() {
     assert!(width.get("count").and_then(Json::as_int).unwrap() >= 1);
     assert!(stat_counter(&stats, "hyperbench_pack_page_hydrations_total") >= 1);
     assert!(stat_counter(&stats, "hyperbench_pack_checksum_reads_total") >= 1);
+    assert!(stat_counter(&stats, "hyperbench_pack_entries_parsed_total") >= 1);
 
     // The reactor is the only IO engine; its family always records.
     assert!(stat_counter(&stats, "hyperbench_reactor_conns_accepted_total") >= 1);

@@ -212,14 +212,26 @@ fn query_pages_merge_and_order_by_is_rejected() {
     }
     assert_eq!(walked, ids, "query pages walk the global id space");
 
-    // Global ORDER BY / GROUP BY need a sort the router does not do.
-    for q in [
-        "SELECT * ORDER BY edges DESC LIMIT 5",
-        "SELECT collection, COUNT(*) GROUP BY collection",
+    // Global ORDER BY / GROUP BY / aggregates need a pass over every
+    // shard's rows that the router does not do.
+    for (q, clause) in [
+        ("SELECT * ORDER BY edges DESC LIMIT 5", "ORDER BY"),
+        (
+            "SELECT collection, COUNT(*) GROUP BY collection",
+            "GROUP BY",
+        ),
+        (
+            "SELECT COUNT(*) WHERE edges >= 1",
+            "an aggregate select list",
+        ),
     ] {
         match c.query(&QueryRequest::new(q)) {
             Err(ClientError::Api { status: 422, error }) => {
-                assert_eq!(error.code, ErrorCode::InvalidQuery)
+                assert_eq!(error.code, ErrorCode::InvalidQuery);
+                assert_eq!(
+                    error.message,
+                    format!("{clause} is not supported through the router; query a shard directly")
+                );
             }
             other => panic!("{q} must be rejected with 422, got {other:?}"),
         }
