@@ -27,7 +27,6 @@ use std::time::{Duration, Instant};
 
 use hyperbench_telemetry::metrics::{global, Counter};
 
-use crate::cursor::PageCursor;
 use crate::dto::{
     AnalysisResource, AnalyzeRequest, EntryDetail, PageDto, QueryRequest, QueryResponse,
     WriteReceipt, WriteRequest,
@@ -554,12 +553,6 @@ impl Client {
             return Ok(submitted);
         }
         self.wait(submitted.id, deadline)
-    }
-
-    /// Decodes a page's continuation token (mostly for diagnostics;
-    /// normal paging just echoes the opaque string back).
-    pub fn decode_cursor(token: &str) -> Option<PageCursor> {
-        PageCursor::decode(token).ok()
     }
 }
 

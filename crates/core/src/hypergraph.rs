@@ -114,15 +114,6 @@ impl Hypergraph {
         s
     }
 
-    /// The union of the vertex sets of all edges in the bitset `edges`.
-    pub fn vertices_of_edge_set(&self, edges: &BitSet) -> BitSet {
-        let mut s = BitSet::with_capacity(self.num_vertices());
-        for e in edges.iter() {
-            s.union_with(self.edge_set(e));
-        }
-        s
-    }
-
     /// Whether two edges have identical vertex sets.
     pub fn edges_equal(&self, a: EdgeId, b: EdgeId) -> bool {
         self.edges[a as usize] == self.edges[b as usize]

@@ -9,20 +9,7 @@
 //! once, then timed over `max(sample_size, 10)` batches whose batch size
 //! is auto-scaled so one batch takes ≳100 µs. Mean, min and max per-batch
 //! iteration times are printed in a criterion-like one-line format.
-//!
-//! When the `CRITERION_SHIM_JSON` environment variable names a file,
-//! every bench additionally appends one JSON object per line
-//! (`{"bench": …, "mean_ns": …, "min_ns": …, "max_ns": …, "samples": …,
-//! "threads": …, "jobs": …}`) to it — the machine-readable feed the CI
-//! perf job assembles into its `BENCH_*.json` artifacts. No other
-//! statistics files are written.
-//!
-//! The two trailing fields make the artifacts self-describing across
-//! PRs: `threads` records the machine's available parallelism at run
-//! time, and `jobs` echoes the `CRITERION_SHIM_JOBS` environment
-//! variable (default `1`) — benches that compare serial against
-//! parallel engine configurations set it around each variant so the
-//! JSON says which knob produced which line.
+//! No statistics files are written.
 
 use std::hint::black_box as std_black_box;
 use std::time::{Duration, Instant};
@@ -145,42 +132,6 @@ fn run_bench<F: FnMut(&mut Bencher)>(label: &str, sample_size: usize, mut f: F) 
         fmt_duration(mean),
         fmt_duration(max)
     );
-    append_json_line(label, mean, min, max, b.samples.len());
-}
-
-/// Appends the bench's wall-times as one JSON line to the file named by
-/// `CRITERION_SHIM_JSON` (no-op when unset). Failures are reported to
-/// stderr, never panicked — a read-only filesystem must not fail the
-/// bench run itself.
-fn append_json_line(label: &str, mean: Duration, min: Duration, max: Duration, samples: usize) {
-    let Ok(path) = std::env::var("CRITERION_SHIM_JSON") else {
-        return;
-    };
-    if path.is_empty() {
-        return;
-    }
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let jobs: usize = std::env::var("CRITERION_SHIM_JOBS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
-    let line = format!(
-        "{{\"bench\":{label:?},\"mean_ns\":{},\"min_ns\":{},\"max_ns\":{},\"samples\":{samples},\"threads\":{threads},\"jobs\":{jobs}}}\n",
-        mean.as_nanos(),
-        min.as_nanos(),
-        max.as_nanos(),
-    );
-    use std::io::Write;
-    let result = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .and_then(|mut f| f.write_all(line.as_bytes()));
-    if let Err(e) = result {
-        eprintln!("criterion-shim: cannot append to {path}: {e}");
-    }
 }
 
 fn fmt_duration(d: Duration) -> String {
@@ -233,40 +184,6 @@ mod tests {
         });
         g.finish();
         assert!(ran);
-    }
-
-    #[test]
-    fn json_lines_are_appended_when_configured() {
-        let path = std::env::temp_dir().join(format!(
-            "criterion-shim-json-test-{}.jsonl",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&path);
-        std::env::set_var("CRITERION_SHIM_JSON", &path);
-        let mut c = Criterion::default();
-        c.bench_function("json/probe", |b| b.iter(|| black_box(2 + 2)));
-        // With CRITERION_SHIM_JOBS set, the line echoes the knob; the
-        // threads field always reports the machine's parallelism.
-        std::env::set_var("CRITERION_SHIM_JOBS", "3");
-        c.bench_function("json/probe-par", |b| b.iter(|| black_box(2 + 2)));
-        std::env::remove_var("CRITERION_SHIM_JOBS");
-        std::env::remove_var("CRITERION_SHIM_JSON");
-        let text = std::fs::read_to_string(&path).unwrap();
-        let line = text
-            .lines()
-            .find(|l| l.contains("\"json/probe\""))
-            .expect("bench line present");
-        assert!(line.starts_with('{') && line.ends_with('}'), "line: {line}");
-        assert!(line.contains("\"mean_ns\":"), "line: {line}");
-        assert!(line.contains("\"samples\":"), "line: {line}");
-        assert!(line.contains("\"threads\":"), "line: {line}");
-        assert!(line.contains("\"jobs\":1"), "default jobs: {line}");
-        let par = text
-            .lines()
-            .find(|l| l.contains("\"json/probe-par\""))
-            .expect("parallel bench line present");
-        assert!(par.contains("\"jobs\":3"), "echoed jobs: {par}");
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

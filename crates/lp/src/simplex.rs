@@ -87,11 +87,6 @@ impl LinearProgram {
         self.num_vars
     }
 
-    /// Number of constraints.
-    pub fn num_constraints(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Solves the program exactly.
     pub fn solve(&self) -> Result<Solution, LpError> {
         Tableau::new(self)?.solve()

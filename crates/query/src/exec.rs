@@ -3,7 +3,7 @@
 //!
 //! Every catalog field resolves from [`EntryMeta`], so row pages are
 //! built straight from the scan — zero pack-page hydrations — and the
-//! keyset contract matches `Snapshot::try_select_after` exactly, which
+//! keyset contract matches `Repository::try_select_after` exactly, which
 //! is what lets the `?key=value` filter params desugar into this path
 //! with byte-identical responses.
 
@@ -21,7 +21,7 @@ use crate::metrics::metrics;
 use crate::resolve::{AggItem, Plan, Pred, Shape};
 
 /// One keyset page of entry-summary rows; the contract of
-/// `Snapshot::try_select_after`, with summaries in place of entries.
+/// `Repository::try_select_after`, with summaries in place of entries.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RowPage {
     /// The rows of this page.

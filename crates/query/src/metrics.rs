@@ -3,8 +3,8 @@
 //!
 //! The scanned/hydrated counter pair makes the executor's no-hydration
 //! invariant observable: every catalog field resolves from `EntryMeta`,
-//! so `rows_hydrated` stays at zero while `rows_scanned` climbs — the
-//! `query_throughput` bench asserts exactly that from `/metrics`.
+//! so `rows_hydrated` stays at zero while `rows_scanned` climbs;
+//! `tests/no_hydration.rs` asserts the pack-side counterpart.
 
 use std::sync::{Arc, OnceLock};
 

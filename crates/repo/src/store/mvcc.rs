@@ -68,9 +68,8 @@ use hyperbench_core::Hypergraph;
 use hyperbench_telemetry::{log_error, log_info};
 
 use crate::analysis::{aggregate_stats_from, RepoStats};
-use crate::filter::Filter;
 use crate::metrics::metrics;
-use crate::{Entry, EntryMeta, KeysetPage, Repository};
+use crate::{Entry, EntryMeta, Repository};
 
 use super::pack::{self, content_hash_of, PackStore, Record, DEFAULT_PAGE_SIZE};
 use super::wal::{self, WalEntry, WalRecord, WalWriter};
@@ -271,52 +270,9 @@ impl Snapshot {
             .unwrap_or_else(|e| panic!("snapshot read failed: {e}"))
     }
 
-    /// Keyset pagination over this generation — same contract as
-    /// [`Repository::try_select_after`].
-    pub fn try_select_after(
-        &self,
-        filter: &Filter,
-        after: Option<usize>,
-        limit: usize,
-    ) -> Result<KeysetPage<'_>, StoreError> {
-        let mut total = 0usize;
-        let mut ids: Vec<usize> = Vec::new();
-        let mut has_more = false;
-        for meta in self.metas() {
-            if !filter.matches_meta(&meta) {
-                continue;
-            }
-            total += 1;
-            if after.is_some_and(|a| meta.id <= a) {
-                continue;
-            }
-            if ids.len() < limit {
-                ids.push(meta.id);
-            } else {
-                has_more = true;
-            }
-        }
-        let next_after = if has_more { ids.last().copied() } else { None };
-        let entries = self.hydrate_ids(&ids)?;
-        Ok(KeysetPage {
-            entries,
-            total,
-            next_after,
-        })
-    }
-
     /// Aggregates over this generation's metadata scan.
     pub fn stats(&self) -> RepoStats {
         aggregate_stats_from(self.metas())
-    }
-
-    fn hydrate_ids(&self, ids: &[usize]) -> Result<Vec<&Entry>, StoreError> {
-        ids.iter()
-            .map(|&id| {
-                self.try_get(id)
-                    .map(|e| e.expect("id came from the metadata scan"))
-            })
-            .collect()
     }
 }
 
@@ -790,7 +746,6 @@ impl MvccStore {
         };
         let m = metrics();
         m.wal_appends.inc();
-        m.wal_fsyncs.inc();
         m.wal_append_bytes.add(bytes as u64);
         m.wal_size_bytes.add(bytes as i64);
         let seq = record.seq();
@@ -1051,6 +1006,7 @@ fn run_checkpoint(inner: &Inner) -> Result<bool, StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::filter::Filter;
     use hyperbench_core::builder::hypergraph_from_edges;
     use std::path::Path;
 
@@ -1284,26 +1240,20 @@ mod tests {
             snap.metas().map(|m| m.id).collect::<Vec<_>>(),
             vec![0, 2, 3, 4]
         );
-        let page = snap.try_select_after(&Filter::new(), Some(0), 2).unwrap();
-        assert_eq!(
-            page.entries.iter().map(|e| e.id).collect::<Vec<_>>(),
-            vec![2, 3]
-        );
-        assert_eq!(page.total, 4);
-        assert_eq!(page.next_after, Some(3));
-        let rest = snap
-            .try_select_after(&Filter::new(), page.next_after, 10)
-            .unwrap();
-        assert_eq!(
-            rest.entries.iter().map(|e| e.id).collect::<Vec<_>>(),
-            vec![4]
-        );
-        // Filters see overlay metadata (the replaced collection).
-        let swapped = snap
-            .try_select_after(&Filter::new().collection("swapped"), None, 10)
-            .unwrap();
-        assert_eq!(swapped.total, 1);
-        assert_eq!(swapped.entries[0].id, 2);
+        // Keyset paging over a snapshot is a walk of `metas()`.
+        let after = |a: usize| snap.metas().map(|m| m.id).filter(move |&id| id > a);
+        assert_eq!(after(0).take(2).collect::<Vec<_>>(), vec![2, 3]);
+        assert_eq!(after(3).collect::<Vec<_>>(), vec![4]);
+        // Filters see overlay metadata (the replaced collection), and
+        // the page hydrates through `try_get`.
+        let filter = Filter::new().collection("swapped");
+        let swapped: Vec<usize> = snap
+            .metas()
+            .filter(|m| filter.matches_meta(m))
+            .map(|m| m.id)
+            .collect();
+        assert_eq!(swapped, vec![2]);
+        assert_eq!(snap.try_get(2).unwrap().unwrap().collection, "swapped");
         // Stats aggregate the merged view.
         assert_eq!(snap.stats().entries, 4);
         std::fs::remove_dir_all(&dir).unwrap();

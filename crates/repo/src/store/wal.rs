@@ -345,6 +345,7 @@ impl WalWriter {
             std::io::Error::other(format!("failpoint wal.fsync: {msg}"))
         )));
         self.file.sync_data()?;
+        crate::metrics::metrics().wal_fsyncs.inc();
         Ok(framed.len())
     }
 

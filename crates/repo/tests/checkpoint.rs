@@ -10,6 +10,8 @@
 //!   reading exactly its generation after it.
 //! * **Nothing parsed**: `hyperbench_pack_entries_parsed_total` moves
 //!   with ids first touched, never with checkpoints.
+//! * **One fsync per append**: `hyperbench_wal_fsyncs_total`, counted
+//!   where `sync_data` returns, moves exactly with the writes acked.
 //! * **Failpoints** (`--features hyperbench-fault/failpoints`; no-ops
 //!   otherwise): injected fold failures, and commits landing during a
 //!   slow checkpoint do not trigger a second one.
@@ -340,6 +342,31 @@ fn a_checkpoint_parses_nothing_and_keeps_what_was_parsed() {
     snap.get(1_500).unwrap();
     assert_eq!(parsed() - before, 1);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn every_acked_write_is_one_append_and_one_fsync() {
+    let _serial = serial();
+    for checkpoint_midway in [false, true] {
+        let dir = tmpdir("fsyncs");
+        let store = MvccStore::open(base_pack(&dir.join("repo.pack"), 8), options(&dir)).unwrap();
+        let counters = || (metrics().wal_appends.get(), metrics().wal_fsyncs.get());
+        let (appends, fsyncs) = counters();
+        for i in 0..10u64 {
+            let id = store.insert(fresh(i), "uploads", "Uploaded").unwrap().id();
+            store
+                .replace(id, fresh(100 + i), "swapped", "Uploaded")
+                .unwrap();
+            store.remove(id).unwrap();
+            if checkpoint_midway && i == 4 {
+                assert!(store.checkpoint_now().unwrap());
+            }
+        }
+        let (appended, fsynced) = counters();
+        assert_eq!(appended - appends, 30, "one append per acked write");
+        assert_eq!(fsynced - fsyncs, 30, "one fsync per append");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
 
 fn wait_until(what: &str, mut done: impl FnMut() -> bool) {

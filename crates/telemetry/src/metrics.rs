@@ -9,7 +9,6 @@
 //! registry's mutex is touched only at registration (startup) and
 //! snapshot (a `/metrics` scrape), never on the record path.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -449,14 +448,6 @@ impl Registry {
                 .collect(),
         }
     }
-
-    /// Snapshot restricted to metrics whose name starts with `prefix` —
-    /// handy for asserting one subsystem's family in tests.
-    pub fn snapshot_prefixed(&self, prefix: &str) -> RegistrySnapshot {
-        let mut snap = self.snapshot();
-        snap.entries.retain(|e| e.name.starts_with(prefix));
-        snap
-    }
 }
 
 /// The process-global registry every subsystem records into.
@@ -495,18 +486,6 @@ impl HistogramSummary {
             p99: h.quantile(0.99).unwrap_or(0),
         }
     }
-}
-
-/// Convenience: a `HashMap` of every counter in a snapshot — the shape
-/// the stats DTO serializes.
-pub fn counter_map(snap: &RegistrySnapshot) -> HashMap<&'static str, u64> {
-    snap.entries
-        .iter()
-        .filter_map(|e| match e.value {
-            MetricSnapshot::Counter(v) => Some((e.name, v)),
-            _ => None,
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -118,13 +118,8 @@ fn tight_budget_stops_all_workers_promptly() {
             matches!(r, SearchResult::Stopped),
             "round {round}: expected Stopped, got {r:?}"
         );
-        assert!(
-            start.elapsed() < Duration::from_secs(5),
-            "round {round}: workers did not stop promptly"
-        );
 
         let budget = Budget::with_timeout(Duration::from_millis(2));
-        let start = Instant::now();
         let r = decompose_balsep_opts(
             &h,
             3,
@@ -133,7 +128,12 @@ fn tight_budget_stops_all_workers_promptly() {
             &Options::with_jobs(4),
         );
         assert!(matches!(r, SearchResult::Stopped), "round {round}");
-        assert!(start.elapsed() < Duration::from_secs(5), "round {round}");
+        // A hang detector, not a perf claim: 5 s against two 2 ms budgets
+        // (1 250x) — only workers that stopped polling the budget trip it.
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "round {round}: workers did not stop promptly"
+        );
     }
     // The pool is scoped: every worker joined before `decompose`
     // returned, so repeated stopped searches must not accumulate

@@ -621,15 +621,11 @@ fn a_stalled_replica_is_hedged_around_and_cancelled_by_closing_its_socket() {
     let counters = || HEDGE_COUNTERS.map(|name| metric(router, name));
 
     // The replica is the first choice and never answers: the primary
-    // does, once the hedge delay (at most its ceiling) has run out.
+    // does, once the hedge delay (at most its ceiling) has run out —
+    // an answer that waited for the replica's read timeout instead
+    // would be a failover, and move none of these counters.
     let before = counters();
-    let started = Instant::now();
     assert_eq!(c.entry(gid).expect("hedged read").summary.id, gid);
-    let took = started.elapsed();
-    assert!(
-        took < Duration::from_millis(20) + Duration::from_secs(2),
-        "a hedged read is bounded by the hedge ceiling, not the read timeout: {took:?}"
-    );
     assert_eq!(
         counters(),
         before.map(|n| n + 1.0),
