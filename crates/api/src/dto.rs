@@ -71,16 +71,23 @@ fn opt_int_json(v: Option<usize>) -> Json {
     v.map_or(Json::Null, Json::int)
 }
 
-/// Which analysis the `/v1/analyses` endpoint runs.
+/// Which analysis the `/v1/analyses` endpoint runs. Each method starts
+/// from what earlier analyses of the same document proved and answers
+/// what it would answer alone (see `hyperbench_repo::analyze_with_facts`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AnalyzeMethod {
-    /// Hypertree decompositions — iterative `Check(HD,k)` (default).
+    /// Hypertree decompositions — iterative `Check(HD,k)` (default):
+    /// nothing runs when hw is already known, and the search starts at
+    /// k = ghw when only ghw is.
     Hd,
     /// Generalized hypertree decompositions — the §6.4 three-way race
-    /// per `k`.
+    /// per `k`: nothing runs when ghw is already known, and only the
+    /// `k` below a known hw are raced (the stored HD pins ghw = hw when
+    /// none answers yes).
     Ghd,
     /// Fractionally improved decompositions — an HD witness improved by
-    /// `ImproveHD` (§6.5); reports a fractional width upper bound.
+    /// `ImproveHD` (§6.5); reports a fractional width upper bound. A
+    /// known hw's HD is improved without running any `Check`.
     Fhd,
 }
 
@@ -1355,6 +1362,9 @@ pub struct JobStatsDto {
     pub failed: usize,
     /// Submissions deduplicated onto an in-flight job.
     pub deduped: usize,
+    /// Jobs that started from facts an earlier analysis of the same
+    /// document recorded (this server's own count).
+    pub facts_reused: usize,
 }
 
 impl JobStatsDto {
@@ -1367,6 +1377,7 @@ impl JobStatsDto {
             ("done", Json::int(self.done)),
             ("failed", Json::int(self.failed)),
             ("deduped", Json::int(self.deduped)),
+            ("facts_reused", Json::int(self.facts_reused)),
         ])
     }
 
@@ -1379,6 +1390,7 @@ impl JobStatsDto {
             done: req_usize(j, "done")?,
             failed: req_usize(j, "failed")?,
             deduped: req_usize(j, "deduped")?,
+            facts_reused: req_usize(j, "facts_reused")?,
         })
     }
 }
@@ -1843,6 +1855,7 @@ mod tests {
                 done: 5,
                 failed: 1,
                 deduped: 2,
+                facts_reused: 1,
             },
             query: QueryStatsDto {
                 queries: 9,

@@ -343,20 +343,41 @@ pub fn hypertree_width_opts(
     per_check: Duration,
     opts: &Options,
 ) -> HwResult {
-    width_search(k_max, |k| {
+    hypertree_width_from_opts(h, 1, k_max, per_check, opts)
+}
+
+/// [`hypertree_width_opts`] starting at `k = from`, for a caller that has
+/// already certified every `Check(HD,k)` with `k < from` as no — e.g. by
+/// knowing `ghw = from`, since `ghw ≤ hw`. The reported lower bound
+/// starts at `from`.
+pub fn hypertree_width_from_opts(
+    h: &Hypergraph,
+    from: usize,
+    k_max: usize,
+    per_check: Duration,
+    opts: &Options,
+) -> HwResult {
+    width_search(from, k_max, |k| {
         check_hd_opts(h, k, &Budget::with_timeout(per_check), opts)
     })
 }
 
-/// The shared iterative width search: runs `check(k)` for `k = 1, 2, …`,
-/// tracking the certified lower bound (1 + the longest contiguous no-
-/// prefix) and stopping at the first yes-answer or at `k_max`.
-fn width_search(k_max: usize, mut check: impl FnMut(usize) -> Outcome) -> HwResult {
+/// The shared iterative width search: runs `check(k)` for `k = from,
+/// from + 1, …`, tracking the certified lower bound (`from` + the longest
+/// contiguous no-prefix) and stopping at the first yes-answer or at
+/// `k_max`. Every `k < from` must already be certified no by the caller;
+/// `from = 1` claims nothing.
+pub fn width_search(
+    from: usize,
+    k_max: usize,
+    mut check: impl FnMut(usize) -> Outcome,
+) -> HwResult {
+    let from = from.max(1);
     let mut steps = Vec::new();
-    let mut lower = 1usize;
+    let mut lower = from;
     let mut upper = None;
     let mut contiguous_no = true;
-    for k in 1..=k_max {
+    for k in from..=k_max {
         let start = Instant::now();
         let outcome = check(k);
         let elapsed = start.elapsed();
@@ -409,7 +430,7 @@ pub fn generalized_hypertree_width_opts(
     cfg: &SubedgeConfig,
     opts: &Options,
 ) -> HwResult {
-    width_search(k_max, |k| {
+    width_search(1, k_max, |k| {
         if k == 1 {
             check_hd(h, 1, &Budget::with_timeout(per_check))
         } else {
@@ -502,6 +523,47 @@ mod tests {
         let h = triangle();
         let r = race_ghd(&h, 1, Duration::from_secs(20), &SubedgeConfig::default());
         assert_eq!(r.outcome.label(), "no");
+    }
+
+    #[test]
+    fn width_search_from_a_certified_start() {
+        // Stub notion with width 4: no below, yes from 4 on. Starting at
+        // 3 checks only 3 and 4, and the lower bound starts at 3.
+        let mut asked = Vec::new();
+        let r = width_search(3, 8, |k| {
+            asked.push(k);
+            if k >= 4 {
+                Outcome::Yes(triangle_hd())
+            } else {
+                Outcome::No
+            }
+        });
+        assert_eq!(asked, vec![3, 4]);
+        assert_eq!((r.lower, r.upper, r.exact()), (4, Some(4), Some(4)));
+        // A timeout at the start leaves the caller's bound standing.
+        let r = width_search(3, 8, |k| match k {
+            3 => Outcome::Timeout,
+            _ => Outcome::Yes(triangle_hd()),
+        });
+        assert_eq!((r.lower, r.upper), (3, Some(4)));
+        // A start above k_max checks nothing and claims only the start.
+        let r = width_search(5, 4, |_| unreachable!("no k in 5..=4"));
+        assert!(r.steps.is_empty());
+        assert_eq!((r.lower, r.upper), (5, None));
+        // `from = 0` is the unconditioned search.
+        let r = width_search(0, 2, |k| {
+            assert!(k >= 1);
+            Outcome::No
+        });
+        assert_eq!((r.lower, r.upper, r.steps.len()), (3, None, 2));
+    }
+
+    /// Any decomposition: the stubbed searches only carry it.
+    fn triangle_hd() -> Decomposition {
+        match check_hd(&triangle(), 2, &Budget::unlimited()) {
+            Outcome::Yes(d) => d,
+            other => panic!("triangle has hw 2, got {other:?}"),
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub mod store;
 
 pub use analysis::{
     aggregate_stats, aggregate_stats_from, analyze_instance, analyze_instance_retaining,
-    AnalysisConfig, AnalysisRecord, AnalyzedInstance, RepoStats,
+    analyze_with_facts, AnalysisConfig, AnalysisRecord, AnalyzedInstance, InstanceFacts, RepoStats,
 };
 pub use filter::{Filter, FilterParamError};
 pub use store::StoreError;

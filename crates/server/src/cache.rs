@@ -8,6 +8,11 @@
 //! ([`hyperbench_repo::store::spill`]); a restarting server replays the
 //! segment through [`AnalysisCache::warm_load`] so its first requests
 //! hit warm instead of re-running decomposition searches.
+//!
+//! Beside it, [`FactsCache`] keeps per document — keyed by the text
+//! alone, not the options — what earlier analyses proved
+//! ([`InstanceFacts`]), so a miss under one method starts from what
+//! another already found.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -19,7 +24,7 @@ use hyperbench_core::hash::store_fnv64;
 use hyperbench_core::Hypergraph;
 use hyperbench_decomp::tree::Decomposition;
 use hyperbench_repo::store::spill::{SpillRecord, SpillWriter};
-use hyperbench_repo::AnalysisRecord;
+use hyperbench_repo::{AnalysisRecord, InstanceFacts};
 use hyperbench_telemetry::log::Every;
 use hyperbench_telemetry::log_warn;
 
@@ -71,7 +76,116 @@ pub fn canonicalize(body: &str) -> String {
 
 /// Hashes a canonicalized body (see [`canonicalize`]).
 pub fn content_hash(body: &str) -> ContentHash {
-    ContentHash(store_fnv64(canonicalize(body).as_bytes()))
+    hash_canonical(&canonicalize(body))
+}
+
+/// Hashes text that is already canonical; equal to [`content_hash`] of
+/// it, since canonicalizing twice changes nothing.
+pub fn hash_canonical(canonical: &str) -> ContentHash {
+    ContentHash(store_fnv64(canonical.as_bytes()))
+}
+
+/// A bounded map from content hash to (canonical text, value), evicting
+/// the least recently used. The text is compared on every lookup, so a
+/// hash collision is a miss, never another document's value. Small
+/// capacities keep the O(len) reorder on a hit negligible next to an
+/// analysis run.
+struct Lru<V> {
+    map: HashMap<ContentHash, (String, V)>,
+    // Front = least recently used.
+    order: VecDeque<ContentHash>,
+    capacity: usize,
+}
+
+impl<V> Lru<V> {
+    fn new(capacity: usize) -> Lru<V> {
+        Lru {
+            map: HashMap::new(),
+            order: VecDeque::new(),
+            capacity: capacity.max(1),
+        }
+    }
+
+    /// The value stored for exactly `canonical`, refreshed to most
+    /// recently used.
+    fn get_mut(&mut self, key: ContentHash, canonical: &str) -> Option<&mut V> {
+        match self.map.get(&key) {
+            Some((doc, _)) if doc == canonical => self.touch(key),
+            _ => return None,
+        }
+        self.map.get_mut(&key).map(|(_, v)| v)
+    }
+
+    /// Stores `value` under `key`, replacing what was there. Returns
+    /// whether the key was new and whether an entry was evicted to make
+    /// room.
+    fn insert(&mut self, key: ContentHash, canonical: String, value: V) -> (bool, bool) {
+        if self.map.insert(key, (canonical, value)).is_some() {
+            self.touch(key);
+            return (false, false);
+        }
+        self.order.push_back(key);
+        if self.order.len() <= self.capacity {
+            return (true, false);
+        }
+        if let Some(evicted) = self.order.pop_front() {
+            self.map.remove(&evicted);
+        }
+        (true, true)
+    }
+
+    fn touch(&mut self, key: ContentHash) {
+        if let Some(pos) = self.order.iter().position(|k| *k == key) {
+            self.order.remove(pos);
+        }
+        self.order.push_back(key);
+    }
+
+    /// Drops every entry whose value fails `keep`; returns how many.
+    fn retain(&mut self, mut keep: impl FnMut(&V) -> bool) -> usize {
+        let before = self.map.len();
+        self.map.retain(|_, (_, v)| keep(v));
+        let map = &self.map;
+        self.order.retain(|k| map.contains_key(k));
+        before - self.map.len()
+    }
+}
+
+/// What earlier analyses proved about each recent document, keyed by
+/// the canonical document alone ([`hash_canonical`] of
+/// [`canonicalize`]d text) — never by the options, so `hd`, `ghd` and
+/// `fhd` of one text share it, and never by the repository's structural
+/// hash, because the witnesses' ids belong to the parse of that exact
+/// text. Lookups do not count as analysis-cache hits or misses.
+pub struct FactsCache {
+    inner: Mutex<Lru<InstanceFacts>>,
+}
+
+impl FactsCache {
+    /// A store holding facts for at most `capacity` documents.
+    pub fn new(capacity: usize) -> FactsCache {
+        FactsCache {
+            inner: Mutex::new(Lru::new(capacity)),
+        }
+    }
+
+    /// The facts recorded for exactly `canonical` (empty when none).
+    pub fn get(&self, key: ContentHash, canonical: &str) -> InstanceFacts {
+        let mut inner = self.inner.lock().expect("facts lock");
+        inner.get_mut(key, canonical).cloned().unwrap_or_default()
+    }
+
+    /// Folds `facts` into the record for `canonical`. A record under the
+    /// same hash for another text is replaced, never merged.
+    pub fn record(&self, key: ContentHash, canonical: &str, facts: InstanceFacts) {
+        let mut inner = self.inner.lock().expect("facts lock");
+        match inner.get_mut(key, canonical) {
+            Some(held) => held.merge(facts),
+            None => {
+                inner.insert(key, canonical.to_string(), facts);
+            }
+        }
+    }
 }
 
 /// Counters exposed through `GET /v1/stats`.
@@ -91,17 +205,12 @@ pub struct CacheStats {
 /// backed by an on-disk spill segment for warm restarts.
 pub struct AnalysisCache {
     inner: Mutex<Inner>,
-    capacity: usize,
     spill: Option<Mutex<SpillWriter>>,
 }
 
 struct Inner {
-    // Hash → (canonical document, record). The document is kept so a
-    // hash collision is detected instead of serving the wrong result.
-    map: HashMap<ContentHash, (String, Arc<JobResult>)>,
-    // Front = least recently used. Small capacities keep the O(len)
-    // reorder on hit negligible next to an analysis run.
-    order: VecDeque<ContentHash>,
+    // Options-keyed hash → (keyed canonical document, result).
+    lru: Lru<Arc<JobResult>>,
     hits: usize,
     misses: usize,
 }
@@ -111,12 +220,10 @@ impl AnalysisCache {
     pub fn new(capacity: usize) -> AnalysisCache {
         AnalysisCache {
             inner: Mutex::new(Inner {
-                map: HashMap::new(),
-                order: VecDeque::new(),
+                lru: Lru::new(capacity),
                 hits: 0,
                 misses: 0,
             }),
-            capacity: capacity.max(1),
             spill: None,
         }
     }
@@ -167,23 +274,15 @@ impl AnalysisCache {
     /// hash but different content is a miss, not a hit.
     pub fn get(&self, key: ContentHash, canonical: &str) -> Option<Arc<JobResult>> {
         let mut inner = self.inner.lock().expect("cache lock");
-        match inner.map.get(&key) {
-            Some((doc, rec)) if doc == canonical => {
-                let rec = Arc::clone(rec);
-                inner.hits += 1;
-                crate::metrics::metrics().cache_hits.inc();
-                if let Some(pos) = inner.order.iter().position(|k| *k == key) {
-                    inner.order.remove(pos);
-                }
-                inner.order.push_back(key);
-                Some(rec)
-            }
-            _ => {
-                inner.misses += 1;
-                crate::metrics::metrics().cache_misses.inc();
-                None
-            }
+        let found = inner.lru.get_mut(key, canonical).map(|rec| Arc::clone(rec));
+        if found.is_some() {
+            inner.hits += 1;
+            crate::metrics::metrics().cache_hits.inc();
+        } else {
+            inner.misses += 1;
+            crate::metrics::metrics().cache_misses.inc();
         }
+        found
     }
 
     /// Inserts a record, evicting the least recently used on overflow.
@@ -224,22 +323,11 @@ impl AnalysisCache {
     /// [`AnalysisCache::warm_load`]; returns whether the key was new.
     fn insert(&self, key: ContentHash, canonical: String, record: Arc<JobResult>) -> bool {
         let mut inner = self.inner.lock().expect("cache lock");
-        if inner.map.insert(key, (canonical, record)).is_none() {
-            inner.order.push_back(key);
-            if inner.order.len() > self.capacity {
-                if let Some(evicted) = inner.order.pop_front() {
-                    inner.map.remove(&evicted);
-                    crate::metrics::metrics().cache_evictions.inc();
-                }
-            }
-            true
-        } else {
-            if let Some(pos) = inner.order.iter().position(|k| *k == key) {
-                inner.order.remove(pos);
-                inner.order.push_back(key);
-            }
-            false
+        let (fresh, evicted) = inner.lru.insert(key, canonical, record);
+        if evicted {
+            crate::metrics::metrics().cache_evictions.inc();
         }
+        fresh
     }
 
     /// Evicts every cached result whose analyzed hypergraph has the
@@ -251,20 +339,12 @@ impl AnalysisCache {
     /// Returns how many in-memory entries were dropped.
     pub fn evict_content(&self, hash: u64) -> usize {
         use hyperbench_repo::store::pack::content_hash_of;
-        let evicted = {
-            let mut inner = self.inner.lock().expect("cache lock");
-            let stale: Vec<ContentHash> = inner
-                .map
-                .iter()
-                .filter(|(_, (_, rec))| content_hash_of(&rec.hypergraph) == hash)
-                .map(|(k, _)| *k)
-                .collect();
-            for k in &stale {
-                inner.map.remove(k);
-            }
-            inner.order.retain(|k| !stale.contains(k));
-            stale.len()
-        };
+        let evicted = self
+            .inner
+            .lock()
+            .expect("cache lock")
+            .lru
+            .retain(|rec| content_hash_of(&rec.hypergraph) != hash);
         if let Some(spill) = &self.spill {
             // The segment can hold stale records the LRU already forgot,
             // so the scrub runs even when nothing was resident.
@@ -286,8 +366,8 @@ impl AnalysisCache {
         CacheStats {
             hits: inner.hits,
             misses: inner.misses,
-            len: inner.map.len(),
-            capacity: self.capacity,
+            len: inner.lru.map.len(),
+            capacity: inner.lru.capacity,
         }
     }
 }
@@ -349,6 +429,51 @@ mod tests {
         // record.
         assert!(cache.get(ContentHash(5), "doc-b\n").is_none());
         assert!(cache.get(ContentHash(5), "doc-a\n").is_some());
+    }
+
+    /// Facts for the triangle after an hd analysis.
+    fn triangle_facts() -> InstanceFacts {
+        let h = parse_hg("r(a,b),s(b,c),t(c,a).").unwrap();
+        let mut facts = InstanceFacts::new();
+        hyperbench_repo::analyze_with_facts(
+            &h,
+            &AnalysisConfig::default(),
+            AnalyzeMethod::Hd,
+            &mut facts,
+        );
+        assert_eq!(facts.hw(), Some(2));
+        facts
+    }
+
+    #[test]
+    fn facts_of_a_colliding_document_are_never_shared() {
+        let store = FactsCache::new(4);
+        let facts = triangle_facts();
+        store.record(ContentHash(5), "doc-a\n", facts);
+        assert_eq!(store.get(ContentHash(5), "doc-a\n").hw(), Some(2));
+        // Same hash, other text: nothing known.
+        assert!(store.get(ContentHash(5), "doc-b\n").is_empty());
+        // Recording the other text replaces, never merges.
+        store.record(ContentHash(5), "doc-b\n", InstanceFacts::new());
+        assert!(store.get(ContentHash(5), "doc-a\n").is_empty());
+        assert_eq!(store.get(ContentHash(5), "doc-b\n").hw(), None);
+    }
+
+    #[test]
+    fn facts_merge_per_canonical_document() {
+        let store = FactsCache::new(1);
+        let doc = canonicalize("r(a,b),\r\n  s(b,c),t(c,a).");
+        let key = hash_canonical(&doc);
+        assert_eq!(key, content_hash("r(a,b),\n s(b,c),t(c,a).\n"));
+        assert!(store.get(key, &doc).is_empty());
+        let facts = triangle_facts();
+        store.record(key, &doc, facts);
+        // A later record without the width keeps the one held.
+        store.record(key, &doc, InstanceFacts::new());
+        assert_eq!(store.get(key, &doc).hw(), Some(2));
+        // Capacity one: the next document evicts it.
+        store.record(ContentHash(1), "other\n", InstanceFacts::new());
+        assert!(store.get(key, &doc).is_empty());
     }
 
     #[test]

@@ -25,9 +25,9 @@ use hyperbench_repo::store::pack::content_hash_of;
 use hyperbench_repo::{AnalysisConfig, AnalysisRecord, Entry, RepoStats, StoreError};
 use hyperbench_telemetry::metrics::{HistogramSummary, MetricSnapshot};
 
-use crate::cache::{canonicalize, content_hash, AnalysisCache, JobResult};
+use crate::cache::{canonicalize, AnalysisCache, JobResult};
 use crate::http::{ParseError, Request, Response};
-use crate::jobs::{AnalyzeOptions, JobId, JobStatus, JobSystem, SubmitError};
+use crate::jobs::{AnalyzeOptions, DocKey, JobId, JobStatus, JobSystem, SubmitError};
 use crate::router::Params;
 
 /// Default page size for entry listings.
@@ -297,12 +297,12 @@ fn submit_analysis(
 ) -> Result<Result<JobId, SubmitError>, String> {
     let hypergraph: Hypergraph = parse_hg(document).map_err(|e| format!("parse error: {e}"))?;
     // The options are folded into the cache/dedup identity so the same
-    // document under different methods or budgets never false-hits.
-    let keyed = format!("{}\n{}", options.cache_key(), canonicalize(document));
-    let hash = content_hash(&keyed);
+    // document under different methods or budgets never false-hits; the
+    // facts the methods share are keyed by the document alone.
+    let key = DocKey::new(&canonicalize(document), &options);
     Ok(state
         .jobs
-        .submit_traced(hypergraph, hash, keyed, options, trace_id, deadline))
+        .submit_traced(hypergraph, key, options, trace_id, deadline))
 }
 
 fn submit_error(e: SubmitError) -> Response {
@@ -392,6 +392,7 @@ pub fn get_stats(state: &ServerState) -> Response {
             done: jobs.done,
             failed: jobs.failed,
             deduped: jobs.deduped,
+            facts_reused: jobs.facts_reused,
         },
         query: {
             let q = hyperbench_query::metrics::metrics();

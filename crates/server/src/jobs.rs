@@ -2,7 +2,8 @@
 //! worker pool drains, `GET /v1/analyses/{id}` polls. The queue is
 //! bounded — a full queue turns into a 503 at the HTTP layer instead of
 //! unbounded memory growth — and results are published to the shared
-//! [`AnalysisCache`].
+//! [`AnalysisCache`]. Each job also starts from, and adds to, what
+//! earlier analyses proved about its document ([`FactsCache`]).
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -12,10 +13,10 @@ use std::time::{Duration, Instant};
 
 use hyperbench_api::AnalyzeMethod;
 use hyperbench_core::Hypergraph;
-use hyperbench_repo::{analyze_instance_retaining, AnalysisConfig};
+use hyperbench_repo::{analyze_with_facts, AnalysisConfig};
 use hyperbench_telemetry::{log_debug, log_warn, trace, SpanTimer};
 
-use crate::cache::{AnalysisCache, ContentHash, JobResult};
+use crate::cache::{hash_canonical, AnalysisCache, ContentHash, FactsCache, JobResult};
 use crate::metrics::metrics;
 
 /// Per-submission analysis options, carried from the typed
@@ -65,6 +66,40 @@ impl AnalyzeOptions {
     }
 }
 
+/// The two identities of a submitted document.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DocKey {
+    /// Hash of [`DocKey::keyed`]: the analysis-cache and in-flight
+    /// dedup identity.
+    pub hash: ContentHash,
+    /// The options key, a newline, then the canonical document (see
+    /// [`crate::cache::canonicalize`]).
+    pub keyed: String,
+    /// Hash of the canonical document alone: the facts identity, shared
+    /// by every method and budget.
+    pub doc_hash: ContentHash,
+}
+
+impl DocKey {
+    /// The key of `canonical` (an already canonicalized document)
+    /// analyzed under `options`.
+    pub fn new(canonical: &str, options: &AnalyzeOptions) -> DocKey {
+        let keyed = format!("{}\n{canonical}", options.cache_key());
+        DocKey {
+            hash: hash_canonical(&keyed),
+            keyed,
+            doc_hash: hash_canonical(canonical),
+        }
+    }
+
+    /// The canonical document: [`DocKey::keyed`] after its options line.
+    pub fn doc(&self) -> &str {
+        self.keyed
+            .split_once('\n')
+            .map_or(self.keyed.as_str(), |(_, doc)| doc)
+    }
+}
+
 /// A job identifier, dense from 0.
 pub type JobId = u64;
 
@@ -72,7 +107,13 @@ pub type JobId = u64;
 /// polling. Older finished jobs are evicted, so the status map stays
 /// bounded on a long-running server no matter how many submissions it
 /// sees; a poll for an evicted job answers 404 like an unknown id.
-pub const MAX_FINISHED_RETAINED: usize = 1024;
+///
+/// A done status pins its whole result (hypergraph, witness tree and
+/// wire DTO: tens of KiB each), so this bound, not the cache's, caps
+/// the results a busy server holds. It equals the default cache
+/// capacity: the statuses of recent jobs then share the results the
+/// cache holds anyway, and a server that answers faster holds no more.
+pub const MAX_FINISHED_RETAINED: usize = 512;
 
 /// Lifecycle of one submitted analysis.
 #[derive(Debug, Clone)]
@@ -109,6 +150,9 @@ pub struct JobStats {
     /// Submissions answered with an already queued/running job id
     /// (in-flight dedup).
     pub deduped: usize,
+    /// Jobs that started from facts an earlier analysis of the same
+    /// document recorded.
+    pub facts_reused: usize,
 }
 
 /// Why a submission was not accepted.
@@ -144,8 +188,7 @@ pub const MAX_PREDICTED_WAIT: Duration = Duration::from_secs(10);
 struct QueueItem {
     id: JobId,
     hypergraph: Hypergraph,
-    hash: ContentHash,
-    canonical: String,
+    key: DocKey,
     options: AnalyzeOptions,
     /// The tracing id of the HTTP request that enqueued this job,
     /// carried to the worker (and from there into the decomposition
@@ -175,6 +218,7 @@ struct JobState {
     done: usize,
     failed: usize,
     deduped: usize,
+    facts_reused: usize,
     /// EWMA of decompose service time in microseconds (0 until the
     /// first job completes — admission control stays open cold so a
     /// fresh server never sheds on a guess).
@@ -207,7 +251,8 @@ pub struct JobSystem {
 
 impl JobSystem {
     /// Starts `workers` analysis workers with a queue bound of
-    /// `queue_capacity` and the given analysis budgets.
+    /// `queue_capacity` and the given analysis budgets. The facts store
+    /// holds as many documents as `cache`.
     pub fn start(
         workers: usize,
         queue_capacity: usize,
@@ -226,19 +271,22 @@ impl JobSystem {
                 done: 0,
                 failed: 0,
                 deduped: 0,
+                facts_reused: 0,
                 avg_service_us: 0.0,
             }),
             Condvar::new(),
         ));
         let shutdown = Arc::new(AtomicBool::new(false));
+        let facts = Arc::new(FactsCache::new(cache.stats().capacity));
         let handles = (0..workers.max(1))
             .map(|i| {
                 let state = Arc::clone(&state);
                 let cache = Arc::clone(&cache);
+                let facts = Arc::clone(&facts);
                 let shutdown = Arc::clone(&shutdown);
                 std::thread::Builder::new()
                     .name(format!("hyperbench-analyze-{i}"))
-                    .spawn(move || worker_loop(&state, &cache, &shutdown, &config))
+                    .spawn(move || worker_loop(&state, &cache, &facts, &shutdown, &config))
                     .expect("spawn analysis worker")
             })
             .collect();
@@ -252,27 +300,17 @@ impl JobSystem {
         }
     }
 
-    /// Submits a parsed hypergraph together with its canonicalized,
-    /// options-keyed source (see [`crate::cache::canonicalize`] and
-    /// [`AnalyzeOptions::cache_key`]). On a cache hit the job completes
-    /// immediately without touching the queue; a document already queued
-    /// or running under the same options shares that job id; otherwise
-    /// it is enqueued unless the queue is full.
+    /// Submits a parsed hypergraph under its [`DocKey`]. On a cache hit
+    /// the job completes immediately without touching the queue; a
+    /// document already queued or running under the same options shares
+    /// that job id; otherwise it is enqueued unless the queue is full.
     pub fn submit(
         &self,
         hypergraph: Hypergraph,
-        hash: ContentHash,
-        canonical: String,
+        key: DocKey,
         options: AnalyzeOptions,
     ) -> Result<JobId, SubmitError> {
-        self.submit_traced(
-            hypergraph,
-            hash,
-            canonical,
-            options,
-            trace::current_request_id(),
-            None,
-        )
+        self.submit_traced(hypergraph, key, options, trace::current_request_id(), None)
     }
 
     /// [`JobSystem::submit`] with an explicit tracing id and propagated
@@ -283,8 +321,7 @@ impl JobSystem {
     pub fn submit_traced(
         &self,
         hypergraph: Hypergraph,
-        hash: ContentHash,
-        canonical: String,
+        key: DocKey,
         options: AnalyzeOptions,
         request_id: u64,
         deadline: Option<Instant>,
@@ -295,7 +332,7 @@ impl JobSystem {
         let (lock, cvar) = &*self.state;
         let mut state = lock.lock().expect("job lock");
         let id = state.next_id;
-        if let Some(result) = self.cache.get(hash, &canonical) {
+        if let Some(result) = self.cache.get(key.hash, &key.keyed) {
             state.next_id += 1;
             state.submitted += 1;
             state.done += 1;
@@ -310,8 +347,8 @@ impl JobSystem {
         }
         // The same document already queued or running: share its job id
         // rather than burning a second queue slot and analysis run.
-        if let Some((doc, existing)) = state.inflight.get(&hash) {
-            if *doc == canonical {
+        if let Some((doc, existing)) = state.inflight.get(&key.hash) {
+            if *doc == key.keyed {
                 let existing = *existing;
                 state.deduped += 1;
                 return Ok(existing);
@@ -342,12 +379,11 @@ impl JobSystem {
         state.next_id += 1;
         state.submitted += 1;
         state.statuses.insert(id, JobStatus::Queued);
-        state.inflight.insert(hash, (canonical.clone(), id));
+        state.inflight.insert(key.hash, (key.keyed.clone(), id));
         state.queue.push_back(QueueItem {
             id,
             hypergraph,
-            hash,
-            canonical,
+            key,
             options,
             request_id,
             enqueued: Instant::now(),
@@ -397,6 +433,7 @@ impl JobSystem {
             done: state.done,
             failed: state.failed,
             deduped: state.deduped,
+            facts_reused: state.facts_reused,
         }
     }
 
@@ -445,6 +482,7 @@ fn retry_after_secs(wait: Duration) -> u32 {
 fn worker_loop(
     state: &(Mutex<JobState>, Condvar),
     cache: &AnalysisCache,
+    facts: &FactsCache,
     shutdown: &AtomicBool,
     config: &AnalysisConfig,
 ) {
@@ -477,7 +515,7 @@ fn worker_loop(
                     req = item.request_id, job = item.id, queue_wait_us = queue_wait_us);
                 let mut guard = lock.lock().expect("job lock");
                 guard.running -= 1;
-                guard.inflight.remove(&item.hash);
+                guard.inflight.remove(&item.key.hash);
                 guard.failed += 1;
                 guard.finish(
                     item.id,
@@ -502,12 +540,24 @@ fn worker_loop(
             let remaining = deadline.saturating_duration_since(Instant::now());
             cfg.per_check = cfg.per_check.min(remaining);
         }
+        let clamped = cfg.per_check < item.options.per_check;
+        // Start from what earlier analyses of this document proved. The
+        // facts hold under any budget, so a clamped run may use them and
+        // record what it decides.
+        let mut known = facts.get(item.key.doc_hash, item.key.doc());
+        let reused = !known.is_empty();
+        if reused {
+            metrics().jobs_facts_reused.inc();
+        }
         let decompose = SpanTimer::start();
         let outcome = trace::with_request_id(item.request_id, || {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                analyze_instance_retaining(&item.hypergraph, &cfg, item.options.method)
+                analyze_with_facts(&item.hypergraph, &cfg, item.options.method, &mut known)
             }))
         });
+        if outcome.is_ok() {
+            facts.record(item.key.doc_hash, item.key.doc(), known);
+        }
         let decompose_us = decompose.observe(&metrics().jobs_decompose_us);
         log_debug!(
             "jobs",
@@ -524,7 +574,10 @@ fn worker_loop(
         }
         let mut guard = lock.lock().expect("job lock");
         guard.running -= 1;
-        guard.inflight.remove(&item.hash);
+        guard.inflight.remove(&item.key.hash);
+        if reused {
+            guard.facts_reused += 1;
+        }
         // Fold the observed service time into the admission EWMA
         // (α = 0.2: reactive to load shifts, stable against one
         // outlier; seeded by the first sample).
@@ -556,7 +609,12 @@ fn worker_loop(
                     witness_dto,
                     fractional_width: analyzed.fractional_width,
                 });
-                cache.put(item.hash, item.canonical, Arc::clone(&result));
+                // The cache answers later submissions under the
+                // unclamped options: an answer cut short by one caller's
+                // deadline is that caller's alone.
+                if !(clamped && result.record.hw_timed_out) {
+                    cache.put(item.key.hash, item.key.keyed, Arc::clone(&result));
+                }
                 guard.done += 1;
                 guard.finish(
                     item.id,
@@ -598,6 +656,15 @@ mod tests {
         )
     }
 
+    /// A key with an arbitrary hash for both identities.
+    fn key(hash: u64, keyed: impl Into<String>) -> DocKey {
+        DocKey {
+            hash: ContentHash(hash),
+            keyed: keyed.into(),
+            doc_hash: ContentHash(hash),
+        }
+    }
+
     fn opts() -> AnalyzeOptions {
         let config = AnalysisConfig::default();
         AnalyzeOptions {
@@ -611,9 +678,7 @@ mod tests {
     #[test]
     fn submit_run_poll() {
         let jobs = system(2, 8);
-        let id = jobs
-            .submit(triangle(), ContentHash(1), "t".into(), opts())
-            .unwrap();
+        let id = jobs.submit(triangle(), key(1, "t"), opts()).unwrap();
         match jobs.wait(id) {
             Some(JobStatus::Done { result, cached }) => {
                 assert!(!cached);
@@ -632,16 +697,12 @@ mod tests {
     #[test]
     fn repeated_submission_hits_cache() {
         let jobs = system(1, 8);
-        let first = jobs
-            .submit(triangle(), ContentHash(7), "t".into(), opts())
-            .unwrap();
+        let first = jobs.submit(triangle(), key(7, "t"), opts()).unwrap();
         assert!(matches!(
             jobs.wait(first),
             Some(JobStatus::Done { cached: false, .. })
         ));
-        let second = jobs
-            .submit(triangle(), ContentHash(7), "t".into(), opts())
-            .unwrap();
+        let second = jobs.submit(triangle(), key(7, "t"), opts()).unwrap();
         // Immediately done, no queue round-trip.
         assert!(matches!(
             jobs.status(second),
@@ -657,7 +718,7 @@ mod tests {
         let mut rejected = false;
         for i in 0..10 {
             if let Err(SubmitError::QueueFull { capacity, .. }) =
-                jobs.submit(triangle(), ContentHash(100 + i), format!("t{i}"), opts())
+                jobs.submit(triangle(), key(100 + i, format!("t{i}")), opts())
             {
                 assert_eq!(capacity, 1);
                 rejected = true;
@@ -688,14 +749,9 @@ mod tests {
         let jobs = system(1, 8);
         // Occupy the single worker so the target job stays queued.
         let blocker = hypergraph_from_edges(&[("b1", &["p", "q"]), ("b2", &["q", "r"])]);
-        jobs.submit(blocker, ContentHash(50), "blocker".into(), opts())
-            .unwrap();
-        let first = jobs
-            .submit(triangle(), ContentHash(51), "t".into(), opts())
-            .unwrap();
-        let second = jobs
-            .submit(triangle(), ContentHash(51), "t".into(), opts())
-            .unwrap();
+        jobs.submit(blocker, key(50, "blocker"), opts()).unwrap();
+        let first = jobs.submit(triangle(), key(51, "t"), opts()).unwrap();
+        let second = jobs.submit(triangle(), key(51, "t"), opts()).unwrap();
         // Either the job was still in flight (same id) or it finished
         // between the two submits (cache hit) — never a second run.
         let deduped = second == first;
@@ -721,8 +777,7 @@ mod tests {
                 state.queue.push_back(QueueItem {
                     id: 1000 + i,
                     hypergraph: triangle(),
-                    hash: ContentHash(200 + i),
-                    canonical: format!("staged{i}"),
+                    key: key(200 + i, format!("staged{i}")),
                     options: opts(),
                     request_id: 0,
                     enqueued: Instant::now(),
@@ -730,7 +785,7 @@ mod tests {
                 });
             }
         }
-        match jobs.submit(triangle(), ContentHash(300), "fresh".into(), opts()) {
+        match jobs.submit(triangle(), key(300, "fresh"), opts()) {
             Err(SubmitError::Overloaded { retry_after }) => {
                 assert!(retry_after >= 1, "Retry-After must be actionable");
             }
@@ -738,18 +793,67 @@ mod tests {
         }
     }
 
+    /// The r×c grid graph, one binary edge per adjacent pair.
+    fn grid(r: usize, c: usize) -> Hypergraph {
+        let mut b = hyperbench_core::HypergraphBuilder::new();
+        let v = |i: usize, j: usize| format!("g{i}_{j}");
+        for i in 0..r {
+            for j in 0..c {
+                if j + 1 < c {
+                    b.add_edge(&format!("h{i}_{j}"), &[v(i, j), v(i, j + 1)]);
+                }
+                if i + 1 < r {
+                    b.add_edge(&format!("v{i}_{j}"), &[v(i, j), v(i + 1, j)]);
+                }
+            }
+        }
+        b.build()
+    }
+
+    #[test]
+    fn a_deadline_clamped_timeout_is_not_cached() {
+        let jobs = system(1, 8);
+        // Check(HD,2) on the 10×10 grid runs for seconds even in an
+        // optimized build, so a caller with 300 ms left clamps it into
+        // a timeout whatever the machine.
+        let options = AnalyzeOptions {
+            k_max: 2,
+            per_check: Duration::from_secs(1),
+            ..opts()
+        };
+        let impatient = jobs
+            .submit_traced(
+                grid(10, 10),
+                key(11, "grid"),
+                options,
+                0,
+                Some(Instant::now() + Duration::from_millis(300)),
+            )
+            .unwrap();
+        match jobs.wait(impatient) {
+            Some(JobStatus::Done {
+                result,
+                cached: false,
+            }) => assert!(result.record.hw_timed_out, "the clamp must bite"),
+            other => panic!("unexpected status {other:?}"),
+        }
+        // Without a deadline the same document and options must run:
+        // the clamped timeout answered its caller, and nobody else.
+        let patient = jobs.submit(grid(10, 10), key(11, "grid"), options).unwrap();
+        assert_ne!(patient, impatient);
+        match jobs.wait(patient) {
+            Some(JobStatus::Done { cached, .. }) => assert!(!cached, "served the clamped answer"),
+            other => panic!("unexpected status {other:?}"),
+        }
+        assert_eq!(jobs.cache.stats().hits, 0);
+        assert_eq!(jobs.stats().done, 2);
+    }
+
     #[test]
     fn expired_deadline_drops_the_job_unstarted() {
         let jobs = system(1, 8);
         let id = jobs
-            .submit_traced(
-                triangle(),
-                ContentHash(9),
-                "t".into(),
-                opts(),
-                0,
-                Some(Instant::now()),
-            )
+            .submit_traced(triangle(), key(9, "t"), opts(), 0, Some(Instant::now()))
             .unwrap();
         match jobs.wait(id) {
             Some(JobStatus::Failed(msg)) => assert!(msg.contains("deadline"), "{msg}"),

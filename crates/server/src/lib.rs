@@ -102,7 +102,8 @@ pub struct ServerConfig {
     pub analysis_workers: usize,
     /// Bound on the analysis job queue (overflow → 503).
     pub job_queue_capacity: usize,
-    /// Capacity of the analysis LRU cache.
+    /// Capacity of the analysis LRU cache, and of the per-document
+    /// facts store beside it.
     pub cache_capacity: usize,
     /// Default and ceiling budgets for `POST /v1/analyses` runs.
     /// `analysis.jobs` is the per-job parallelism ceiling for the
@@ -134,7 +135,7 @@ impl Default for ServerConfig {
             threads: 4,
             analysis_workers: 2,
             job_queue_capacity: 64,
-            cache_capacity: 256,
+            cache_capacity: 512,
             analysis: AnalysisConfig::default(),
             spill: None,
             wal: None,

@@ -6,8 +6,9 @@
 //! and reaped connections and zero-copy write bytes; the shared HTTP
 //! layer feeds per-phase latency histograms (parse, handle, serialize)
 //! and the overload counters (408/413/503); the job queue tracks its
-//! depth and queue-wait / decompose latency; the analysis cache counts
-//! hits, misses, evictions and spill appends. All recording is relaxed
+//! depth, queue-wait / decompose latency and jobs that started from
+//! recorded facts; the analysis cache counts hits, misses, evictions
+//! and spill appends. All recording is relaxed
 //! atomics — registration (the only lock) happens once per process.
 //!
 //! Metric names follow Prometheus conventions: counters end in
@@ -68,6 +69,9 @@ pub struct ServerMetrics {
     pub deadline_expired_total: Arc<Counter>,
     /// Jobs dropped unstarted because their deadline had passed.
     pub jobs_deadline_skipped_total: Arc<Counter>,
+    /// Jobs that started from facts an earlier analysis of the same
+    /// document recorded (not a cache hit: the job still runs).
+    pub jobs_facts_reused: Arc<Counter>,
 }
 
 /// The process-wide [`ServerMetrics`] bundle (registered on first use).
@@ -171,6 +175,10 @@ pub fn metrics() -> &'static ServerMetrics {
             jobs_deadline_skipped_total: r.counter(
                 "hyperbench_jobs_deadline_skipped_total",
                 "queued jobs dropped unstarted because their deadline had passed",
+            ),
+            jobs_facts_reused: r.counter(
+                "hyperbench_jobs_facts_reused_total",
+                "analysis jobs that started from facts recorded for the same document",
             ),
         }
     })

@@ -12,7 +12,7 @@ use hyperbench_api::{
 use hyperbench_core::format::parse_hg;
 use hyperbench_decomp::validate::{validate_ghd, validate_hd};
 use hyperbench_integration_tests::fixture::{expect_api_error, start_server};
-use hyperbench_integration_tests::http::post;
+use hyperbench_integration_tests::http::{self, post};
 
 const WAIT: Duration = Duration::from_secs(30);
 
@@ -229,6 +229,93 @@ fn decompositions_roundtrip_and_revalidate_client_side() {
         hit.decomposition.as_ref().unwrap().method,
         AnalyzeMethod::Hd
     );
+
+    shutdown.shutdown();
+    join.join().unwrap();
+}
+
+/// One document as ghd → hd → fhd: each answer is a fresh analysis
+/// (`cached: false`, the result cache missed), but hd and fhd start from
+/// what the methods before them proved. Counts are read from this
+/// server's `/v1/stats` (its own cache and job counters); the
+/// process-wide `/metrics` counter is shared with the other tests in
+/// this binary, so only its lower bound is exact here.
+#[test]
+fn methods_share_what_another_method_proved() {
+    let (join, addr, shutdown) = start_server();
+    let client = Client::new(addr);
+    // K5 as a graph: hw = ghw = 3.
+    let doc = "e01(k0,k1),e02(k0,k2),e03(k0,k3),e04(k0,k4),e12(k1,k2),\n\
+               e13(k1,k3),e14(k1,k4),e23(k2,k3),e24(k2,k4),e34(k3,k4).";
+    let h = parse_hg(doc).unwrap();
+    let counts = || {
+        let s = client.stats().unwrap();
+        (s.cache.hits, s.cache.misses, s.jobs.facts_reused)
+    };
+    let global_before = http::metric(addr, "hyperbench_jobs_facts_reused_total");
+    let before = counts();
+
+    let mut cold = Vec::new();
+    for method in [AnalyzeMethod::Ghd, AnalyzeMethod::Hd, AnalyzeMethod::Fhd] {
+        let request = AnalyzeRequest::hd(doc).with_method(method);
+        let done = client.analyze(&request, WAIT).unwrap();
+        assert_eq!(done.status, AnalysisStatus::Done, "{method:?}");
+        assert_eq!(done.cached, Some(false), "{method:?}: a fresh analysis");
+        let report = done.result.as_ref().unwrap();
+        assert_eq!(report.hw_exact, Some(3), "{method:?}");
+        assert!(!report.hw_timed_out);
+        let dto = done.decomposition.as_ref().expect("witness");
+        let tree = dto.to_decomposition(&h).unwrap();
+        assert!(tree.width() <= 3);
+        // The server checks hd witnesses as HDs, ghd and fhd ones as
+        // GHDs; fhd's is the stored HD, so it passes both.
+        let verdict = match method {
+            AnalyzeMethod::Hd => "valid-hd",
+            AnalyzeMethod::Ghd | AnalyzeMethod::Fhd => "valid-ghd",
+        };
+        assert_eq!(dto.validation, verdict, "{method:?}");
+        validate_ghd(&h, &tree).unwrap();
+        if method != AnalyzeMethod::Ghd {
+            validate_hd(&h, &tree).unwrap();
+        }
+        assert_eq!(dto.fractional_width.is_some(), method == AnalyzeMethod::Fhd);
+        cold.push((request, done));
+    }
+    let after = counts();
+    assert_eq!(after.0 - before.0, 0, "no result-cache hit");
+    assert_eq!(after.1 - before.1, 3, "three result-cache misses");
+    assert_eq!(after.2 - before.2, 2, "hd and fhd started from facts");
+    let global_after = http::metric(addr, "hyperbench_jobs_facts_reused_total");
+    assert!(global_after - global_before >= 2.0);
+
+    // Replays come from the result cache, byte for byte.
+    for (request, first) in &cold {
+        let again = client.analyze(request, WAIT).unwrap();
+        assert_eq!(again.cached, Some(true));
+        let json = |r: &hyperbench_api::AnalysisResource| {
+            (
+                r.result.as_ref().map(|x| x.to_json().to_string()),
+                r.decomposition.as_ref().map(|x| x.to_json().to_string()),
+            )
+        };
+        assert_eq!(json(&again), json(first));
+    }
+    let replayed = counts();
+    assert_eq!((replayed.0 - after.0, replayed.1 - after.1), (3, 0));
+
+    // The same text reformatted (CRLF, indentation) under other options
+    // misses the result cache but reuses the facts: the widths are known.
+    let variant = doc.replace('\n', "\r\n   ");
+    let mut request = AnalyzeRequest::hd(variant.as_str());
+    request.max_width = Some(7);
+    let done = client.analyze(&request, WAIT).unwrap();
+    assert_eq!(done.cached, Some(false));
+    assert_eq!(done.result.as_ref().unwrap().hw_exact, Some(3));
+    let dto = done.decomposition.as_ref().unwrap();
+    assert_eq!(dto.validation, "valid-hd");
+    validate_hd(&h, &dto.to_decomposition(&h).unwrap()).unwrap();
+    let last = counts();
+    assert_eq!((last.1 - replayed.1, last.2 - replayed.2), (1, 1));
 
     shutdown.shutdown();
     join.join().unwrap();

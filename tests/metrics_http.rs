@@ -252,6 +252,11 @@ fn metrics_reflect_a_known_request_mix() {
         Some(1),
         "cache hits in prometheus text"
     );
+    // One document under one method: no job had facts to start from.
+    assert_eq!(
+        prom_value(&text, "hyperbench_jobs_facts_reused_total"),
+        Some(0)
+    );
     // Histogram series render cumulative buckets plus _sum/_count.
     assert!(text.contains("# TYPE hyperbench_http_handle_us histogram"));
     assert!(text.contains("hyperbench_http_handle_us_bucket{le=\"+Inf\"}"));
