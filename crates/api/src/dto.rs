@@ -128,8 +128,11 @@ pub struct AnalyzeRequest {
     /// Worker threads per decomposition search; `None` uses the server
     /// default, and the server clamps to its configured per-job
     /// parallelism ceiling. Parallel and serial analyses report the same
-    /// width bounds (the engine's determinism guarantee), so this knob
-    /// only trades server CPU for latency.
+    /// width bounds (the engine's determinism guarantee), so the knob
+    /// changes only CPU and latency — and not always for the better: a
+    /// search that never forks runs on one thread whatever the knob
+    /// says, and on the benchmark's fixed-width basket two workers are
+    /// at best break-even with one.
     pub jobs: Option<usize>,
 }
 

@@ -30,6 +30,8 @@
 //! println!("hw ≤ {:?}", done.result.unwrap().hw_upper);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod cursor;
 pub mod dto;

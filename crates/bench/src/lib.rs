@@ -1,6 +1,8 @@
 //! Shared fixtures for the criterion benches: deterministic slices of the
 //! generated benchmark, grouped the way the paper's tables group them.
 
+#![forbid(unsafe_code)]
+
 use hyperbench_core::Hypergraph;
 use hyperbench_datagen::{generate_collection, BenchClass, Instance, TABLE1};
 

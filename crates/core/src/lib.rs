@@ -38,6 +38,8 @@
 //! assert_eq!(hyperbench_core::properties::degree(&h), 2);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bitset;
 pub mod builder;
 pub mod components;

@@ -11,6 +11,8 @@
 //! iteration times are printed in a criterion-like one-line format.
 //! No statistics files are written.
 
+#![forbid(unsafe_code)]
+
 use std::hint::black_box as std_black_box;
 use std::time::{Duration, Instant};
 

@@ -32,6 +32,8 @@
 //! assert_eq!(h.num_vertices(), 3);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod error;
 pub mod xcsp;
 pub mod xml;

@@ -21,6 +21,8 @@
 //!
 //! Every generator is deterministic in its seed.
 
+#![forbid(unsafe_code)]
+
 pub mod collections;
 pub mod cqrand;
 pub mod cspgen;

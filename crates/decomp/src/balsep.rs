@@ -37,9 +37,12 @@
 //!   combinations from one shared iterator, and the first worker to
 //!   complete a witness cancels its siblings through a budget child
 //!   scope ([`crate::budget::Budget::child_scope`]);
-//! * below any chosen separator, the **components** become stealable
-//!   subtasks on the crate's work-stealing pool, with the first failed
-//!   component cancelling its siblings.
+//! * below any chosen separator, the **components** become forked
+//!   subtasks on the crate's fork–join pool ([`crate::parallel`]), with
+//!   the first failed component cancelling its siblings.
+//!
+//! The root scan forks at once, so a parallel BalSep search over more
+//! than two edges always starts the pool's helper threads.
 //!
 //! The failure memo and the subedge table are shared (sharded concurrent
 //! maps), so a dead end explored by any worker prunes every other

@@ -22,8 +22,10 @@
 //! ## Parallel mode
 //!
 //! With [`Options::jobs`] > 1 the `[B_u]`-components below a separator
-//! become stealable subtasks on the crate's work-stealing pool
-//! ([`crate::parallel`]): the search context — failure memo, subedge
+//! become forked subtasks on the crate's fork–join pool
+//! ([`crate::parallel`]), whose helper threads start at the search's
+//! first fork: a search that never forks runs on the caller alone. The
+//! search context — failure memo, subedge
 //! cache, subedge-cap flag — is shared behind an `Arc` so any worker's
 //! dead end immediately prunes every sibling's search, and the first
 //! component that *fails* under a separator cancels its siblings through
@@ -529,7 +531,7 @@ impl<'e, 'p> Walker<'e, 'p> {
     }
 
     /// Solves the child problems of one separator — in parallel as
-    /// stealable subtasks when a pool is attached and the split is big
+    /// forked subtasks when a pool is attached and the split is big
     /// enough, inline otherwise. The first child that fails (or stops)
     /// cancels its siblings through a budget child scope.
     fn solve_children(
@@ -849,7 +851,7 @@ mod tests {
         }
         let h = b.build();
         let budget = Budget::with_timeout(std::time::Duration::from_millis(1));
-        // `run_pool` joins its scoped workers before returning, so
+        // `run_pool` joins its scoped helpers before returning, so
         // returning at all *is* the no-thread-leak property.
         let r = decompose_hd_opts(&h, 3, &budget, &Options::with_jobs(4));
         assert!(matches!(r, SearchResult::Stopped));

@@ -3,8 +3,6 @@
 //! "run GlobalBIP, LocalBIP and BalSep in parallel and take the first one
 //! to terminate" race of §6.4 (Table 4).
 
-use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hyperbench_core::subedges::SubedgeConfig;
@@ -71,7 +69,7 @@ pub fn check_hd(h: &Hypergraph, k: usize, budget: &Budget) -> Outcome {
 }
 
 /// [`check_hd`] with an explicit engine configuration: `opts.jobs > 1`
-/// runs the backtracking search on the work-stealing pool. Same width,
+/// runs the backtracking search on the fork–join pool. Same width,
 /// same yes/no — parallelism only changes how fast the answer arrives
 /// (and possibly which witness tree is returned).
 pub fn check_hd_opts(h: &Hypergraph, k: usize, budget: &Budget, opts: &Options) -> Outcome {
@@ -249,18 +247,17 @@ pub fn race_ghd_opts(
     opts: &Options,
 ) -> RaceResult {
     let start = Instant::now();
-    let flag = Arc::new(AtomicBool::new(false));
-    let budget = Budget::with_timeout(timeout).with_cancel_flag(flag);
+    let (budget, stop) = Budget::with_timeout(timeout).child_scope();
     let per_algo = Options::with_jobs(opts.effective_jobs().div_ceil(GhdAlgorithm::ALL.len()));
 
     let result = std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for algo in GhdAlgorithm::ALL {
-            let budget = budget.clone();
+            let (budget, stop) = (budget.clone(), stop.clone());
             let handle = scope.spawn(move || {
                 let out = check_ghd_opts(h, k, algo, &budget, cfg, &per_algo);
                 if out.is_decided() {
-                    budget.cancel();
+                    stop.cancel();
                 }
                 (algo, out)
             });

@@ -32,6 +32,8 @@
 //! }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod balsep;
 pub mod budget;
 pub mod detk;

@@ -5,7 +5,7 @@
 //! joins), the sharded memo its hits, the BalSep search how many
 //! candidate separators it examined, the driver each budget-stopped run
 //! and the width every completed search decided. All recording is one
-//! relaxed atomic op — cheap enough for the work-stealing hot path.
+//! relaxed atomic op — cheap enough for the fork–join hot path.
 
 use std::sync::{Arc, OnceLock};
 
@@ -14,7 +14,7 @@ use hyperbench_telemetry::{global, Counter, Histogram};
 /// Handles to every decomposition-side metric; obtained via [`metrics`].
 #[derive(Debug)]
 pub struct DecompMetrics {
-    /// Tasks taken from a sibling worker's deque.
+    /// Forked tasks run by a thread other than the one that forked them.
     pub steals: Arc<Counter>,
     /// `fork_join` calls that actually fanned out (≥ 2 thunks).
     pub forks: Arc<Counter>,
@@ -38,7 +38,7 @@ pub fn metrics() -> &'static DecompMetrics {
         DecompMetrics {
             steals: r.counter(
                 "hyperbench_decomp_steals_total",
-                "tasks taken from a sibling worker's deque",
+                "forked tasks run by a thread other than the one that forked them",
             ),
             forks: r.counter(
                 "hyperbench_decomp_forks_total",

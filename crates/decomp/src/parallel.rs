@@ -1,19 +1,33 @@
-//! The hand-rolled parallel substrate of the decomposition engine: a
-//! scoped work-stealing pool, sharded concurrent memo maps, and the
-//! [`Options`] knob that selects the degree of parallelism.
+//! The parallel substrate of the decomposition engine: a scoped
+//! fork–join pool, sharded concurrent memo maps, and the [`Options`]
+//! knob that selects the degree of parallelism.
 //!
-//! Zero external dependencies by construction (the build has no registry
-//! access): the pool is per-worker lock-free **Chase–Lev deques** — the
-//! owner pushes and pops LIFO at the bottom for
-//! depth-first locality without any synchronization beyond fences, and
-//! thieves CAS-steal FIFO from the top where the biggest subtrees sit —
-//! and the memo maps are striped `Mutex<HashMap>` shards addressed by a
+//! Zero external dependencies, and plain locks: the pool is one
+//! `Mutex<VecDeque>` of pending tasks plus one `Condvar` per
+//! [`run_pool`]. A fork pushes its subtasks at the back. The forking
+//! thread, while it waits for them, pops at the back (newest first, for
+//! depth-first locality); helper threads take from the front (oldest
+//! first, where the biggest subtrees sit). Idle helpers park on the
+//! condvar, and a push wakes them only when one is parked. Helpers are
+//! spawned at the pool's first fork, so a search that never forks
+//! starts no thread. One lock is enough for this traffic: on the
+//! benchmark's `analyze` basket a `Check(HD, k)` forks at most 765
+//! times, and at `jobs = 2` at most 65 of those tasks run on a thread
+//! other than their forker's.
+//!
+//! Every task runs under `catch_unwind`, and its panic is resumed on the
+//! thread that forked it once its siblings are done, so a panic anywhere
+//! in a parallel search unwinds out of [`run_pool`] as it would out of a
+//! serial one. A drop guard stops the helpers when the root returns or
+//! unwinds.
+//!
+//! The memo maps are striped `Mutex<HashMap>` shards addressed by a
 //! 64-bit FNV-1a fingerprint of the subproblem.
 //!
 //! The paper's tool parallelizes exactly this search ("the
 //! implementation … makes use of parallelism for the check if ghw ≤ k",
 //! §6.4): independent components below a separator are solved as
-//! stealable subtasks, and one shared failure memo lets any worker's
+//! forked subtasks, and one shared failure memo lets any worker's
 //! dead end prune every other worker's search.
 //!
 //! ## Determinism
@@ -24,10 +38,10 @@
 //! as serial runs and a witness that passes `decomp::validate`; only the
 //! particular witness tree may differ between runs.
 
-use std::collections::HashMap;
-use std::sync::atomic::{fence, AtomicBool, AtomicIsize, AtomicPtr, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::collections::{HashMap, VecDeque};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once, PoisonError};
 
 use hyperbench_core::hash::Fnv1a64;
 
@@ -48,7 +62,7 @@ impl Default for Options {
 }
 
 impl Options {
-    /// The serial engine: no pool, no stealing, no extra threads.
+    /// The serial engine: no pool, no forks, no extra threads.
     pub const fn serial() -> Options {
         Options { jobs: 1 }
     }
@@ -75,224 +89,102 @@ impl Options {
     }
 }
 
-/// Fork separator components into stealable subtasks only when the
-/// split carries at least this many edges in total; smaller splits
-/// recurse inline. Forking costs a few heap allocations plus (when a
-/// sibling is actually stolen) a scheduler round-trip, so fine-grained
-/// splits are cheaper to run in place — the speedup comes from the big
-/// early splits and the speculative root separator scan.
+/// Fork separator components into subtasks only when the split carries
+/// at least this many edges in total; smaller splits recurse inline.
+/// Forking costs a few heap allocations plus (when a helper runs a
+/// sibling) a wake-up round-trip, so fine-grained splits are cheaper to
+/// run in place — the speedup comes from the big early splits and the
+/// speculative root separator scan.
 pub(crate) const FORK_MIN_EDGES: usize = 8;
 
 /// Fork components only this many recursion levels deep. Splits shrink
-/// geometrically, so the first levels carry almost all the stealable
+/// geometrically, so the first levels carry almost all the forkable
 /// work; deeper splits are so frequent and so small that the per-fork
 /// bookkeeping measurably outweighs the parallelism they expose.
 pub(crate) const FORK_MAX_DEPTH: usize = 2;
 
-/// A unit of stealable work. Receives the context of whichever worker
-/// ends up executing it, so nested forks land on that worker's deque.
+/// A forked subtask. Receives the context of whichever thread runs it,
+/// so the forks it makes in turn land in the same queue.
 type Task<'env> = Box<dyn FnOnce(&WorkerCtx<'_, 'env>) + Send + 'env>;
 
-/// Capacity of each worker's deque. Fork fanout is the number of
-/// components under one separator and forking is depth-gated
-/// ([`FORK_MAX_DEPTH`]), so per-worker backlogs stay tiny; an overflowing
-/// push falls back to running the task inline on the owner — identical
-/// semantics, merely not stealable.
-const DEQUE_CAP: usize = 1024;
-
-/// Outcome of a steal attempt.
-enum Steal<T> {
-    /// Took the oldest task.
-    Taken(T),
-    /// The deque was empty.
-    Empty,
-    /// Lost a race with the owner or another thief; worth retrying.
-    Retry,
-}
-
-/// A fixed-capacity lock-free Chase–Lev work-stealing deque (Chase &
-/// Lev, SPAA 2005, with the memory orderings of Lê et al., PPoPP 2013).
-///
-/// The *owner* pushes and pops at the bottom (LIFO — depth-first
-/// locality, no CAS on the fast path); *thieves* steal at the top
-/// (FIFO — the oldest, biggest subtrees) with a single CAS. Tasks are
-/// double-boxed so each slot is one thin pointer, which the slots store
-/// atomically; ownership transfer is mediated entirely by the
-/// `top`/`bottom` protocol. Indices grow monotonically (slot = index
-/// mod capacity), so there is no ABA.
-struct ChaseLev<'env> {
-    /// Next index a thief steals from. Only ever incremented.
-    top: AtomicIsize,
-    /// Next index the owner pushes to. Owner-written only.
-    bottom: AtomicIsize,
-    /// The circular slot array (length [`DEQUE_CAP`], a power of two).
-    slots: Box<[AtomicPtr<Task<'env>>]>,
-}
-
-// SAFETY: the raw task pointers are only dereferenced by whichever
-// thread won ownership through the top/bottom protocol below, and the
-// tasks themselves are `Send`.
-unsafe impl Send for ChaseLev<'_> {}
-unsafe impl Sync for ChaseLev<'_> {}
-
-impl<'env> ChaseLev<'env> {
-    fn new() -> ChaseLev<'env> {
-        assert!(DEQUE_CAP.is_power_of_two());
-        ChaseLev {
-            top: AtomicIsize::new(0),
-            bottom: AtomicIsize::new(0),
-            slots: (0..DEQUE_CAP)
-                .map(|_| AtomicPtr::new(std::ptr::null_mut()))
-                .collect(),
-        }
-    }
-
-    fn slot(&self, index: isize) -> &AtomicPtr<Task<'env>> {
-        &self.slots[index as usize & (DEQUE_CAP - 1)]
-    }
-
-    /// Owner-only: pushes at the bottom. Returns the task when the deque
-    /// is full so the caller can run it inline instead.
-    fn push(&self, task: Task<'env>) -> Result<(), Task<'env>> {
-        let b = self.bottom.load(Ordering::Relaxed);
-        let t = self.top.load(Ordering::Acquire);
-        if b - t >= DEQUE_CAP as isize {
-            return Err(task);
-        }
-        let ptr = Box::into_raw(Box::new(task));
-        self.slot(b).store(ptr, Ordering::Relaxed);
-        // The slot write must be visible before the new bottom is.
-        fence(Ordering::Release);
-        self.bottom.store(b + 1, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Owner-only: pops at the bottom (the task pushed most recently).
-    fn pop(&self) -> Option<Task<'env>> {
-        let b = self.bottom.load(Ordering::Relaxed) - 1;
-        self.bottom.store(b, Ordering::Relaxed);
-        // Publish the speculative bottom before reading top, so a
-        // concurrent thief and this pop cannot both take the last task.
-        fence(Ordering::SeqCst);
-        let t = self.top.load(Ordering::Relaxed);
-        if t <= b {
-            let ptr = self.slot(b).load(Ordering::Relaxed);
-            if t == b {
-                // Last task: race the thieves for it through top.
-                if self
-                    .top
-                    .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
-                    .is_err()
-                {
-                    // A thief won; restore bottom past the taken slot.
-                    self.bottom.store(b + 1, Ordering::Relaxed);
-                    return None;
-                }
-                self.bottom.store(b + 1, Ordering::Relaxed);
-            }
-            // SAFETY: the protocol above gave this thread exclusive
-            // ownership of the pointer in slot `b`.
-            Some(*unsafe { Box::from_raw(ptr) })
-        } else {
-            self.bottom.store(b + 1, Ordering::Relaxed);
-            None
-        }
-    }
-
-    /// Any thread: steals at the top (the oldest task).
-    fn steal(&self) -> Steal<Task<'env>> {
-        let t = self.top.load(Ordering::Acquire);
-        fence(Ordering::SeqCst);
-        let b = self.bottom.load(Ordering::Acquire);
-        if t < b {
-            let ptr = self.slot(t).load(Ordering::Relaxed);
-            if self
-                .top
-                .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
-                .is_err()
-            {
-                return Steal::Retry;
-            }
-            // SAFETY: winning the CAS transferred ownership of slot `t`;
-            // the slot cannot be overwritten until top has moved past it
-            // (the owner's push checks `bottom - top < capacity`).
-            Steal::Taken(*unsafe { Box::from_raw(ptr) })
-        } else {
-            Steal::Empty
-        }
-    }
-}
-
-impl Drop for ChaseLev<'_> {
-    fn drop(&mut self) {
-        // `&mut self` proves no concurrent owner or thief exists; free
-        // whatever tasks were never executed (only reachable after a
-        // panic unwound past a fork).
-        while self.pop().is_some() {}
-    }
+/// What the pool's one lock guards.
+struct State<'env> {
+    /// Pending tasks. Forks push at the back; a forker helping out pops
+    /// at the back (newest first), helpers take from the front (oldest
+    /// first).
+    queue: VecDeque<Task<'env>>,
+    /// Threads blocked on [`Shared::wake`]: idle helpers, and forkers
+    /// waiting for a sibling that another thread runs.
+    parked: usize,
+    /// Set when the root returns or unwinds; helpers exit on it.
+    shutdown: bool,
 }
 
 struct Shared<'env> {
-    queues: Vec<ChaseLev<'env>>,
-    shutdown: AtomicBool,
+    state: Mutex<State<'env>>,
+    /// Signalled on a push, when a task finishes on a thread other than
+    /// its forker's, and at shutdown.
+    wake: Condvar,
+    workers: usize,
 }
 
 impl<'env> Shared<'env> {
-    fn new(workers: usize) -> Shared<'env> {
-        Shared {
-            queues: (0..workers).map(|_| ChaseLev::new()).collect(),
-            shutdown: AtomicBool::new(false),
-        }
+    /// Locks the pool. No task runs under this lock, so a panicking
+    /// task cannot poison it.
+    fn lock(&self) -> MutexGuard<'_, State<'env>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Pops from `index`'s own deque bottom (LIFO), else steals from the
-    /// top of the first non-empty sibling deque (FIFO). A lost steal
-    /// race is retried on the same victim: retries only happen when some
-    /// other thread took a task, so the system as a whole is making
-    /// progress.
-    fn find_task(&self, index: usize) -> Option<Task<'env>> {
-        if let Some(t) = self.queues[index].pop() {
-            return Some(t);
+    /// Blocks until the next signal on [`Shared::wake`].
+    fn park<'a>(&self, mut st: MutexGuard<'a, State<'env>>) -> MutexGuard<'a, State<'env>> {
+        st.parked += 1;
+        st = self.wake.wait(st).unwrap_or_else(PoisonError::into_inner);
+        st.parked -= 1;
+        st
+    }
+
+    /// Wakes every parked thread, if there is one.
+    fn wake_parked(&self, st: &State<'env>) {
+        if st.parked > 0 {
+            self.wake.notify_all();
         }
-        let n = self.queues.len();
-        for off in 1..n {
-            let victim = (index + off) % n;
-            loop {
-                match self.queues[victim].steal() {
-                    Steal::Taken(t) => {
-                        crate::metrics::metrics().steals.inc();
-                        return Some(t);
-                    }
-                    Steal::Empty => break,
-                    Steal::Retry => std::hint::spin_loop(),
-                }
-            }
-        }
-        None
     }
 }
 
-/// Handle to the pool held by one participating thread (the caller is
-/// worker 0; spawned threads are workers 1..jobs). Forked subtasks go to
-/// this worker's own deque, where siblings steal them.
+/// Stops the helpers when the root returns — or unwinds, so a panicking
+/// search never leaves `std::thread::scope` joining parked threads.
+struct ShutdownOnDrop<'a, 'env>(&'a Shared<'env>);
+
+impl Drop for ShutdownOnDrop<'_, '_> {
+    fn drop(&mut self) {
+        self.0.lock().shutdown = true;
+        self.0.wake.notify_all();
+    }
+}
+
+/// Handle to the pool held by one participating thread (the caller of
+/// [`run_pool`] is worker 0; helpers are workers 1..jobs).
 pub struct WorkerCtx<'p, 'env> {
     shared: &'p Shared<'env>,
     index: usize,
+    /// Spawns the helpers at the root's first fork and does nothing
+    /// after; `None` on the helpers themselves.
+    spawn_helpers: Option<&'p (dyn Fn() + Sync + 'p)>,
 }
 
-/// Result slots of one fork: `filled[i]` receives thunk `i + 1`'s value
-/// (thunk 0 runs inline on the forking worker).
-struct ForkSlots<T> {
-    filled: Vec<Mutex<Option<T>>>,
+/// The results of one fork: `slots[i]` receives thunk `i + 1`'s value or
+/// panic (thunk 0 runs inline on the forker).
+struct Join<T> {
+    slots: Vec<Mutex<Option<std::thread::Result<T>>>>,
     remaining: AtomicUsize,
 }
 
 impl<'p, 'env> WorkerCtx<'p, 'env> {
-    /// Runs every thunk — thunk 0 inline, the rest as stealable tasks —
-    /// and returns their results in input order. While waiting for
-    /// stolen siblings, the forking worker *helps*: it keeps executing
-    /// pool tasks (its own or stolen), so a saturated pool never
-    /// deadlocks and no worker idles while work is pending.
+    /// Runs every thunk — thunk 0 inline, the rest as queued tasks — and
+    /// returns their results in input order. While waiting for siblings,
+    /// the forking thread *helps*: it runs queued tasks (its own or
+    /// anyone's), so a saturated pool never deadlocks. A thunk's panic is
+    /// resumed here, after every sibling has finished.
     pub fn fork_join<T, F>(&self, mut thunks: Vec<F>) -> Vec<T>
     where
         T: Send + 'env,
@@ -308,104 +200,122 @@ impl<'p, 'env> WorkerCtx<'p, 'env> {
         crate::metrics::metrics().forks.inc();
         let rest = thunks.split_off(1);
         let first = thunks.pop().expect("first thunk");
-        let slots = Arc::new(ForkSlots {
-            filled: rest.iter().map(|_| Mutex::new(None)).collect(),
+        let join = Arc::new(Join {
+            slots: rest.iter().map(|_| Mutex::new(None)).collect(),
             remaining: AtomicUsize::new(rest.len()),
         });
         {
-            let q = &self.shared.queues[self.index];
+            let mut st = self.shared.lock();
+            let forker = self.index;
             for (i, f) in rest.into_iter().enumerate() {
-                let slots = Arc::clone(&slots);
-                let task: Task<'env> = Box::new(move |ctx: &WorkerCtx<'_, 'env>| {
-                    let v = f(ctx);
-                    *slots.filled[i].lock().expect("fork slot") = Some(v);
-                    slots.remaining.fetch_sub(1, Ordering::Release);
-                });
-                if let Err(task) = q.push(task) {
-                    // Deque full (absurd fanout): run in place — same
-                    // result, just not stealable.
-                    task(self);
-                }
+                let join = Arc::clone(&join);
+                st.queue
+                    .push_back(Box::new(move |ctx: &WorkerCtx<'_, 'env>| {
+                        let r = catch_unwind(AssertUnwindSafe(|| f(ctx)));
+                        *join.slots[i].lock().expect("fork slot") = Some(r);
+                        join.remaining.fetch_sub(1, Ordering::Release);
+                        if ctx.index != forker {
+                            crate::metrics::metrics().steals.inc();
+                            ctx.shared.wake_parked(&ctx.shared.lock());
+                        }
+                    }));
             }
+            self.shared.wake_parked(&st);
         }
-        let mut out: Vec<T> = Vec::with_capacity(slots.filled.len() + 1);
-        out.push(first(self));
-        // Help until every sibling (possibly running on a thief) is done.
-        while slots.remaining.load(Ordering::Acquire) > 0 {
-            match self.shared.find_task(self.index) {
-                Some(t) => {
+        if let Some(spawn) = self.spawn_helpers {
+            spawn();
+        }
+        let first = catch_unwind(AssertUnwindSafe(|| first(self)));
+        self.help_until_joined(&join.remaining);
+        let rest = join.slots.iter().map(|slot| {
+            slot.lock()
+                .expect("fork slot")
+                .take()
+                .expect("sibling completed")
+        });
+        std::iter::once(first)
+            .chain(rest)
+            .map(|r| r.unwrap_or_else(|panic| resume_unwind(panic)))
+            .collect()
+    }
+
+    /// Runs queued tasks, newest first, until `remaining` reaches zero;
+    /// parks while the queue is empty and a sibling still runs elsewhere.
+    fn help_until_joined(&self, remaining: &AtomicUsize) {
+        let mut st = self.shared.lock();
+        while remaining.load(Ordering::Acquire) > 0 {
+            match st.queue.pop_back() {
+                Some(task) => {
+                    drop(st);
                     crate::metrics::metrics().helping_joins.inc();
-                    t(self);
+                    task(self);
+                    st = self.shared.lock();
                 }
-                None => std::thread::yield_now(),
+                None => st = self.shared.park(st),
             }
         }
-        for slot in slots.filled.iter() {
-            out.push(
-                slot.lock()
-                    .expect("fork slot")
-                    .take()
-                    .expect("sibling completed"),
-            );
-        }
-        out
     }
 
     /// Number of workers in the pool (≥ 2 whenever a pool exists).
     pub fn workers(&self) -> usize {
-        self.shared.queues.len()
+        self.shared.workers
     }
 }
 
-fn worker_loop<'env>(shared: &Shared<'env>, index: usize) {
-    let ctx = WorkerCtx { shared, index };
-    let mut idle_spins: u32 = 0;
-    loop {
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        match shared.find_task(index) {
-            Some(t) => {
-                idle_spins = 0;
-                t(&ctx);
+fn helper_loop(shared: &Shared<'_>, index: usize) {
+    let ctx = WorkerCtx {
+        shared,
+        index,
+        spawn_helpers: None,
+    };
+    let mut st = shared.lock();
+    while !st.shutdown {
+        match st.queue.pop_front() {
+            Some(task) => {
+                drop(st);
+                task(&ctx);
+                st = shared.lock();
             }
-            None => {
-                // Spin briefly (work usually arrives in bursts mid-search),
-                // then back off to a short sleep so an idle pool costs
-                // almost nothing while the owner runs a serial phase.
-                idle_spins += 1;
-                if idle_spins < 64 {
-                    std::thread::yield_now();
-                } else {
-                    std::thread::sleep(Duration::from_micros(100));
-                }
-            }
+            None => st = shared.park(st),
         }
     }
 }
 
-/// Runs `root` on the calling thread with `jobs - 1` extra scoped
-/// workers stealing the subtasks it forks. All workers join before this
-/// returns — the pool cannot leak threads past the search that spawned
-/// it. With `jobs <= 1` no threads are spawned and forks run inline.
+/// Runs `root` on the calling thread with up to `jobs - 1` scoped helper
+/// threads running the subtasks it forks. The helpers are spawned at the
+/// first fork, so a search that never forks starts no thread, and all of
+/// them join before this returns — the pool cannot leak threads past the
+/// search that used it. With `jobs <= 1` forks run on the caller.
 pub fn run_pool<'env, R>(jobs: usize, root: impl FnOnce(&WorkerCtx<'_, 'env>) -> R) -> R {
-    let workers = jobs.max(1);
-    let shared = Shared::new(workers);
+    let shared = Shared {
+        state: Mutex::new(State {
+            queue: VecDeque::new(),
+            parked: 0,
+            shutdown: false,
+        }),
+        wake: Condvar::new(),
+        workers: jobs.max(1),
+    };
     std::thread::scope(|s| {
-        for i in 1..workers {
-            let shared = &shared;
-            std::thread::Builder::new()
-                .name(format!("hyperbench-decomp-{i}"))
-                .spawn_scoped(s, move || worker_loop(shared, i))
-                .expect("spawn decomposition worker");
-        }
+        let spawned = Once::new();
+        let spawn_helpers = || {
+            spawned.call_once(|| {
+                for i in 1..shared.workers {
+                    let shared = &shared;
+                    std::thread::Builder::new()
+                        .name(format!("hyperbench-decomp-{i}"))
+                        .spawn_scoped(s, move || helper_loop(shared, i))
+                        .expect("spawn decomposition helper");
+                }
+            })
+        };
         let ctx = WorkerCtx {
             shared: &shared,
             index: 0,
+            spawn_helpers: Some(&spawn_helpers),
         };
-        let r = root(&ctx);
-        shared.shutdown.store(true, Ordering::Release);
-        r
+        let _shutdown = ShutdownOnDrop(&shared);
+        root(&ctx)
     })
 }
 
@@ -512,6 +422,8 @@ impl<K, V: Clone> ShardedMemo<K, V> {
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use super::*;
 
     #[test]
@@ -591,123 +503,57 @@ mod tests {
         }
     }
 
-    #[test]
-    fn chase_lev_owner_is_lifo_thief_is_fifo() {
-        let shared = Shared::new(1);
-        let ctx = WorkerCtx {
-            shared: &shared,
-            index: 0,
-        };
-        let log: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(Vec::new()));
-        let q = ChaseLev::new();
-        for i in 0..4 {
-            let log = Arc::clone(&log);
-            q.push(Box::new(move |_: &WorkerCtx<'_, '_>| {
-                log.lock().unwrap().push(i)
-            }))
-            .ok()
-            .expect("push within capacity");
-        }
-        // A thief takes the *oldest* task (FIFO)…
-        match q.steal() {
-            Steal::Taken(t) => t(&ctx),
-            _ => panic!("steal from a non-empty deque"),
-        }
-        // …the owner drains the rest newest-first (LIFO).
-        while let Some(t) = q.pop() {
-            t(&ctx);
-        }
-        assert_eq!(*log.lock().unwrap(), vec![0, 3, 2, 1]);
-        assert!(q.pop().is_none());
-        assert!(matches!(q.steal(), Steal::Empty));
+    /// Runs `case` on its own thread and returns whether it panicked. A
+    /// case that has not finished after 30 s hangs: that fails the test.
+    /// The timeout detects a hang, it does not time the search.
+    fn panics_without_hanging(case: impl FnOnce() + Send + 'static) -> bool {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(catch_unwind(AssertUnwindSafe(case)).is_err());
+        });
+        rx.recv_timeout(Duration::from_secs(30))
+            .expect("the panicking search hung")
     }
 
     #[test]
-    fn chase_lev_overflow_returns_the_task() {
-        let q = ChaseLev::new();
-        for _ in 0..DEQUE_CAP {
-            q.push(Box::new(|_: &WorkerCtx<'_, '_>| {}))
-                .ok()
-                .expect("push within capacity");
-        }
-        assert!(q.push(Box::new(|_: &WorkerCtx<'_, '_>| {})).is_err());
-        // Popping one frees a slot again.
-        assert!(q.pop().is_some());
-        assert!(q.push(Box::new(|_: &WorkerCtx<'_, '_>| {})).is_ok());
+    fn root_panic_propagates_from_a_serial_pool() {
+        assert!(panics_without_hanging(|| {
+            run_pool(1, |_: &WorkerCtx<'_, '_>| panic!("root"));
+        }));
     }
 
     #[test]
-    fn chase_lev_concurrent_steals_take_every_task_once() {
-        // 4 thieves race the owner for 4096 counter increments; every
-        // task must run exactly once whoever wins each race.
-        let q = Arc::new(ChaseLev::new());
-        let shared = Shared::new(1);
-        let counter = Arc::new(AtomicUsize::new(0));
-        let produced = 4096usize;
-        std::thread::scope(|s| {
-            let stop = Arc::new(AtomicBool::new(false));
-            for _ in 0..4 {
-                let q = Arc::clone(&q);
-                let stop = Arc::clone(&stop);
-                let shared = &shared;
-                s.spawn(move || {
-                    let ctx = WorkerCtx { shared, index: 0 };
-                    loop {
-                        match q.steal() {
-                            Steal::Taken(t) => t(&ctx),
-                            Steal::Retry => std::hint::spin_loop(),
-                            Steal::Empty => {
-                                if stop.load(Ordering::Acquire) {
-                                    return;
-                                }
-                                std::thread::yield_now();
+    fn root_panic_propagates_from_a_parallel_pool() {
+        // The fork spawns the helper first, so shutdown has a parked
+        // thread to wake.
+        assert!(panics_without_hanging(|| {
+            run_pool(2, |ctx| {
+                ctx.fork_join(vec![|_: &WorkerCtx<'_, '_>| (), |_: &WorkerCtx<'_, '_>| ()]);
+                panic!("root");
+            });
+        }));
+    }
+
+    #[test]
+    fn stolen_task_panic_propagates_to_the_forker() {
+        // The forker sleeps in its own thunk, so the helper takes the
+        // panicking one.
+        assert!(panics_without_hanging(|| {
+            run_pool(2, |ctx| {
+                let thunks: Vec<_> = (0..2)
+                    .map(|i| {
+                        move |_: &WorkerCtx<'_, '_>| {
+                            if i == 0 {
+                                std::thread::sleep(Duration::from_millis(300));
+                            } else {
+                                panic!("stolen task");
                             }
                         }
-                    }
-                });
-            }
-            let ctx = WorkerCtx {
-                shared: &shared,
-                index: 0,
-            };
-            let mut pending = 0usize;
-            for _ in 0..produced {
-                let counter = Arc::clone(&counter);
-                let task: Task<'_> = Box::new(move |_: &WorkerCtx<'_, '_>| {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                });
-                match q.push(task) {
-                    Ok(()) => pending += 1,
-                    Err(task) => task(&ctx),
-                }
-                // Interleave owner pops with thief steals.
-                if pending.is_multiple_of(3) {
-                    if let Some(t) = q.pop() {
-                        t(&ctx);
-                    }
-                }
-            }
-            while let Some(t) = q.pop() {
-                t(&ctx);
-            }
-            stop.store(true, Ordering::Release);
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), produced);
-    }
-
-    #[test]
-    fn fork_join_survives_deque_overflow() {
-        // 2000 siblings overflow the 1024-slot deque; the overflow runs
-        // inline and every result still lands in input order.
-        for jobs in [1usize, 4] {
-            let out = run_pool(jobs, |ctx| {
-                let thunks: Vec<_> = (0..2000)
-                    .map(|i| move |_: &WorkerCtx<'_, '_>| i * 3)
+                    })
                     .collect();
-                ctx.fork_join(thunks)
+                ctx.fork_join(thunks);
             });
-            assert_eq!(out, (0..2000).map(|i| i * 3).collect::<Vec<_>>());
-        }
+        }));
     }
 
     #[test]

@@ -38,6 +38,8 @@
 //! maps it into the site's error type), `sleep` injects latency then
 //! lets the site proceed, `panic` panics with the message.
 
+#![forbid(unsafe_code)]
+
 #[cfg(feature = "failpoints")]
 use std::collections::HashMap;
 #[cfg(feature = "failpoints")]

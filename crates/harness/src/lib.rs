@@ -21,6 +21,8 @@
 //! | [`experiments::table6`] | Table 6 — FracImproveHD |
 //! | [`experiments::summary`]| §6.2/§6.4 headline findings |
 
+#![forbid(unsafe_code)]
+
 pub mod corr;
 pub mod experiments;
 pub mod report;

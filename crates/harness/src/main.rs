@@ -1,6 +1,8 @@
 //! The `hyperbench` CLI: generate the benchmark, analyze hypergraphs,
 //! compute decompositions and regenerate the paper's tables and figures.
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::time::Duration;
 

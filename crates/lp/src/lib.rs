@@ -27,6 +27,8 @@
 //! assert_eq!(cover.weight.to_string(), "3/2");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cover;
 pub mod rational;
 pub mod simplex;

@@ -13,6 +13,8 @@
 //!   [`rand`] shim), so properties must hold for *all* inputs, which the
 //!   workspace's tests already do.
 
+#![forbid(unsafe_code)]
+
 use rand::rngs::StdRng;
 use rand::Rng as _;
 use rand::{RngCore, SeedableRng};

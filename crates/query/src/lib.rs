@@ -25,6 +25,8 @@
 //! [`legacy::desugar_params`], so the whole service has exactly one
 //! predicate-evaluation path.
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod catalog;
 pub mod error;

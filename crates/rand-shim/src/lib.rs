@@ -8,6 +8,8 @@
 //! across platforms and good enough for workload synthesis; it makes no
 //! attempt to match upstream `rand`'s value streams.
 
+#![forbid(unsafe_code)]
+
 pub mod rngs;
 pub mod seq;
 

@@ -20,6 +20,8 @@
 //! filters against its in-memory metadata index and touches the pack
 //! file only for the entries a query actually returns.
 
+#![forbid(unsafe_code)]
+
 pub mod analysis;
 pub mod filter;
 pub mod metrics;

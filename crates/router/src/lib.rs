@@ -28,6 +28,8 @@
 //! the network, and [`serve`] mounts the whole thing on the server
 //! crate's epoll reactor.
 
+#![forbid(unsafe_code)]
+
 pub mod breaker;
 pub mod health;
 pub mod map;

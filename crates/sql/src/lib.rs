@@ -30,6 +30,8 @@
 //! assert_eq!(hgs[0].num_vertices(), 5); // a merged, b/c per instance
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod catalog;
 pub mod convert;

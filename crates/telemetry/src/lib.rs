@@ -23,6 +23,8 @@
 //!   a monotonic [`trace::SpanTimer`] feeding per-phase latency
 //!   histograms.
 
+#![forbid(unsafe_code)]
+
 pub mod log;
 pub mod metrics;
 pub mod trace;

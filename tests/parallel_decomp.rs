@@ -1,9 +1,10 @@
 //! Parallel/serial equivalence of the decomposition engine, property
-//! based: on random small hypergraphs the work-stealing parallel search
-//! must report exactly the widths the serial search reports, and every
+//! based: on random small hypergraphs the fork–join parallel search must
+//! report exactly the widths the serial search reports, and every
 //! witness must pass machine validation. Plus cancellation: a tight
 //! budget stops all workers promptly and leaks no threads (the pool is
-//! scoped — workers join before `decompose` returns).
+//! scoped — its helpers join before `decompose` returns). That helpers
+//! exist only while a fork is pending is `pool_threads.rs`.
 
 use std::time::{Duration, Instant};
 
