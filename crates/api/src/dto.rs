@@ -1,9 +1,42 @@
-//! Typed request/response DTOs of the `/v1` contract.
+//! Typed request/response DTOs of the `/v1` contract, and the one table
+//! that puts them on the wire.
 //!
-//! Each DTO owns its JSON encoding (`to_json`) and decoding
-//! (`from_json`), so the server handlers and the native [`crate::client`]
-//! share one schema instead of two hand-rolled ones. Field names come
-//! from the single constant table in [`crate::schema`].
+//! The server handlers, the router and the native [`crate::client`] all
+//! encode with `to_json` and decode with `from_json`, so every side
+//! speaks one schema. Nothing in this module writes a codec per DTO:
+//!
+//! * **Values.** A private `Wire` trait is implemented once per wire
+//!   value type — `usize`/`u64`/`i64` (range-checked), `bool`, `String`,
+//!   `Option<T>` (`null` when `None`), `Vec<T>` (an array), name→count
+//!   objects (`Vec<(String, T)>`), each wire enum, and each DTO.
+//! * **DTOs.** `wire_struct!` lists a DTO's fields against the key
+//!   constants of [`crate::schema`] (a literal key cannot enter the
+//!   table) in wire order, each with one mode:
+//!   - `req field: KEY` — always written; required on decode;
+//!   - `null field: KEY` — an `Option` written as `null` when `None`;
+//!   - `omit field: KEY` — left off the wire when `None` or empty;
+//!   - `default field: KEY = expr` — always written; `expr` when absent;
+//!   - `inline field` — the fields of another DTO, in place:
+//!     [`EntryDetail`] carries [`EntrySummary`]'s;
+//!   - `hex field: KEY` — [`WriteReceipt::content_hash`] only (below).
+//! * **Enums.** `wire_enum!` spells each variant's string once and
+//!   yields `as_str` and `parse` ([`AnalyzeMethod`], [`AnalysisStatus`],
+//!   [`WriteOutcome`] and [`crate::ErrorCode`]).
+//!
+//! **The decode rule.** A key that is absent or `null` decodes to `None`,
+//! to its empty value or to its default when its mode allows that, and is
+//! a [`DecodeError`] when the field is required. A key that is present
+//! but mistyped or out of range is always a [`DecodeError`], whose
+//! message names the path to the field (`result: sizes: vertices: …`).
+//! Unknown keys are ignored.
+//!
+//! **What is written out by hand**, and why:
+//! * [`DecompositionDto::from_tree`] and
+//!   [`DecompositionDto::to_decomposition`] — tree logic, not codec;
+//! * the hex codec of [`WriteReceipt::content_hash`] — a `u64` hash
+//!   travels as 16 hex digits because the wire's integers are `i64`;
+//! * [`QueryResponse`]'s `kind` dispatch — `rows` inlines a page after
+//!   the discriminator, and `groups` derives its `total` from the groups.
 
 use hyperbench_core::properties::StructuralProperties;
 use hyperbench_core::stats::SizeMetrics;
@@ -14,8 +47,9 @@ use hyperbench_decomp::validate::{validate_ghd, validate_hd};
 use crate::json::Json;
 use crate::schema;
 
-/// A DTO failed to decode from JSON (missing field, wrong type, unknown
-/// enum value, or an unresolvable name).
+/// A DTO failed to decode from JSON: a missing field, a mistyped or
+/// out-of-range value, an unknown enum value, or an unresolvable name.
+/// The message names the path to the offending field.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DecodeError(pub String);
 
@@ -27,48 +61,241 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-fn missing(field: &str) -> DecodeError {
-    DecodeError(format!("missing or mistyped field {field:?}"))
+impl DecodeError {
+    /// Prefixes the key or index the failure occurred under.
+    fn at(self, key: &str) -> DecodeError {
+        DecodeError(format!("{key}: {}", self.0))
+    }
 }
 
-fn req_int(j: &Json, field: &str) -> Result<i64, DecodeError> {
-    j.get(field)
-        .and_then(Json::as_int)
-        .ok_or_else(|| missing(field))
+/// The error for a value of the wrong JSON type; `null` (which an absent
+/// key reads as) is "missing".
+pub(crate) fn expected(what: &str, found: &Json) -> DecodeError {
+    DecodeError(match found {
+        Json::Null => "missing".to_string(),
+        _ => format!("expected {what}"),
+    })
 }
 
-fn req_usize(j: &Json, field: &str) -> Result<usize, DecodeError> {
-    usize::try_from(req_int(j, field)?)
-        .map_err(|_| DecodeError(format!("negative value for {field:?}")))
+/// One value type on the wire. `decode` reads `Json::Null` for an absent
+/// key, so an `Option` decodes both to `None` and a required value
+/// reports both as missing.
+pub(crate) trait Wire: Sized {
+    fn encode(&self) -> Json;
+    fn decode(v: &Json) -> Result<Self, DecodeError>;
 }
 
-fn opt_usize(j: &Json, field: &str) -> Result<Option<usize>, DecodeError> {
-    match j.get(field) {
-        None | Some(Json::Null) => Ok(None),
-        Some(v) => {
-            let n = v.as_int().ok_or_else(|| missing(field))?;
-            usize::try_from(n)
-                .map(Some)
-                .map_err(|_| DecodeError(format!("negative value for {field:?}")))
+macro_rules! wire_int {
+    ($($t:ty),+) => {$(
+        impl Wire for $t {
+            fn encode(&self) -> Json {
+                Json::int(*self)
+            }
+            fn decode(v: &Json) -> Result<$t, DecodeError> {
+                let n = v.as_int().ok_or_else(|| expected("an integer", v))?;
+                <$t>::try_from(n).map_err(|_| DecodeError(format!("{n} is out of range")))
+            }
+        }
+    )+};
+}
+
+wire_int!(usize, u64, i64);
+
+impl Wire for bool {
+    fn encode(&self) -> Json {
+        Json::Bool(*self)
+    }
+    fn decode(v: &Json) -> Result<bool, DecodeError> {
+        v.as_bool().ok_or_else(|| expected("a bool", v))
+    }
+}
+
+impl Wire for String {
+    fn encode(&self) -> Json {
+        Json::str(self.as_str())
+    }
+    fn decode(v: &Json) -> Result<String, DecodeError> {
+        v.as_str()
+            .map(str::to_string)
+            .ok_or_else(|| expected("a string", v))
+    }
+}
+
+/// Free-form values (aggregate rows) pass through as they are.
+impl Wire for Json {
+    fn encode(&self) -> Json {
+        self.clone()
+    }
+    fn decode(v: &Json) -> Result<Json, DecodeError> {
+        Ok(v.clone())
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    fn encode(&self) -> Json {
+        self.as_ref().map_or(Json::Null, T::encode)
+    }
+    fn decode(v: &Json) -> Result<Option<T>, DecodeError> {
+        (*v != Json::Null).then(|| T::decode(v)).transpose()
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn encode(&self) -> Json {
+        Json::Arr(self.iter().map(T::encode).collect())
+    }
+    fn decode(v: &Json) -> Result<Vec<T>, DecodeError> {
+        let items = v.as_arr().ok_or_else(|| expected("an array", v))?;
+        let mut out = Vec::with_capacity(items.len());
+        for (i, item) in items.iter().enumerate() {
+            out.push(T::decode(item).map_err(|e| e.at(&format!("[{i}]")))?);
+        }
+        Ok(out)
+    }
+}
+
+/// Name→count objects (`by_class`, `counters`, …), pairs in wire order.
+impl<T: Wire> Wire for Vec<(String, T)> {
+    fn encode(&self) -> Json {
+        Json::Obj(self.iter().map(|(k, v)| (k.clone(), v.encode())).collect())
+    }
+    fn decode(v: &Json) -> Result<Vec<(String, T)>, DecodeError> {
+        let pair = |(k, v): &(String, Json)| Ok((k.clone(), T::decode(v).map_err(|e| e.at(k))?));
+        match v {
+            Json::Obj(pairs) => pairs.iter().map(pair).collect(),
+            _ => Err(expected("an object", v)),
         }
     }
 }
 
-fn req_str(j: &Json, field: &str) -> Result<String, DecodeError> {
-    j.get(field)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| missing(field))
+/// Writes one field.
+pub(crate) fn put<T: Wire>(out: &mut Vec<(String, Json)>, key: &str, value: &T) {
+    out.push((key.to_string(), value.encode()));
 }
 
-fn req_bool(j: &Json, field: &str) -> Result<bool, DecodeError> {
-    j.get(field)
-        .and_then(Json::as_bool)
-        .ok_or_else(|| missing(field))
+/// Reads one field; an absent key reads as `null`.
+pub(crate) fn take<T: Wire>(j: &Json, key: &str) -> Result<T, DecodeError> {
+    T::decode(j.get(key).unwrap_or(&Json::Null)).map_err(|e| e.at(key))
 }
 
-fn opt_int_json(v: Option<usize>) -> Json {
-    v.map_or(Json::Null, Json::int)
+/// Writes the fields of a DTO in place (`inline`).
+pub(crate) fn inline<T: Wire>(value: &T, out: &mut Vec<(String, Json)>) {
+    if let Json::Obj(fields) = value.encode() {
+        out.extend(fields);
+    }
+}
+
+/// Whether an `omit` field stays off the wire (`None` or empty).
+pub(crate) fn is_default<T: Default + PartialEq>(value: &T) -> bool {
+    *value == T::default()
+}
+
+/// The field table of one DTO (see the module docs for the modes), with
+/// public `to_json`/`from_json`; the `@record` form omits those, for
+/// foreign types and for DTOs whose public codec differs.
+macro_rules! wire_struct {
+    (@record $ty:ty {
+        $($mode:ident $field:ident $(: $key:ident)? $(= $default:expr)?),+ $(,)?
+    }) => {
+        impl $crate::dto::Wire for $ty {
+            fn encode(&self) -> $crate::json::Json {
+                let mut out = Vec::with_capacity([$(stringify!($field)),+].len());
+                $($crate::dto::wire_struct!(
+                    @put $mode out, self.$field $(, $crate::schema::$key)?
+                );)+
+                $crate::json::Json::Obj(out)
+            }
+            fn decode(j: &$crate::json::Json) -> Result<Self, $crate::dto::DecodeError> {
+                if !matches!(j, $crate::json::Json::Obj(_)) {
+                    return Err($crate::dto::expected("an object", j));
+                }
+                Ok(Self {
+                    $($field: $crate::dto::wire_struct!(
+                        @take $mode j $(, $crate::schema::$key)? $(, $default)?
+                    ),)+
+                })
+            }
+        }
+    };
+    (@put omit $o:ident, $v:expr, $k:expr) => {
+        if !$crate::dto::is_default(&$v) { $crate::dto::put(&mut $o, $k, &$v) }
+    };
+    (@put inline $o:ident, $v:expr) => { $crate::dto::inline(&$v, &mut $o) };
+    (@put hex $o:ident, $v:expr, $k:expr) => {
+        $crate::dto::put(&mut $o, $k, &$v.map(|h| format!("{h:016x}")))
+    };
+    // `req`, `null` and `default` (a misspelt mode fails at `@take`).
+    (@put $mode:ident $o:ident, $v:expr, $k:expr) => { $crate::dto::put(&mut $o, $k, &$v) };
+    (@take req $j:ident, $k:expr) => { $crate::dto::take($j, $k)? };
+    (@take null $j:ident, $k:expr) => { $crate::dto::take($j, $k)? };
+    (@take default $j:ident, $k:expr, $d:expr) => {
+        $crate::dto::take::<Option<_>>($j, $k)?.unwrap_or_else(|| $d)
+    };
+    (@take omit $j:ident, $k:expr) => {
+        $crate::dto::take::<Option<_>>($j, $k)?.unwrap_or_default()
+    };
+    (@take inline $j:ident) => { $crate::dto::Wire::decode($j)? };
+    (@take hex $j:ident, $k:expr) => { $crate::dto::unhex($j, $k)? };
+    ($ty:ident { $($table:tt)+ }) => {
+        $crate::dto::wire_struct!(@record $ty { $($table)+ });
+        impl $ty {
+            /// Encodes to the wire shape.
+            pub fn to_json(&self) -> $crate::json::Json {
+                $crate::dto::Wire::encode(self)
+            }
+            /// Decodes the wire shape (see the module docs for the rule).
+            pub fn from_json(j: &$crate::json::Json) -> Result<$ty, $crate::dto::DecodeError> {
+                $crate::dto::Wire::decode(j)
+            }
+        }
+    };
+}
+
+/// The string table of one wire enum: yields `as_str`, `parse` and its
+/// `Wire` codec.
+macro_rules! wire_enum {
+    ($ty:ident { $($variant:ident = $s:literal),+ $(,)? }) => {
+        impl $ty {
+            /// The stable wire string.
+            pub fn as_str(&self) -> &'static str {
+                match self {
+                    $($ty::$variant => $s,)+
+                }
+            }
+
+            /// Parses a wire string.
+            pub fn parse(s: &str) -> Option<$ty> {
+                match s {
+                    $($s => Some($ty::$variant),)+
+                    _ => None,
+                }
+            }
+        }
+
+        impl $crate::dto::Wire for $ty {
+            fn encode(&self) -> $crate::json::Json {
+                $crate::json::Json::str(self.as_str())
+            }
+            fn decode(v: &$crate::json::Json) -> Result<$ty, $crate::dto::DecodeError> {
+                let s = v.as_str().ok_or_else(|| $crate::dto::expected("a string", v))?;
+                $ty::parse(s).ok_or_else(|| {
+                    $crate::dto::DecodeError(format!("unknown {s:?} ({})", [$($s),+].join("|")))
+                })
+            }
+        }
+    };
+}
+
+pub(crate) use {wire_enum, wire_struct};
+
+/// Reads [`WriteReceipt::content_hash`], the one field whose wire form
+/// is not its type's: a `u64` hash travels as 16 hex digits (the wire's
+/// integers are `i64`), `null` when no entry is live.
+pub(crate) fn unhex(j: &Json, key: &str) -> Result<Option<u64>, DecodeError> {
+    let hex: Option<String> = take(j, key)?;
+    hex.map(|s| u64::from_str_radix(&s, 16))
+        .transpose()
+        .map_err(|e| DecodeError(format!("not a hex hash ({e})")).at(key))
 }
 
 /// Which analysis the `/v1/analyses` endpoint runs. Each method starts
@@ -91,26 +318,11 @@ pub enum AnalyzeMethod {
     Fhd,
 }
 
-impl AnalyzeMethod {
-    /// The wire string (`hd`/`ghd`/`fhd`).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            AnalyzeMethod::Hd => "hd",
-            AnalyzeMethod::Ghd => "ghd",
-            AnalyzeMethod::Fhd => "fhd",
-        }
-    }
-
-    /// Parses a wire string.
-    pub fn parse(s: &str) -> Option<AnalyzeMethod> {
-        match s {
-            "hd" => Some(AnalyzeMethod::Hd),
-            "ghd" => Some(AnalyzeMethod::Ghd),
-            "fhd" => Some(AnalyzeMethod::Fhd),
-            _ => None,
-        }
-    }
-}
+wire_enum!(AnalyzeMethod {
+    Hd = "hd",
+    Ghd = "ghd",
+    Fhd = "fhd",
+});
 
 /// `POST /v1/analyses` request body.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -159,56 +371,15 @@ impl AnalyzeRequest {
         self.jobs = Some(jobs);
         self
     }
-
-    /// Encodes to the wire shape.
-    pub fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("hypergraph".to_string(), Json::str(&self.hypergraph)),
-            (schema::METHOD.to_string(), Json::str(self.method.as_str())),
-        ];
-        if let Some(w) = self.max_width {
-            fields.push(("max_width".to_string(), Json::int(w)));
-        }
-        if let Some(t) = self.timeout_ms {
-            fields.push(("timeout_ms".to_string(), Json::int(t)));
-        }
-        if let Some(j) = self.jobs {
-            fields.push((schema::JOBS.to_string(), Json::int(j)));
-        }
-        Json::Obj(fields)
-    }
-
-    /// Decodes from the wire shape. `method` defaults to `hd` when
-    /// absent; an unknown method is an error, not a default.
-    pub fn from_json(j: &Json) -> Result<AnalyzeRequest, DecodeError> {
-        let hypergraph = req_str(j, "hypergraph")?;
-        let method = match j.get(schema::METHOD) {
-            None | Some(Json::Null) => AnalyzeMethod::Hd,
-            Some(v) => {
-                let s = v.as_str().ok_or_else(|| missing(schema::METHOD))?;
-                AnalyzeMethod::parse(s)
-                    .ok_or_else(|| DecodeError(format!("unknown method {s:?} (hd|ghd|fhd)")))?
-            }
-        };
-        let max_width = opt_usize(j, "max_width")?;
-        let timeout_ms = match j.get("timeout_ms") {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(
-                v.as_int()
-                    .and_then(|n| u64::try_from(n).ok())
-                    .ok_or_else(|| missing("timeout_ms"))?,
-            ),
-        };
-        let jobs = opt_usize(j, schema::JOBS)?;
-        Ok(AnalyzeRequest {
-            hypergraph,
-            method,
-            max_width,
-            timeout_ms,
-            jobs,
-        })
-    }
 }
+
+wire_struct!(AnalyzeRequest {
+    req hypergraph: HYPERGRAPH,
+    default method: METHOD = AnalyzeMethod::Hd,
+    omit max_width: MAX_WIDTH,
+    omit timeout_ms: TIMEOUT_MS,
+    omit jobs: JOBS,
+});
 
 /// One row of a `/v1/hypergraphs` page.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -233,38 +404,17 @@ pub struct EntrySummary {
     pub hw_lower: Option<usize>,
 }
 
-impl EntrySummary {
-    /// Encodes to the `/v1` shape: every field always present, absent
-    /// bounds as `null`.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            (schema::ID, Json::int(self.id)),
-            (schema::COLLECTION, Json::str(&self.collection)),
-            (schema::CLASS, Json::str(&self.class)),
-            (schema::VERTICES, Json::int(self.vertices)),
-            (schema::EDGES, Json::int(self.edges)),
-            (schema::ARITY, Json::int(self.arity)),
-            (schema::ANALYZED, Json::Bool(self.analyzed)),
-            (schema::HW_UPPER, opt_int_json(self.hw_upper)),
-            (schema::HW_LOWER, opt_int_json(self.hw_lower)),
-        ])
-    }
-
-    /// Decodes the `/v1` shape.
-    pub fn from_json(j: &Json) -> Result<EntrySummary, DecodeError> {
-        Ok(EntrySummary {
-            id: req_usize(j, schema::ID)?,
-            collection: req_str(j, schema::COLLECTION)?,
-            class: req_str(j, schema::CLASS)?,
-            vertices: req_usize(j, schema::VERTICES)?,
-            edges: req_usize(j, schema::EDGES)?,
-            arity: req_usize(j, schema::ARITY)?,
-            analyzed: req_bool(j, schema::ANALYZED)?,
-            hw_upper: opt_usize(j, schema::HW_UPPER)?,
-            hw_lower: opt_usize(j, schema::HW_LOWER)?,
-        })
-    }
-}
+wire_struct!(EntrySummary {
+    req id: ID,
+    req collection: COLLECTION,
+    req class: CLASS,
+    req vertices: VERTICES,
+    req edges: EDGES,
+    req arity: ARITY,
+    req analyzed: ANALYZED,
+    null hw_upper: HW_UPPER,
+    null hw_lower: HW_LOWER,
+});
 
 /// One page of entry summaries with an opaque continuation cursor.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -293,67 +443,14 @@ impl PageDto {
             partial: Vec::new(),
         }
     }
-
-    /// Encodes to the wire shape.
-    pub fn to_json(&self) -> Json {
-        let mut fields = vec![
-            (schema::TOTAL.to_string(), Json::int(self.total)),
-            (
-                schema::ITEMS.to_string(),
-                Json::Arr(self.items.iter().map(EntrySummary::to_json).collect()),
-            ),
-            (
-                schema::NEXT_CURSOR.to_string(),
-                self.next_cursor.as_deref().map_or(Json::Null, Json::str),
-            ),
-        ];
-        if !self.partial.is_empty() {
-            fields.push((
-                schema::PARTIAL.to_string(),
-                Json::Arr(self.partial.iter().copied().map(Json::int).collect()),
-            ));
-        }
-        Json::Obj(fields)
-    }
-
-    /// Decodes the wire shape.
-    pub fn from_json(j: &Json) -> Result<PageDto, DecodeError> {
-        let items = j
-            .get(schema::ITEMS)
-            .and_then(Json::as_arr)
-            .ok_or_else(|| missing(schema::ITEMS))?
-            .iter()
-            .map(EntrySummary::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        let next_cursor = match j.get(schema::NEXT_CURSOR) {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(
-                v.as_str()
-                    .ok_or_else(|| missing(schema::NEXT_CURSOR))?
-                    .to_string(),
-            ),
-        };
-        let partial = match j.get(schema::PARTIAL) {
-            None | Some(Json::Null) => Vec::new(),
-            Some(v) => v
-                .as_arr()
-                .ok_or_else(|| missing(schema::PARTIAL))?
-                .iter()
-                .map(|s| {
-                    s.as_int()
-                        .and_then(|n| usize::try_from(n).ok())
-                        .ok_or_else(|| missing(schema::PARTIAL))
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-        };
-        Ok(PageDto {
-            total: req_usize(j, schema::TOTAL)?,
-            items,
-            next_cursor,
-            partial,
-        })
-    }
 }
+
+wire_struct!(PageDto {
+    req total: TOTAL,
+    req items: ITEMS,
+    null next_cursor: NEXT_CURSOR,
+    omit partial: PARTIAL,
+});
 
 /// `POST /v1/query` request body: one HBQL query, plus an optional
 /// continuation cursor from a previous rows page of the same query.
@@ -373,32 +470,12 @@ impl QueryRequest {
             cursor: None,
         }
     }
-
-    /// Encodes to the wire shape.
-    pub fn to_json(&self) -> Json {
-        let mut fields = vec![(schema::QUERY.to_string(), Json::str(&self.query))];
-        if let Some(cursor) = &self.cursor {
-            fields.push((schema::CURSOR.to_string(), Json::str(cursor)));
-        }
-        Json::Obj(fields)
-    }
-
-    /// Decodes the wire shape.
-    pub fn from_json(j: &Json) -> Result<QueryRequest, DecodeError> {
-        let cursor = match j.get(schema::CURSOR) {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(
-                v.as_str()
-                    .ok_or_else(|| missing(schema::CURSOR))?
-                    .to_string(),
-            ),
-        };
-        Ok(QueryRequest {
-            query: req_str(j, schema::QUERY)?,
-            cursor,
-        })
-    }
 }
+
+wire_struct!(QueryRequest {
+    req query: QUERY,
+    omit cursor: CURSOR,
+});
 
 /// `POST /v1/query` response: rows for `SELECT *` queries, groups for
 /// aggregate queries. The wire shape carries a `kind` discriminator.
@@ -415,51 +492,47 @@ pub enum QueryResponse {
     },
 }
 
+/// The `kind` discriminator of a [`QueryResponse`].
+enum QueryKind {
+    Rows,
+    Groups,
+}
+
+wire_enum!(QueryKind {
+    Rows = "rows",
+    Groups = "groups",
+});
+
+// Written out rather than tabled: `rows` carries the page's fields after
+// the discriminator, and `groups` derives its `total` from the groups.
 impl QueryResponse {
     /// Encodes to the wire shape.
     pub fn to_json(&self) -> Json {
+        let mut out = Vec::with_capacity(5);
         match self {
             QueryResponse::Rows(page) => {
-                let mut fields = vec![(schema::KIND.to_string(), Json::str("rows"))];
-                if let Json::Obj(page_fields) = page.to_json() {
-                    fields.extend(page_fields);
-                }
-                Json::Obj(fields)
+                put(&mut out, schema::KIND, &QueryKind::Rows);
+                inline(page, &mut out);
             }
-            QueryResponse::Groups { group_by, groups } => Json::obj([
-                (schema::KIND, Json::str("groups")),
-                (
-                    schema::GROUP_BY,
-                    group_by.as_deref().map_or(Json::Null, Json::str),
-                ),
-                (schema::TOTAL, Json::int(groups.len())),
-                (schema::GROUPS, Json::Arr(groups.clone())),
-            ]),
+            QueryResponse::Groups { group_by, groups } => {
+                put(&mut out, schema::KIND, &QueryKind::Groups);
+                put(&mut out, schema::GROUP_BY, group_by);
+                put(&mut out, schema::TOTAL, &groups.len());
+                put(&mut out, schema::GROUPS, groups);
+            }
         }
+        Json::Obj(out)
     }
 
     /// Decodes the wire shape by its `kind` discriminator.
     pub fn from_json(j: &Json) -> Result<QueryResponse, DecodeError> {
-        match j.get(schema::KIND).and_then(Json::as_str) {
-            Some("rows") => Ok(QueryResponse::Rows(PageDto::from_json(j)?)),
-            Some("groups") => {
-                let group_by = match j.get(schema::GROUP_BY) {
-                    None | Some(Json::Null) => None,
-                    Some(v) => Some(
-                        v.as_str()
-                            .ok_or_else(|| missing(schema::GROUP_BY))?
-                            .to_string(),
-                    ),
-                };
-                let groups = j
-                    .get(schema::GROUPS)
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| missing(schema::GROUPS))?
-                    .to_vec();
-                Ok(QueryResponse::Groups { group_by, groups })
-            }
-            _ => Err(missing(schema::KIND)),
-        }
+        Ok(match take(j, schema::KIND)? {
+            QueryKind::Rows => QueryResponse::Rows(PageDto::from_json(j)?),
+            QueryKind::Groups => QueryResponse::Groups {
+                group_by: take(j, schema::GROUP_BY)?,
+                groups: take(j, schema::GROUPS)?,
+            },
+        })
     }
 }
 
@@ -502,32 +575,13 @@ impl WriteRequest {
             class: class.into(),
         }
     }
-
-    /// Encodes to the wire shape.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("hypergraph", Json::str(&self.hypergraph)),
-            (schema::COLLECTION, Json::str(&self.collection)),
-            (schema::CLASS, Json::str(&self.class)),
-        ])
-    }
-
-    /// Decodes the wire shape; absent labels take the defaults.
-    pub fn from_json(j: &Json) -> Result<WriteRequest, DecodeError> {
-        let hypergraph = req_str(j, "hypergraph")?;
-        let label = |field: &str, default: &str| -> Result<String, DecodeError> {
-            match j.get(field) {
-                None | Some(Json::Null) => Ok(default.to_string()),
-                Some(v) => v.as_str().map(str::to_string).ok_or_else(|| missing(field)),
-            }
-        };
-        Ok(WriteRequest {
-            hypergraph,
-            collection: label(schema::COLLECTION, DEFAULT_WRITE_COLLECTION)?,
-            class: label(schema::CLASS, DEFAULT_WRITE_CLASS)?,
-        })
-    }
 }
+
+wire_struct!(WriteRequest {
+    req hypergraph: HYPERGRAPH,
+    default collection: COLLECTION = DEFAULT_WRITE_COLLECTION.to_string(),
+    default class: CLASS = DEFAULT_WRITE_CLASS.to_string(),
+});
 
 /// What a write actually did — the wire form of the server's commit
 /// decision.
@@ -544,28 +598,14 @@ pub enum WriteOutcome {
     Removed,
 }
 
+wire_enum!(WriteOutcome {
+    Created = "created",
+    Exists = "exists",
+    Replaced = "replaced",
+    Removed = "removed",
+});
+
 impl WriteOutcome {
-    /// The stable wire string.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            WriteOutcome::Created => "created",
-            WriteOutcome::Exists => "exists",
-            WriteOutcome::Replaced => "replaced",
-            WriteOutcome::Removed => "removed",
-        }
-    }
-
-    /// Parses a wire string.
-    pub fn parse(s: &str) -> Option<WriteOutcome> {
-        Some(match s {
-            "created" => WriteOutcome::Created,
-            "exists" => WriteOutcome::Exists,
-            "replaced" => WriteOutcome::Replaced,
-            "removed" => WriteOutcome::Removed,
-            _ => return None,
-        })
-    }
-
     /// The HTTP status a successful write with this outcome answers.
     pub fn http_status(&self) -> u16 {
         match self {
@@ -592,55 +632,12 @@ pub struct WriteReceipt {
     pub content_hash: Option<u64>,
 }
 
-impl WriteReceipt {
-    /// Encodes to the wire shape.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            (schema::ID, Json::int(self.id)),
-            (schema::OUTCOME, Json::str(self.outcome.as_str())),
-            (
-                schema::SEQ,
-                self.seq.map_or(Json::Null, |s| Json::int(s as usize)),
-            ),
-            (
-                schema::CONTENT_HASH,
-                self.content_hash
-                    .map_or(Json::Null, |h| Json::str(format!("{h:016x}"))),
-            ),
-        ])
-    }
-
-    /// Decodes the wire shape.
-    pub fn from_json(j: &Json) -> Result<WriteReceipt, DecodeError> {
-        let outcome = j
-            .get(schema::OUTCOME)
-            .and_then(Json::as_str)
-            .and_then(WriteOutcome::parse)
-            .ok_or_else(|| missing(schema::OUTCOME))?;
-        let seq = match j.get(schema::SEQ) {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(
-                v.as_int()
-                    .and_then(|n| u64::try_from(n).ok())
-                    .ok_or_else(|| missing(schema::SEQ))?,
-            ),
-        };
-        let content_hash = match j.get(schema::CONTENT_HASH) {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(
-                v.as_str()
-                    .and_then(|s| u64::from_str_radix(s, 16).ok())
-                    .ok_or_else(|| missing(schema::CONTENT_HASH))?,
-            ),
-        };
-        Ok(WriteReceipt {
-            id: req_usize(j, schema::ID)?,
-            outcome,
-            seq,
-            content_hash,
-        })
-    }
-}
+wire_struct!(WriteReceipt {
+    req id: ID,
+    req outcome: OUTCOME,
+    null seq: SEQ,
+    hex content_hash: CONTENT_HASH,
+});
 
 /// One named edge of a full entry payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -662,75 +659,16 @@ pub struct EntryDetail {
     pub analysis: Option<AnalysisReport>,
 }
 
-impl EntryDetail {
-    /// Encodes to the wire shape: the summary fields inline plus
-    /// `edge_list` and `analysis`.
-    pub fn to_json(&self) -> Json {
-        let Json::Obj(mut fields) = self.summary.to_json() else {
-            unreachable!("summary encodes to an object")
-        };
-        fields.push((
-            schema::EDGE_LIST.to_string(),
-            Json::Arr(
-                self.edge_list
-                    .iter()
-                    .map(|e| {
-                        Json::obj([
-                            (schema::NAME, Json::str(&e.name)),
-                            (
-                                schema::VERTICES,
-                                Json::Arr(e.vertices.iter().map(Json::str).collect()),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ));
-        fields.push((
-            "analysis".to_string(),
-            self.analysis
-                .as_ref()
-                .map_or(Json::Null, AnalysisReport::to_json),
-        ));
-        Json::Obj(fields)
-    }
+wire_struct!(EdgeDto {
+    req name: NAME,
+    req vertices: VERTICES,
+});
 
-    /// Decodes the wire shape.
-    pub fn from_json(j: &Json) -> Result<EntryDetail, DecodeError> {
-        let summary = EntrySummary::from_json(j)?;
-        let edge_list = j
-            .get(schema::EDGE_LIST)
-            .and_then(Json::as_arr)
-            .ok_or_else(|| missing(schema::EDGE_LIST))?
-            .iter()
-            .map(|e| {
-                Ok(EdgeDto {
-                    name: req_str(e, schema::NAME)?,
-                    vertices: e
-                        .get(schema::VERTICES)
-                        .and_then(Json::as_arr)
-                        .ok_or_else(|| missing(schema::VERTICES))?
-                        .iter()
-                        .map(|v| {
-                            v.as_str()
-                                .map(str::to_string)
-                                .ok_or_else(|| missing(schema::VERTICES))
-                        })
-                        .collect::<Result<Vec<_>, _>>()?,
-                })
-            })
-            .collect::<Result<Vec<_>, DecodeError>>()?;
-        let analysis = match j.get("analysis") {
-            None | Some(Json::Null) => None,
-            Some(a) => Some(AnalysisReport::from_json(a)?),
-        };
-        Ok(EntryDetail {
-            summary,
-            edge_list,
-            analysis,
-        })
-    }
-}
+wire_struct!(EntryDetail {
+    inline summary,
+    req edge_list: EDGE_LIST,
+    null analysis: ANALYSIS,
+});
 
 /// The analysis report of one hypergraph: sizes, Table-2 structural
 /// properties, and width bounds.
@@ -759,63 +697,29 @@ pub struct AnalysisReport {
     pub hw_timed_out: bool,
 }
 
-impl AnalysisReport {
-    /// Encodes to the wire shape.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            (
-                schema::SIZES,
-                Json::obj([
-                    (schema::VERTICES, Json::int(self.sizes.vertices)),
-                    (schema::EDGES, Json::int(self.sizes.edges)),
-                    (schema::ARITY, Json::int(self.sizes.arity)),
-                ]),
-            ),
-            (
-                schema::PROPERTIES,
-                Json::obj([
-                    (schema::DEGREE, Json::int(self.properties.degree)),
-                    (schema::BIP, Json::int(self.properties.bip)),
-                    (schema::BMIP3, Json::int(self.properties.bmip3)),
-                    (schema::BMIP4, Json::int(self.properties.bmip4)),
-                    (schema::VC_DIM, opt_int_json(self.properties.vc_dim)),
-                ]),
-            ),
-            (schema::HW_UPPER, opt_int_json(self.hw_upper)),
-            (schema::HW_LOWER, Json::int(self.hw_lower)),
-            (schema::HW_EXACT, opt_int_json(self.hw_exact)),
-            (schema::CYCLIC, Json::Bool(self.cyclic)),
-            (schema::HW_TIMED_OUT, Json::Bool(self.hw_timed_out)),
-        ])
-    }
+wire_struct!(@record SizeMetrics {
+    req vertices: VERTICES,
+    req edges: EDGES,
+    req arity: ARITY,
+});
 
-    /// Decodes the wire shape.
-    pub fn from_json(j: &Json) -> Result<AnalysisReport, DecodeError> {
-        let sizes = j.get(schema::SIZES).ok_or_else(|| missing(schema::SIZES))?;
-        let props = j
-            .get(schema::PROPERTIES)
-            .ok_or_else(|| missing(schema::PROPERTIES))?;
-        Ok(AnalysisReport {
-            sizes: SizeMetrics {
-                vertices: req_usize(sizes, schema::VERTICES)?,
-                edges: req_usize(sizes, schema::EDGES)?,
-                arity: req_usize(sizes, schema::ARITY)?,
-            },
-            properties: StructuralProperties {
-                degree: req_usize(props, schema::DEGREE)?,
-                bip: req_usize(props, schema::BIP)?,
-                bmip3: req_usize(props, schema::BMIP3)?,
-                bmip4: req_usize(props, schema::BMIP4)?,
-                vc_dim: opt_usize(props, schema::VC_DIM)?,
-            },
-            hw_upper: opt_usize(j, schema::HW_UPPER)?,
-            hw_lower: req_usize(j, schema::HW_LOWER)?,
-            hw_exact: opt_usize(j, schema::HW_EXACT)?,
-            cyclic: req_bool(j, schema::CYCLIC)?,
-            hw_timed_out: req_bool(j, schema::HW_TIMED_OUT)?,
-        })
-    }
-}
+wire_struct!(@record StructuralProperties {
+    req degree: DEGREE,
+    req bip: BIP,
+    req bmip3: BMIP3,
+    req bmip4: BMIP4,
+    null vc_dim: VC_DIM,
+});
+
+wire_struct!(AnalysisReport {
+    req sizes: SIZES,
+    req properties: PROPERTIES,
+    null hw_upper: HW_UPPER,
+    req hw_lower: HW_LOWER,
+    null hw_exact: HW_EXACT,
+    req cyclic: CYCLIC,
+    req hw_timed_out: HW_TIMED_OUT,
+});
 
 /// One cover atom of a decomposition node: a full edge, or a subedge of
 /// it (`vertices` present).
@@ -988,116 +892,28 @@ impl DecompositionDto {
         }
         Ok(d)
     }
-
-    /// Encodes to the wire shape.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            (schema::METHOD, Json::str(self.method.as_str())),
-            ("width", Json::int(self.width)),
-            ("validation", Json::str(&self.validation)),
-            (
-                "fractional_width",
-                self.fractional_width
-                    .as_deref()
-                    .map_or(Json::Null, Json::str),
-            ),
-            (
-                "nodes",
-                Json::Arr(
-                    self.nodes
-                        .iter()
-                        .map(|n| {
-                            Json::obj([
-                                (schema::ID, Json::int(n.id)),
-                                ("parent", n.parent.map_or(Json::Null, Json::int)),
-                                ("bag", Json::Arr(n.bag.iter().map(Json::str).collect())),
-                                (
-                                    "cover",
-                                    Json::Arr(
-                                        n.cover
-                                            .iter()
-                                            .map(|a| {
-                                                let mut fields =
-                                                    vec![("edge".to_string(), Json::str(&a.edge))];
-                                                if let Some(vs) = &a.vertices {
-                                                    fields.push((
-                                                        schema::VERTICES.to_string(),
-                                                        Json::Arr(
-                                                            vs.iter().map(Json::str).collect(),
-                                                        ),
-                                                    ));
-                                                }
-                                                Json::Obj(fields)
-                                            })
-                                            .collect(),
-                                    ),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Decodes the wire shape.
-    pub fn from_json(j: &Json) -> Result<DecompositionDto, DecodeError> {
-        let method_s = req_str(j, schema::METHOD)?;
-        let method = AnalyzeMethod::parse(&method_s)
-            .ok_or_else(|| DecodeError(format!("unknown method {method_s:?}")))?;
-        let fractional_width = match j.get("fractional_width") {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(
-                v.as_str()
-                    .ok_or_else(|| missing("fractional_width"))?
-                    .to_string(),
-            ),
-        };
-        let names = |v: &Json, field: &str| -> Result<Vec<String>, DecodeError> {
-            v.get(field)
-                .and_then(Json::as_arr)
-                .ok_or_else(|| missing(field))?
-                .iter()
-                .map(|s| s.as_str().map(str::to_string).ok_or_else(|| missing(field)))
-                .collect()
-        };
-        let nodes = j
-            .get("nodes")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| missing("nodes"))?
-            .iter()
-            .map(|n| {
-                Ok(DecompNodeDto {
-                    id: req_usize(n, schema::ID)?,
-                    parent: opt_usize(n, "parent")?,
-                    bag: names(n, "bag")?,
-                    cover: n
-                        .get("cover")
-                        .and_then(Json::as_arr)
-                        .ok_or_else(|| missing("cover"))?
-                        .iter()
-                        .map(|a| {
-                            Ok(CoverAtomDto {
-                                edge: req_str(a, "edge")?,
-                                vertices: match a.get(schema::VERTICES) {
-                                    None | Some(Json::Null) => None,
-                                    Some(_) => Some(names(a, schema::VERTICES)?),
-                                },
-                            })
-                        })
-                        .collect::<Result<Vec<_>, DecodeError>>()?,
-                })
-            })
-            .collect::<Result<Vec<_>, DecodeError>>()?;
-        Ok(DecompositionDto {
-            method,
-            width: req_usize(j, "width")?,
-            validation: req_str(j, "validation")?,
-            fractional_width,
-            nodes,
-        })
-    }
 }
+
+// A full-edge atom carries no `vertices`.
+wire_struct!(CoverAtomDto {
+    req edge: EDGE,
+    omit vertices: VERTICES,
+});
+
+wire_struct!(DecompNodeDto {
+    req id: ID,
+    null parent: PARENT,
+    req bag: BAG,
+    req cover: COVER,
+});
+
+wire_struct!(DecompositionDto {
+    req method: METHOD,
+    req width: WIDTH,
+    req validation: VALIDATION,
+    null fractional_width: FRACTIONAL_WIDTH,
+    req nodes: NODES,
+});
 
 /// Lifecycle status of an analysis resource.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1112,28 +928,14 @@ pub enum AnalysisStatus {
     Failed,
 }
 
+wire_enum!(AnalysisStatus {
+    Queued = "queued",
+    Running = "running",
+    Done = "done",
+    Failed = "failed",
+});
+
 impl AnalysisStatus {
-    /// The wire string.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            AnalysisStatus::Queued => "queued",
-            AnalysisStatus::Running => "running",
-            AnalysisStatus::Done => "done",
-            AnalysisStatus::Failed => "failed",
-        }
-    }
-
-    /// Parses a wire string.
-    pub fn parse(s: &str) -> Option<AnalysisStatus> {
-        match s {
-            "queued" => Some(AnalysisStatus::Queued),
-            "running" => Some(AnalysisStatus::Running),
-            "done" => Some(AnalysisStatus::Done),
-            "failed" => Some(AnalysisStatus::Failed),
-            _ => None,
-        }
-    }
-
     /// Whether the resource will not change anymore.
     pub fn is_terminal(&self) -> bool {
         matches!(self, AnalysisStatus::Done | AnalysisStatus::Failed)
@@ -1161,83 +963,15 @@ pub struct AnalysisResource {
     pub error: Option<String>,
 }
 
-impl AnalysisResource {
-    /// Encodes to the wire shape.
-    pub fn to_json(&self) -> Json {
-        let mut fields = vec![
-            (schema::ID.to_string(), Json::int(self.id)),
-            (schema::STATUS.to_string(), Json::str(self.status.as_str())),
-        ];
-        if let Some(m) = self.method {
-            fields.push((schema::METHOD.to_string(), Json::str(m.as_str())));
-        }
-        if let Some(c) = self.cached {
-            fields.push((schema::CACHED.to_string(), Json::Bool(c)));
-        }
-        if let Some(r) = &self.result {
-            fields.push((schema::RESULT.to_string(), r.to_json()));
-        }
-        if let Some(d) = &self.decomposition {
-            fields.push((schema::DECOMPOSITION.to_string(), d.to_json()));
-        }
-        if let Some(e) = &self.error {
-            fields.push((schema::ERROR.to_string(), Json::str(e)));
-        }
-        Json::Obj(fields)
-    }
-
-    /// Decodes the wire shape.
-    pub fn from_json(j: &Json) -> Result<AnalysisResource, DecodeError> {
-        let status_s = req_str(j, schema::STATUS)?;
-        let status = AnalysisStatus::parse(&status_s)
-            .ok_or_else(|| DecodeError(format!("unknown status {status_s:?}")))?;
-        let method = match j.get(schema::METHOD) {
-            None | Some(Json::Null) => None,
-            Some(v) => {
-                let s = v.as_str().ok_or_else(|| missing(schema::METHOD))?;
-                Some(
-                    AnalyzeMethod::parse(s)
-                        .ok_or_else(|| DecodeError(format!("unknown method {s:?}")))?,
-                )
-            }
-        };
-        let id = req_int(j, schema::ID)?;
-        Ok(AnalysisResource {
-            id: u64::try_from(id).map_err(|_| DecodeError("negative id".to_string()))?,
-            status,
-            method,
-            cached: j.get(schema::CACHED).and_then(Json::as_bool),
-            result: match j.get(schema::RESULT) {
-                None | Some(Json::Null) => None,
-                Some(r) => Some(AnalysisReport::from_json(r)?),
-            },
-            decomposition: match j.get(schema::DECOMPOSITION) {
-                None | Some(Json::Null) => None,
-                Some(d) => Some(DecompositionDto::from_json(d)?),
-            },
-            error: j
-                .get(schema::ERROR)
-                .and_then(Json::as_str)
-                .map(str::to_string),
-        })
-    }
-}
-
-/// Decodes a `{name: count}` histogram object into ordered pairs.
-fn pairs_from_json(j: &Json, field: &str) -> Result<Vec<(String, usize)>, DecodeError> {
-    let Some(Json::Obj(pairs)) = j.get(field) else {
-        return Err(missing(field));
-    };
-    pairs
-        .iter()
-        .map(|(k, v)| {
-            let n = v.as_int().ok_or_else(|| missing(field))?;
-            let n = usize::try_from(n)
-                .map_err(|_| DecodeError(format!("negative count in {field:?}")))?;
-            Ok((k.clone(), n))
-        })
-        .collect()
-}
+wire_struct!(AnalysisResource {
+    req id: ID,
+    req status: STATUS,
+    omit method: METHOD,
+    omit cached: CACHED,
+    omit result: RESULT,
+    omit decomposition: DECOMPOSITION,
+    omit error: ERROR,
+});
 
 /// Repository aggregates of the `GET /v1/stats` payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1264,39 +998,18 @@ pub struct RepoStatsDto {
     pub hw_exact: Vec<(String, usize)>,
 }
 
-impl RepoStatsDto {
-    /// Encodes into the `repository` section.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("entries", Json::int(self.entries)),
-            (schema::ANALYZED, Json::int(self.analyzed)),
-            (schema::CYCLIC, Json::int(self.cyclic)),
-            ("hw_timeouts", Json::int(self.hw_timeouts)),
-            ("total_vertices", Json::int(self.total_vertices)),
-            ("total_edges", Json::int(self.total_edges)),
-            ("max_arity", Json::int(self.max_arity)),
-            ("by_class", crate::json::histogram(&self.by_class)),
-            ("by_collection", crate::json::histogram(&self.by_collection)),
-            (schema::HW_EXACT, crate::json::histogram(&self.hw_exact)),
-        ])
-    }
-
-    /// Decodes the `repository` section.
-    pub fn from_json(j: &Json) -> Result<RepoStatsDto, DecodeError> {
-        Ok(RepoStatsDto {
-            entries: req_usize(j, "entries")?,
-            analyzed: req_usize(j, schema::ANALYZED)?,
-            cyclic: req_usize(j, schema::CYCLIC)?,
-            hw_timeouts: req_usize(j, "hw_timeouts")?,
-            total_vertices: req_usize(j, "total_vertices")?,
-            total_edges: req_usize(j, "total_edges")?,
-            max_arity: req_usize(j, "max_arity")?,
-            by_class: pairs_from_json(j, "by_class")?,
-            by_collection: pairs_from_json(j, "by_collection")?,
-            hw_exact: pairs_from_json(j, schema::HW_EXACT)?,
-        })
-    }
-}
+wire_struct!(RepoStatsDto {
+    req entries: ENTRIES,
+    req analyzed: ANALYZED,
+    req cyclic: CYCLIC,
+    req hw_timeouts: HW_TIMEOUTS,
+    req total_vertices: TOTAL_VERTICES,
+    req total_edges: TOTAL_EDGES,
+    req max_arity: MAX_ARITY,
+    req by_class: BY_CLASS,
+    req by_collection: BY_COLLECTION,
+    req hw_exact: HW_EXACT,
+});
 
 /// Analysis-cache counters of the `GET /v1/stats` payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1317,38 +1030,15 @@ pub struct CacheStatsDto {
     pub spill_append_failures: u64,
 }
 
-impl CacheStatsDto {
-    /// Encodes into the `cache` section (the LRU's own keys first, the
-    /// process-wide telemetry counters appended).
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("hits", Json::int(self.hits)),
-            ("misses", Json::int(self.misses)),
-            ("len", Json::int(self.len)),
-            ("capacity", Json::int(self.capacity)),
-            ("evictions", Json::int(self.evictions)),
-            ("spill_appends", Json::int(self.spill_appends)),
-            (
-                "spill_append_failures",
-                Json::int(self.spill_append_failures),
-            ),
-        ])
-    }
-
-    /// Decodes the `cache` section.
-    pub fn from_json(j: &Json) -> Result<CacheStatsDto, DecodeError> {
-        let u = |f| req_int(j, f).map(|n| n.max(0) as u64);
-        Ok(CacheStatsDto {
-            hits: req_usize(j, "hits")?,
-            misses: req_usize(j, "misses")?,
-            len: req_usize(j, "len")?,
-            capacity: req_usize(j, "capacity")?,
-            evictions: u("evictions")?,
-            spill_appends: u("spill_appends")?,
-            spill_append_failures: u("spill_append_failures")?,
-        })
-    }
-}
+wire_struct!(CacheStatsDto {
+    req hits: HITS,
+    req misses: MISSES,
+    req len: LEN,
+    req capacity: CAPACITY,
+    req evictions: EVICTIONS,
+    req spill_appends: SPILL_APPENDS,
+    req spill_append_failures: SPILL_APPEND_FAILURES,
+});
 
 /// Job-system counters of the `GET /v1/stats` payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1370,33 +1060,15 @@ pub struct JobStatsDto {
     pub facts_reused: usize,
 }
 
-impl JobStatsDto {
-    /// Encodes into the `jobs` section.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("submitted", Json::int(self.submitted)),
-            ("queued", Json::int(self.queued)),
-            ("running", Json::int(self.running)),
-            ("done", Json::int(self.done)),
-            ("failed", Json::int(self.failed)),
-            ("deduped", Json::int(self.deduped)),
-            ("facts_reused", Json::int(self.facts_reused)),
-        ])
-    }
-
-    /// Decodes the `jobs` section.
-    pub fn from_json(j: &Json) -> Result<JobStatsDto, DecodeError> {
-        Ok(JobStatsDto {
-            submitted: req_usize(j, "submitted")?,
-            queued: req_usize(j, "queued")?,
-            running: req_usize(j, "running")?,
-            done: req_usize(j, "done")?,
-            failed: req_usize(j, "failed")?,
-            deduped: req_usize(j, "deduped")?,
-            facts_reused: req_usize(j, "facts_reused")?,
-        })
-    }
-}
+wire_struct!(JobStatsDto {
+    req submitted: SUBMITTED,
+    req queued: QUEUED,
+    req running: RUNNING,
+    req done: DONE,
+    req failed: FAILED,
+    req deduped: DEDUPED,
+    req facts_reused: FACTS_REUSED,
+});
 
 /// A latency histogram condensed to its headline numbers: count, sum,
 /// mean and the log₂-bucket upper bounds of the 50/90/99th percentiles.
@@ -1418,34 +1090,15 @@ pub struct HistogramSummaryDto {
     pub p99: u64,
 }
 
-impl HistogramSummaryDto {
-    /// Encodes one histogram summary.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            (schema::NAME, Json::str(&self.name)),
-            (schema::COUNT, Json::int(self.count)),
-            (schema::SUM, Json::int(self.sum)),
-            (schema::MEAN, Json::int(self.mean)),
-            (schema::P50, Json::int(self.p50)),
-            (schema::P90, Json::int(self.p90)),
-            (schema::P99, Json::int(self.p99)),
-        ])
-    }
-
-    /// Decodes one histogram summary.
-    pub fn from_json(j: &Json) -> Result<HistogramSummaryDto, DecodeError> {
-        let u = |f| req_int(j, f).map(|n| n.max(0) as u64);
-        Ok(HistogramSummaryDto {
-            name: req_str(j, schema::NAME)?,
-            count: u(schema::COUNT)?,
-            sum: u(schema::SUM)?,
-            mean: u(schema::MEAN)?,
-            p50: u(schema::P50)?,
-            p90: u(schema::P90)?,
-            p99: u(schema::P99)?,
-        })
-    }
-}
+wire_struct!(HistogramSummaryDto {
+    req name: NAME,
+    req count: COUNT,
+    req sum: SUM,
+    req mean: MEAN,
+    req p50: P50,
+    req p90: P90,
+    req p99: P99,
+});
 
 /// The process-wide telemetry section of `GET /v1/stats`: every
 /// registered counter and gauge by name, plus condensed latency
@@ -1460,73 +1113,11 @@ pub struct TelemetryDto {
     pub histograms: Vec<HistogramSummaryDto>,
 }
 
-impl TelemetryDto {
-    /// Encodes the `telemetry` section.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            (
-                schema::COUNTERS,
-                Json::Obj(
-                    self.counters
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::int(*v)))
-                        .collect(),
-                ),
-            ),
-            (
-                schema::GAUGES,
-                Json::Obj(
-                    self.gauges
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::int(*v)))
-                        .collect(),
-                ),
-            ),
-            (
-                schema::HISTOGRAMS,
-                Json::Arr(self.histograms.iter().map(|h| h.to_json()).collect()),
-            ),
-        ])
-    }
-
-    /// Decodes the `telemetry` section.
-    pub fn from_json(j: &Json) -> Result<TelemetryDto, DecodeError> {
-        let Some(Json::Obj(counters)) = j.get(schema::COUNTERS) else {
-            return Err(missing(schema::COUNTERS));
-        };
-        let counters = counters
-            .iter()
-            .map(|(k, v)| {
-                v.as_int()
-                    .map(|n| (k.clone(), n.max(0) as u64))
-                    .ok_or_else(|| missing(schema::COUNTERS))
-            })
-            .collect::<Result<_, _>>()?;
-        let Some(Json::Obj(gauges)) = j.get(schema::GAUGES) else {
-            return Err(missing(schema::GAUGES));
-        };
-        let gauges = gauges
-            .iter()
-            .map(|(k, v)| {
-                v.as_int()
-                    .map(|n| (k.clone(), n))
-                    .ok_or_else(|| missing(schema::GAUGES))
-            })
-            .collect::<Result<_, _>>()?;
-        let histograms = j
-            .get(schema::HISTOGRAMS)
-            .and_then(Json::as_arr)
-            .ok_or_else(|| missing(schema::HISTOGRAMS))?
-            .iter()
-            .map(HistogramSummaryDto::from_json)
-            .collect::<Result<_, _>>()?;
-        Ok(TelemetryDto {
-            counters,
-            gauges,
-            histograms,
-        })
-    }
-}
+wire_struct!(TelemetryDto {
+    req counters: COUNTERS,
+    req gauges: GAUGES,
+    req histograms: HISTOGRAMS,
+});
 
 /// HBQL counters of the `GET /v1/stats` payload. The scanned/hydrated
 /// pair makes the executor's no-hydration invariant observable: every
@@ -1543,28 +1134,12 @@ pub struct QueryStatsDto {
     pub rows_hydrated: u64,
 }
 
-impl QueryStatsDto {
-    /// Encodes into the `query` section.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("queries", Json::int(self.queries)),
-            ("errors", Json::int(self.errors)),
-            ("rows_scanned", Json::int(self.rows_scanned)),
-            ("rows_hydrated", Json::int(self.rows_hydrated)),
-        ])
-    }
-
-    /// Decodes the `query` section.
-    pub fn from_json(j: &Json) -> Result<QueryStatsDto, DecodeError> {
-        let u = |f| req_int(j, f).map(|n| n.max(0) as u64);
-        Ok(QueryStatsDto {
-            queries: u("queries")?,
-            errors: u("errors")?,
-            rows_scanned: u("rows_scanned")?,
-            rows_hydrated: u("rows_hydrated")?,
-        })
-    }
-}
+wire_struct!(QueryStatsDto {
+    req queries: QUERIES,
+    req errors: ERRORS,
+    req rows_scanned: ROWS_SCANNED,
+    req rows_hydrated: ROWS_HYDRATED,
+});
 
 /// The full `GET /v1/stats` payload: repository aggregates, cache and
 /// job counters (version-stable since PR 1), HBQL counters, plus the
@@ -1583,46 +1158,15 @@ pub struct StatsDto {
     pub telemetry: TelemetryDto,
 }
 
-impl StatsDto {
-    /// Encodes the stats payload.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            (schema::REPOSITORY, self.repository.to_json()),
-            (schema::CACHE, self.cache.to_json()),
-            (schema::JOBS_SECTION, self.jobs.to_json()),
-            (schema::QUERY, self.query.to_json()),
-            (schema::TELEMETRY, self.telemetry.to_json()),
-        ])
-    }
-
-    /// Decodes the stats payload.
-    pub fn from_json(j: &Json) -> Result<StatsDto, DecodeError> {
-        Ok(StatsDto {
-            repository: RepoStatsDto::from_json(
-                j.get(schema::REPOSITORY)
-                    .ok_or_else(|| missing(schema::REPOSITORY))?,
-            )?,
-            cache: CacheStatsDto::from_json(
-                j.get(schema::CACHE).ok_or_else(|| missing(schema::CACHE))?,
-            )?,
-            jobs: JobStatsDto::from_json(
-                j.get(schema::JOBS_SECTION)
-                    .ok_or_else(|| missing(schema::JOBS_SECTION))?,
-            )?,
-            // Tolerate pre-HBQL payloads: an absent section decodes to
-            // zeroes rather than failing the whole stats read.
-            query: j
-                .get(schema::QUERY)
-                .map(QueryStatsDto::from_json)
-                .transpose()?
-                .unwrap_or_default(),
-            telemetry: TelemetryDto::from_json(
-                j.get(schema::TELEMETRY)
-                    .ok_or_else(|| missing(schema::TELEMETRY))?,
-            )?,
-        })
-    }
-}
+// A payload from before HBQL has no `query` section: it decodes to
+// zeroes rather than failing the whole stats read.
+wire_struct!(StatsDto {
+    req repository: REPOSITORY,
+    req cache: CACHE,
+    req jobs: JOBS_SECTION,
+    default query: QUERY = QueryStatsDto::default(),
+    req telemetry: TELEMETRY,
+});
 
 #[cfg(test)]
 mod tests {
@@ -1825,6 +1369,115 @@ mod tests {
         );
         assert!(AnalysisStatus::Failed.is_terminal());
         assert!(!AnalysisStatus::Running.is_terminal());
+    }
+
+    /// Decodes `payload` with `decode`, which must fail naming `path`.
+    fn rejects<T: std::fmt::Debug>(
+        decode: fn(&Json) -> Result<T, DecodeError>,
+        payload: &str,
+        path: &str,
+    ) {
+        let err = decode(&Json::parse(payload).unwrap())
+            .expect_err(&format!("{payload} must not decode"));
+        assert!(
+            err.0.starts_with(path),
+            "{payload}: {err} does not name {path:?}"
+        );
+    }
+
+    #[test]
+    fn present_but_mistyped_or_out_of_range_fields_are_rejected() {
+        let counters = r#""hits":0,"misses":0,"len":0,"capacity":0,"spill_appends":0"#;
+        // A mistyped optional is not an absent one, and a negative
+        // counter is not zero.
+        rejects(
+            AnalysisResource::from_json,
+            r#"{"id":1,"status":"done","cached":"yes"}"#,
+            "cached",
+        );
+        rejects(
+            AnalysisResource::from_json,
+            r#"{"id":1,"status":"failed","error":5}"#,
+            "error",
+        );
+        rejects(
+            CacheStatsDto::from_json,
+            &format!(r#"{{{counters},"evictions":-1,"spill_append_failures":0}}"#),
+            "evictions",
+        );
+        rejects(
+            HistogramSummaryDto::from_json,
+            r#"{"name":"h","count":-1,"sum":0,"mean":0,"p50":0,"p90":0,"p99":0}"#,
+            "count",
+        );
+        rejects(
+            TelemetryDto::from_json,
+            r#"{"counters":{"c":-1},"gauges":{},"histograms":[]}"#,
+            "counters: c",
+        );
+        rejects(
+            QueryStatsDto::from_json,
+            r#"{"queries":-1,"errors":0,"rows_scanned":0,"rows_hydrated":0}"#,
+            "queries",
+        );
+        // The same rule everywhere else.
+        rejects(
+            AnalysisResource::from_json,
+            r#"{"id":-1,"status":"done"}"#,
+            "id",
+        );
+        rejects(
+            AnalysisResource::from_json,
+            r#"{"id":1,"status":"lost"}"#,
+            "status",
+        );
+        rejects(
+            AnalyzeRequest::from_json,
+            r#"{"hypergraph":"e(a,b).","max_width":"3"}"#,
+            "max_width",
+        );
+        rejects(
+            WriteRequest::from_json,
+            r#"{"hypergraph":"e(a,b).","collection":7}"#,
+            "collection",
+        );
+        rejects(
+            PageDto::from_json,
+            r#"{"total":1,"items":[{"id":"x"}],"next_cursor":null}"#,
+            "items: [0]: id",
+        );
+        rejects(
+            PageDto::from_json,
+            r#"{"total":0,"items":[],"next_cursor":null,"partial":[-1]}"#,
+            "partial: [0]",
+        );
+        rejects(
+            WriteReceipt::from_json,
+            r#"{"id":1,"outcome":"created","seq":1,"content_hash":"zz"}"#,
+            "content_hash",
+        );
+        rejects(QueryResponse::from_json, r#"{"kind":"tables"}"#, "kind");
+        rejects(StatsDto::from_json, r#"{"repository":[]}"#, "repository");
+        rejects(EntryDetail::from_json, "[]", "expected an object");
+    }
+
+    #[test]
+    fn absent_or_null_optionals_decode_to_none_or_their_default() {
+        let r = AnalysisResource::from_json(
+            &Json::parse(r#"{"id":1,"status":"queued","method":null,"cached":null,"error":null}"#)
+                .unwrap(),
+        )
+        .unwrap();
+        assert_eq!((r.method, r.cached, r.error), (None, None, None));
+        let req = AnalyzeRequest::from_json(
+            &Json::parse(r#"{"hypergraph":"e.","method":null}"#).unwrap(),
+        );
+        assert_eq!(req.unwrap().method, AnalyzeMethod::Hd);
+        let write =
+            WriteRequest::from_json(&Json::parse(r#"{"hypergraph":"e.","class":null}"#).unwrap());
+        assert_eq!(write, Ok(WriteRequest::new("e.")));
+        // A required field is missing whether absent or null.
+        rejects(EntrySummary::from_json, r#"{"id":null}"#, "id: missing");
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! legacy clients that only look for a message keep working, and adds
 //! `"code"` for typed clients.
 
+use crate::dto::{wire_enum, wire_struct, Wire};
 use crate::json::Json;
-use crate::schema;
 
 /// Stable error codes of the `/v1` contract. The string forms are part
 /// of the wire contract — never renumber or rename, only append.
@@ -61,56 +61,28 @@ pub enum ErrorCode {
     BadUpstream,
 }
 
+wire_enum!(ErrorCode {
+    BadRequest = "bad_request",
+    InvalidParam = "invalid_param",
+    InvalidCursor = "invalid_cursor",
+    ParseError = "parse_error",
+    NotFound = "not_found",
+    MethodNotAllowed = "method_not_allowed",
+    PayloadTooLarge = "payload_too_large",
+    RequestTimeout = "request_timeout",
+    Conflict = "conflict",
+    InvalidHypergraph = "invalid_hypergraph",
+    InvalidQuery = "invalid_query",
+    ReadOnly = "read_only",
+    QueueFull = "queue_full",
+    ShuttingDown = "shutting_down",
+    Internal = "internal",
+    Overloaded = "overloaded",
+    Degraded = "degraded",
+    BadUpstream = "bad_upstream",
+});
+
 impl ErrorCode {
-    /// The stable wire string.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            ErrorCode::BadRequest => "bad_request",
-            ErrorCode::InvalidParam => "invalid_param",
-            ErrorCode::InvalidCursor => "invalid_cursor",
-            ErrorCode::ParseError => "parse_error",
-            ErrorCode::NotFound => "not_found",
-            ErrorCode::MethodNotAllowed => "method_not_allowed",
-            ErrorCode::PayloadTooLarge => "payload_too_large",
-            ErrorCode::RequestTimeout => "request_timeout",
-            ErrorCode::Conflict => "conflict",
-            ErrorCode::InvalidHypergraph => "invalid_hypergraph",
-            ErrorCode::InvalidQuery => "invalid_query",
-            ErrorCode::ReadOnly => "read_only",
-            ErrorCode::QueueFull => "queue_full",
-            ErrorCode::ShuttingDown => "shutting_down",
-            ErrorCode::Internal => "internal",
-            ErrorCode::Overloaded => "overloaded",
-            ErrorCode::Degraded => "degraded",
-            ErrorCode::BadUpstream => "bad_upstream",
-        }
-    }
-
-    /// Parses a wire string back into a code.
-    pub fn parse(s: &str) -> Option<ErrorCode> {
-        Some(match s {
-            "bad_request" => ErrorCode::BadRequest,
-            "invalid_param" => ErrorCode::InvalidParam,
-            "invalid_cursor" => ErrorCode::InvalidCursor,
-            "parse_error" => ErrorCode::ParseError,
-            "not_found" => ErrorCode::NotFound,
-            "method_not_allowed" => ErrorCode::MethodNotAllowed,
-            "payload_too_large" => ErrorCode::PayloadTooLarge,
-            "request_timeout" => ErrorCode::RequestTimeout,
-            "conflict" => ErrorCode::Conflict,
-            "invalid_hypergraph" => ErrorCode::InvalidHypergraph,
-            "invalid_query" => ErrorCode::InvalidQuery,
-            "read_only" => ErrorCode::ReadOnly,
-            "queue_full" => ErrorCode::QueueFull,
-            "shutting_down" => ErrorCode::ShuttingDown,
-            "internal" => ErrorCode::Internal,
-            "overloaded" => ErrorCode::Overloaded,
-            "degraded" => ErrorCode::Degraded,
-            "bad_upstream" => ErrorCode::BadUpstream,
-            _ => return None,
-        })
-    }
-
     /// The HTTP status this code maps to.
     pub fn http_status(&self) -> u16 {
         match self {
@@ -147,14 +119,26 @@ impl ErrorCode {
     }
 }
 
-/// A structured error payload: `{"code":"…","error":"…"}`.
+/// A structured error payload: `{"code":"…","error":"…"}`, plus
+/// `"request_id"` when the request was traced.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ApiError {
     /// The stable machine-readable code.
     pub code: ErrorCode,
     /// The human-readable message.
     pub message: String,
+    /// The trace id of the request that failed, when the server traced
+    /// it: grep-able across router and shard logs.
+    pub request_id: Option<u64>,
 }
+
+// A missing code degrades to `internal` and a missing message to a
+// placeholder, so payloads from older servers still surface as errors.
+wire_struct!(@record ApiError {
+    default code: CODE = ErrorCode::Internal,
+    default message: ERROR = "unknown error".to_string(),
+    omit request_id: REQUEST_ID,
+});
 
 impl ApiError {
     /// Builds an error from a code and message.
@@ -162,6 +146,7 @@ impl ApiError {
         ApiError {
             code,
             message: message.into(),
+            request_id: None,
         }
     }
 
@@ -187,32 +172,30 @@ impl ApiError {
 
     /// Encodes to the wire JSON shape.
     pub fn to_json(&self) -> Json {
-        Json::obj([
-            (schema::CODE, Json::str(self.code.as_str())),
-            (schema::ERROR, Json::str(&self.message)),
-        ])
+        Wire::encode(self)
     }
 
-    /// Decodes a wire payload; a missing/unknown code degrades to
-    /// [`ErrorCode::Internal`] so old payloads still surface a message.
+    /// Decodes a wire payload. A payload that does not decode (an
+    /// unknown code from a newer server, a mistyped field) degrades to
+    /// [`ErrorCode::Internal`] carrying the raw payload as its message,
+    /// so the caller still sees what the server said.
     pub fn from_json(j: &Json) -> ApiError {
-        let code = j
-            .get(schema::CODE)
-            .and_then(Json::as_str)
-            .and_then(ErrorCode::parse)
-            .unwrap_or(ErrorCode::Internal);
-        let message = j
-            .get(schema::ERROR)
-            .and_then(Json::as_str)
-            .unwrap_or("unknown error")
-            .to_string();
-        ApiError { code, message }
+        Wire::decode(j).unwrap_or_else(|e| {
+            ApiError::new(
+                ErrorCode::Internal,
+                format!("undecodable error payload ({e}): {j}"),
+            )
+        })
     }
 }
 
 impl std::fmt::Display for ApiError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}: {}", self.code.as_str(), self.message)
+        write!(f, "{}: {}", self.code.as_str(), self.message)?;
+        match self.request_id {
+            Some(id) => write!(f, " (request {id})"),
+            None => Ok(()),
+        }
     }
 }
 
@@ -266,10 +249,38 @@ mod tests {
     }
 
     #[test]
+    fn request_id_roundtrips_and_is_displayed() {
+        let mut e = ApiError::not_found("no hypergraph with id 9");
+        assert_eq!(e.to_string(), "not_found: no hypergraph with id 9");
+        e.request_id = Some(41);
+        let j = e.to_json();
+        assert_eq!(
+            j.to_string(),
+            r#"{"code":"not_found","error":"no hypergraph with id 9","request_id":41}"#
+        );
+        assert_eq!(ApiError::from_json(&j), e);
+        assert_eq!(
+            e.to_string(),
+            "not_found: no hypergraph with id 9 (request 41)"
+        );
+    }
+
+    #[test]
     fn unknown_code_degrades_to_internal() {
         let j = Json::obj([("error", Json::str("boom"))]);
         let e = ApiError::from_json(&j);
         assert_eq!(e.code, ErrorCode::Internal);
         assert_eq!(e.message, "boom");
+        // An unknown code keeps the payload visible in the message.
+        let j = Json::obj([
+            ("code", Json::str("from_the_future")),
+            ("error", Json::str("boom")),
+        ]);
+        let e = ApiError::from_json(&j);
+        assert_eq!(e.code, ErrorCode::Internal);
+        assert!(
+            e.message.contains("from_the_future") && e.message.contains("boom"),
+            "{e}"
+        );
     }
 }

@@ -167,16 +167,6 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")
 }
 
-/// Convenience conversion: `(name, count)` histograms → JSON objects.
-pub fn histogram<K: fmt::Display>(pairs: &[(K, usize)]) -> Json {
-    Json::Obj(
-        pairs
-            .iter()
-            .map(|(k, n)| (k.to_string(), Json::int(*n)))
-            .collect(),
-    )
-}
-
 /// A cursor over one JSON document that reads it without building it:
 /// [`Walker::object`] and [`Walker::array`] hand each field or element
 /// to a callback, which consumes it — [`Walker::skip_value`] for its
@@ -570,12 +560,6 @@ mod tests {
         assert_eq!(parsed.as_str(), Some("grün"));
         // Control characters are escaped on output.
         assert_eq!(Json::str("a\u{7}b").to_string(), r#""a\u0007b""#);
-    }
-
-    #[test]
-    fn histogram_builder() {
-        let h = histogram(&[("CSP".to_string(), 3), ("CQ".to_string(), 1)]);
-        assert_eq!(h.to_string(), r#"{"CSP":3,"CQ":1}"#);
     }
 
     #[test]

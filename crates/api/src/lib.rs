@@ -9,8 +9,8 @@
 //! * [`schema`]: the single constant table of field names, shared with
 //!   the repository's `index.tsv` store schema,
 //! * [`dto`]: typed request/response DTOs (`EntrySummary`,
-//!   `AnalysisReport`, `DecompositionDto`, `AnalyzeRequest`, …), each
-//!   owning its JSON encode/decode,
+//!   `AnalysisReport`, `DecompositionDto`, `AnalyzeRequest`, …), whose
+//!   JSON encode/decode comes from one field table per DTO,
 //! * [`cursor`]: opaque keyset pagination cursors,
 //! * [`error`]: structured [`ApiError`]s with stable machine-readable
 //!   codes,

@@ -1,12 +1,14 @@
-//! The single constant table for field names shared between the wire
-//! DTOs and the repository's on-disk `index.tsv` store.
+//! The single constant table for field names: every key of a `/v1`
+//! payload, and every column of the repository's on-disk `index.tsv`
+//! store.
 //!
-//! Every name that appears both in a `/v1` JSON payload and as an
-//! `index.tsv` column is defined exactly once here: the DTO encoders in
-//! [`crate::dto`] and the store writer in `hyperbench-repo` both import
-//! these constants, so the wire schema and the store schema cannot drift
-//! apart silently — renaming a column is a one-line change that the
-//! compiler propagates to both sides.
+//! The DTO field tables in [`crate::dto`] name their keys only through
+//! these constants, so a literal key cannot enter the wire. The names a
+//! payload shares with an `index.tsv` column are defined once here, for
+//! both the DTO tables and the store writer in `hyperbench-repo`. So the
+//! wire schema and the store schema cannot drift apart silently:
+//! renaming a column is a one-line change that the compiler propagates
+//! to both sides.
 
 /// Entry id (store column 0 and wire field).
 pub const ID: &str = "id";
@@ -98,6 +100,30 @@ pub const SEQ: &str = "seq";
 /// Write receipts: canonical content hash of the stored hypergraph
 /// (hex, 16 digits).
 pub const CONTENT_HASH: &str = "content_hash";
+/// Analyze and write requests: the `.hg` document.
+pub const HYPERGRAPH: &str = "hypergraph";
+/// Analyze request: largest width tried (`k_max`).
+pub const MAX_WIDTH: &str = "max_width";
+/// Analyze request: per-`Check` timeout budget in milliseconds.
+pub const TIMEOUT_MS: &str = "timeout_ms";
+/// Entry detail: the analysis report (`null` when not computed).
+pub const ANALYSIS: &str = "analysis";
+/// Decomposition: the width `max |λ_u|`.
+pub const WIDTH: &str = "width";
+/// Decomposition: the server's validation verdict.
+pub const VALIDATION: &str = "validation";
+/// Decomposition: fractional width upper bound (`fhd` only).
+pub const FRACTIONAL_WIDTH: &str = "fractional_width";
+/// Decomposition: the tree nodes, root first.
+pub const NODES: &str = "nodes";
+/// Decomposition node: parent node id (`null` for the root).
+pub const PARENT: &str = "parent";
+/// Decomposition node: bag vertex names.
+pub const BAG: &str = "bag";
+/// Decomposition node: the λ-label's cover atoms.
+pub const COVER: &str = "cover";
+/// Cover atom: the (parent) edge name.
+pub const EDGE: &str = "edge";
 /// Error payloads: stable machine-readable code.
 pub const CODE: &str = "code";
 /// Error payloads: human-readable message (legacy-compatible key).
@@ -160,6 +186,56 @@ pub const REPOSITORY: &str = "repository";
 pub const CACHE: &str = "cache";
 /// Stats payload: the job-system counters section.
 pub const JOBS_SECTION: &str = "jobs";
+/// Repository section: total entries.
+pub const ENTRIES: &str = "entries";
+/// Repository section: analyzed entries whose hw search timed out.
+pub const HW_TIMEOUTS: &str = "hw_timeouts";
+/// Repository section: sum of vertex counts.
+pub const TOTAL_VERTICES: &str = "total_vertices";
+/// Repository section: sum of edge counts.
+pub const TOTAL_EDGES: &str = "total_edges";
+/// Repository section: largest edge size over all entries.
+pub const MAX_ARITY: &str = "max_arity";
+/// Repository section: entry counts per class (`name` → count).
+pub const BY_CLASS: &str = "by_class";
+/// Repository section: entry counts per collection (`name` → count).
+pub const BY_COLLECTION: &str = "by_collection";
+/// Cache section: lookups answered from memory.
+pub const HITS: &str = "hits";
+/// Cache section: lookups that missed.
+pub const MISSES: &str = "misses";
+/// Cache section: entries resident.
+pub const LEN: &str = "len";
+/// Cache section: configured capacity.
+pub const CAPACITY: &str = "capacity";
+/// Cache section: entries evicted by the capacity bound.
+pub const EVICTIONS: &str = "evictions";
+/// Cache section: results appended to the warm-restart spill.
+pub const SPILL_APPENDS: &str = "spill_appends";
+/// Cache section: spill appends that failed.
+pub const SPILL_APPEND_FAILURES: &str = "spill_append_failures";
+/// Jobs section: jobs ever submitted.
+pub const SUBMITTED: &str = "submitted";
+/// Jobs section: jobs queued.
+pub const QUEUED: &str = "queued";
+/// Jobs section: jobs running.
+pub const RUNNING: &str = "running";
+/// Jobs section: jobs finished.
+pub const DONE: &str = "done";
+/// Jobs section: jobs failed.
+pub const FAILED: &str = "failed";
+/// Jobs section: submissions deduplicated onto an in-flight job.
+pub const DEDUPED: &str = "deduped";
+/// Jobs section: jobs that started from recorded facts.
+pub const FACTS_REUSED: &str = "facts_reused";
+/// Query section: queries compiled.
+pub const QUERIES: &str = "queries";
+/// Query section: queries rejected.
+pub const ERRORS: &str = "errors";
+/// Query section: metadata rows visited.
+pub const ROWS_SCANNED: &str = "rows_scanned";
+/// Query section: rows whose evaluation hydrated the entry.
+pub const ROWS_HYDRATED: &str = "rows_hydrated";
 /// Stats payload: the process-wide telemetry section.
 pub const TELEMETRY: &str = "telemetry";
 /// Telemetry section: monotone counters (`name` → total).

@@ -75,18 +75,21 @@ impl ServerState {
 /// failure logged by a shard and surfaced by the router greps to the
 /// same id on both sides of the fleet.
 pub fn error_response(err: ApiError) -> Response {
-    let status = err.http_status();
-    let mut json = err.to_json();
+    error_response_with(err, None)
+}
+
+/// [`error_response`] with one field after the error's own (the `span`
+/// of an `invalid_query`): every error payload is rendered here.
+fn error_response_with(mut err: ApiError, extra: Option<(&str, Json)>) -> Response {
     let request_id = hyperbench_telemetry::trace::current_request_id();
     if request_id != 0 {
-        if let Json::Obj(fields) = &mut json {
-            fields.push((
-                schema::REQUEST_ID.to_string(),
-                Json::int(request_id as usize),
-            ));
-        }
+        err.request_id = Some(request_id);
     }
-    Response::json(status, json)
+    let mut json = err.to_json();
+    if let (Json::Obj(fields), Some((key, value))) = (&mut json, extra) {
+        fields.push((key.to_string(), value));
+    }
+    Response::json(err.http_status(), json)
 }
 
 /// The structured response for a request that could not be parsed, or
@@ -271,18 +274,14 @@ fn compile_filter_params<'a>(
 /// Renders an HBQL compile failure as a 422 `invalid_query` whose
 /// payload carries the byte-offset span of the offending query text.
 fn query_error_response(e: QueryError) -> Response {
-    let err = ApiError::new(ErrorCode::InvalidQuery, e.message.clone());
-    let mut j = err.to_json();
-    if let Json::Obj(fields) = &mut j {
-        fields.push((
-            schema::SPAN.to_string(),
-            Json::obj([
-                (schema::START, Json::int(e.span.start)),
-                (schema::END, Json::int(e.span.end)),
-            ]),
-        ));
-    }
-    Response::json(err.http_status(), j)
+    let span = Json::obj([
+        (schema::START, Json::int(e.span.start)),
+        (schema::END, Json::int(e.span.end)),
+    ]);
+    error_response_with(
+        ApiError::new(ErrorCode::InvalidQuery, e.message),
+        Some((schema::SPAN, span)),
+    )
 }
 
 /// Parses, keys, and submits an analysis. `Err` is the structured

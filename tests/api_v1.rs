@@ -7,7 +7,7 @@
 use std::time::Duration;
 
 use hyperbench_api::{
-    AnalysisStatus, AnalyzeMethod, AnalyzeRequest, Client, ErrorCode, Json, ListQuery,
+    AnalysisStatus, AnalyzeMethod, AnalyzeRequest, Client, ClientError, ErrorCode, Json, ListQuery,
 };
 use hyperbench_core::format::parse_hg;
 use hyperbench_decomp::validate::{validate_ghd, validate_hd};
@@ -111,6 +111,17 @@ fn structured_errors_have_stable_codes() {
     // Missing resources.
     expect_api_error(client.entry(999), ErrorCode::NotFound);
     expect_api_error(client.analysis(999), ErrorCode::NotFound);
+    // The error a client holds names the request that failed.
+    match client.entry(999) {
+        Err(ClientError::Api { error, .. }) => {
+            let id = error.request_id.expect("a 404 carries its trace id");
+            assert!(
+                error.to_string().ends_with(&format!(" (request {id})")),
+                "{error}"
+            );
+        }
+        other => panic!("expected a 404, got {other:?}"),
+    }
     // Degenerate analysis overrides are rejected, not silently repaired.
     let mut degenerate = AnalyzeRequest::hd("e(a,b).");
     degenerate.max_width = Some(0);

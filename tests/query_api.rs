@@ -183,6 +183,10 @@ fn invalid_queries_answer_422_with_byte_spans() {
         body.get("code").and_then(Json::as_str),
         Some("invalid_query")
     );
+    assert!(
+        body.get("request_id").and_then(Json::as_int).is_some(),
+        "the 422 carries its request's trace id like every error payload: {body}"
+    );
     let span = body.get("span").expect("span object");
     assert_eq!(span.get("start").and_then(Json::as_int), Some(15));
     assert_eq!(span.get("end").and_then(Json::as_int), Some(17));
