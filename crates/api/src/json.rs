@@ -110,61 +110,101 @@ impl Json {
     }
 }
 
-impl fmt::Display for Json {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl Json {
+    /// Appends this value's JSON text to `out` — the one serializer:
+    /// [`Display`](fmt::Display) (and so `to_string()`) writes what it
+    /// writes. Bytes go straight into `out`: integers are spelled digit
+    /// by digit and a string's runs between escapes are copied whole,
+    /// with no [`fmt::Formatter`] in between.
+    pub fn write(&self, out: &mut String) {
         match self {
-            Json::Null => f.write_str("null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::Int(n) => write!(f, "{n}"),
-            Json::Str(s) => write_escaped(f, s),
+            Json::Null => out.push_str("null"),
+            Json::Bool(true) => out.push_str("true"),
+            Json::Bool(false) => out.push_str("false"),
+            Json::Int(n) => write_int(out, *n),
+            Json::Str(s) => write_escaped(out, s),
             Json::Arr(items) => {
-                f.write_str("[")?;
+                out.push('[');
                 for (i, v) in items.iter().enumerate() {
                     if i > 0 {
-                        f.write_str(",")?;
+                        out.push(',');
                     }
-                    v.fmt(f)?;
+                    v.write(out);
                 }
-                f.write_str("]")
+                out.push(']');
             }
             Json::Obj(pairs) => {
-                f.write_str("{")?;
+                out.push('{');
                 for (i, (k, v)) in pairs.iter().enumerate() {
                     if i > 0 {
-                        f.write_str(",")?;
+                        out.push(',');
                     }
-                    write_escaped(f, k)?;
-                    f.write_str(":")?;
-                    v.fmt(f)?;
+                    write_escaped(out, k);
+                    out.push(':');
+                    v.write(out);
                 }
-                f.write_str("}")
+                out.push('}');
             }
         }
     }
 }
 
-/// Writes `s` as a string literal: the runs between characters that
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut out = String::new();
+        self.write(&mut out);
+        f.write_str(&out)
+    }
+}
+
+/// Appends the decimal digits of `n`.
+fn write_int(out: &mut String, n: i64) {
+    // u64::MAX has 20 digits; |i64::MIN| has 19.
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    let mut v = n.unsigned_abs();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    if n < 0 {
+        out.push('-');
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+/// Appends `s` as a string literal: the runs between characters that
 /// need an escape go out whole.
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
+fn write_escaped(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.reserve(s.len() + 2);
+    out.push('"');
     let mut run = 0;
     for (i, b) in s.bytes().enumerate() {
         if b >= 0x20 && b != b'"' && b != b'\\' {
             continue;
         }
-        f.write_str(&s[run..i])?;
+        out.push_str(&s[run..i]);
         match b {
-            b'"' => f.write_str("\\\"")?,
-            b'\\' => f.write_str("\\\\")?,
-            b'\n' => f.write_str("\\n")?,
-            b'\r' => f.write_str("\\r")?,
-            b'\t' => f.write_str("\\t")?,
-            _ => write!(f, "\\u{b:04x}")?,
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(HEX[usize::from(b >> 4)] as char);
+                out.push(HEX[usize::from(b & 0xf)] as char);
+            }
         }
         run = i + 1;
     }
-    f.write_str(&s[run..])?;
-    f.write_str("\"")
+    out.push_str(&s[run..]);
+    out.push('"');
 }
 
 /// A cursor over one JSON document that reads it without building it:
@@ -517,6 +557,63 @@ mod tests {
             ("list", Json::Arr(vec![Json::Null, Json::Bool(true)])),
         ]);
         assert_eq!(j.to_string(), r#"{"b":1,"a":"x\"y\nz","list":[null,true]}"#);
+    }
+
+    /// The writer's text for `v`, checked against `Display`.
+    fn written(v: &Json) -> String {
+        let mut out = String::new();
+        v.write(&mut out);
+        assert_eq!(v.to_string(), out, "Display and the writer disagree");
+        out
+    }
+
+    #[test]
+    fn writer_bytes_match_reference_strings() {
+        let cases: Vec<(Json, &str)> = vec![
+            (
+                Json::str("\u{0}\u{1}\u{8}\u{b}\u{c}\u{1f}"),
+                r#""\u0000\u0001\u0008\u000b\u000c\u001f""#,
+            ),
+            (Json::str("\n\r\t"), r#""\n\r\t""#),
+            (Json::str("say \"hi\""), r#""say \"hi\"""#),
+            (Json::str("a\\b\\"), r#""a\\b\\""#),
+            (Json::str("grün € 😀 \u{7f}"), "\"grün € 😀 \u{7f}\""),
+            (Json::str(""), r#""""#),
+            (Json::Int(0), "0"),
+            (Json::Int(-1), "-1"),
+            (Json::Int(10), "10"),
+            (Json::Int(i64::MIN), "-9223372036854775808"),
+            (Json::Int(i64::MAX), "9223372036854775807"),
+            (Json::Null, "null"),
+            (Json::Bool(true), "true"),
+            (Json::Bool(false), "false"),
+            (Json::Arr(Vec::new()), "[]"),
+            (Json::Obj(Vec::new()), "{}"),
+            (
+                Json::Obj(vec![(
+                    "k\u{1}\"".to_string(),
+                    Json::Arr(vec![Json::Obj(Vec::new())]),
+                )]),
+                r#"{"k\u0001\"":[{}]}"#,
+            ),
+        ];
+        for (value, reference) in cases {
+            assert_eq!(written(&value), reference, "{value:?}");
+        }
+    }
+
+    #[test]
+    fn writer_nests_deeply() {
+        let mut v = Json::Int(7);
+        for depth in 0..200 {
+            v = if depth % 2 == 0 {
+                Json::Arr(vec![v])
+            } else {
+                Json::Obj(vec![("a".to_string(), v)])
+            };
+        }
+        let reference = format!("{}7{}", r#"{"a":["#.repeat(100), "]}".repeat(100));
+        assert_eq!(written(&v), reference);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 
 #![forbid(unsafe_code)]
 
+use std::io::Write;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -77,6 +78,31 @@ Row pages print a summary table plus the continuation cursor; aggregate
 queries print one JSON object per group.
 ";
 
+/// Writes to stdout: `out!` is `print!`, `outln!` is `println!`.
+/// Every line of CLI output goes through these, so a reader that stops
+/// early (`hyperbench decompose … | head -1`) ends the process quietly
+/// with status 0 instead of panicking on the closed pipe.
+macro_rules! out {
+    ($($arg:tt)*) => { emitted(write!(std::io::stdout(), $($arg)*)) };
+}
+
+macro_rules! outln {
+    ($($arg:tt)*) => { emitted(writeln!(std::io::stdout(), $($arg)*)) };
+}
+
+/// Handles the result of a write to stdout: a closed reader ends the
+/// process with status 0; any other failure is an error, status 1.
+fn emitted(written: std::io::Result<()>) {
+    match written {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => {
+            eprintln!("error: writing to stdout: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let code = match run(&args) {
@@ -87,6 +113,8 @@ fn main() {
             1
         }
     };
+    // What is still buffered meets a closed reader here at the latest.
+    emitted(std::io::stdout().flush());
     std::process::exit(code);
 }
 
@@ -166,7 +194,6 @@ fn route(
     map: &hyperbench_router::ShardMap,
     opts: hyperbench_router::RouterOptions,
 ) -> Result<(), String> {
-    use std::io::Write;
     let addr = flags.get("addr").unwrap_or("127.0.0.1:8080");
     let listener = std::net::TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
     let reactor = hyperbench_server::reactor::ReactorOptions {
@@ -174,8 +201,8 @@ fn route(
         ..Default::default()
     };
     let offload_threads = flags.get_parsed("offload-threads", 16)?;
-    println!("ADDR {}", listener.local_addr().map_err(|e| e.to_string())?);
-    std::io::stdout().flush().map_err(|e| e.to_string())?;
+    outln!("ADDR {}", listener.local_addr().map_err(|e| e.to_string())?);
+    emitted(std::io::stdout().flush());
     let shutdown = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
     hyperbench_router::serve(listener, map, opts, reactor, offload_threads, shutdown)
         .map_err(|e| e.to_string())
@@ -191,15 +218,15 @@ fn route(
 }
 
 fn print_receipt(receipt: &hyperbench_api::WriteReceipt) {
-    println!("outcome:       {}", receipt.outcome.as_str());
-    println!("id:            {}", receipt.id);
+    outln!("outcome:       {}", receipt.outcome.as_str());
+    outln!("id:            {}", receipt.id);
     match receipt.seq {
-        Some(seq) => println!("seq:           {seq}"),
-        None => println!("seq:           - (no record written)"),
+        Some(seq) => outln!("seq:           {seq}"),
+        None => outln!("seq:           - (no record written)"),
     }
     match receipt.content_hash {
-        Some(hash) => println!("content-hash:  {hash:016x}"),
-        None => println!("content-hash:  - (entry removed)"),
+        Some(hash) => outln!("content-hash:  {hash:016x}"),
+        None => outln!("content-hash:  - (entry removed)"),
     }
 }
 
@@ -233,7 +260,7 @@ fn run(args: &[String]) -> Result<(), String> {
     }
     match cmd.as_str() {
         "help" | "--help" | "-h" => {
-            println!("{USAGE}");
+            outln!("{USAGE}");
             Ok(())
         }
         "experiment" => {
@@ -251,12 +278,12 @@ fn run(args: &[String]) -> Result<(), String> {
             eprintln!("analyzed {} instances", bench.instances.len());
             if id == "all" {
                 for r in experiments::run_all(&bench) {
-                    println!("{}", r.render());
+                    outln!("{}", r.render());
                 }
             } else {
                 let r = experiments::run(&id, &bench)
                     .ok_or_else(|| format!("unknown experiment id {id}"))?;
-                println!("{}", r.render());
+                outln!("{}", r.render());
             }
             Ok(())
         }
@@ -302,7 +329,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 repo.insert(inst.hypergraph, inst.collection, inst.class.name());
             }
             hyperbench_repo::store::save(&repo, &out).map_err(|e| e.to_string())?;
-            println!("wrote {} hypergraphs to {}", repo.len(), out.display());
+            outln!("wrote {} hypergraphs to {}", repo.len(), out.display());
             Ok(())
         }
         "analyze" => {
@@ -323,7 +350,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 repo.set_analysis(id, rec);
             }
             hyperbench_repo::store::save(&repo, &dir).map_err(|e| e.to_string())?;
-            println!("analyzed {n} hypergraphs; index updated");
+            outln!("analyzed {n} hypergraphs; index updated");
             Ok(())
         }
         "stats" => {
@@ -332,17 +359,17 @@ fn run(args: &[String]) -> Result<(), String> {
             let h = parse_hg_named(&text, file).map_err(|e| e.to_string())?;
             let m = size_metrics(&h);
             let p = structural_properties(&h, 2_000_000);
-            println!("file:      {file}");
-            println!("vertices:  {}", m.vertices);
-            println!("edges:     {}", m.edges);
-            println!("arity:     {}", m.arity);
-            println!("degree:    {}", p.degree);
-            println!("BIP:       {}", p.bip);
-            println!("3-BMIP:    {}", p.bmip3);
-            println!("4-BMIP:    {}", p.bmip4);
+            outln!("file:      {file}");
+            outln!("vertices:  {}", m.vertices);
+            outln!("edges:     {}", m.edges);
+            outln!("arity:     {}", m.arity);
+            outln!("degree:    {}", p.degree);
+            outln!("BIP:       {}", p.bip);
+            outln!("3-BMIP:    {}", p.bmip3);
+            outln!("4-BMIP:    {}", p.bmip4);
             match p.vc_dim {
-                Some(v) => println!("VC-dim:    {v}"),
-                None => println!("VC-dim:    timeout"),
+                Some(v) => outln!("VC-dim:    {v}"),
+                None => outln!("VC-dim:    timeout"),
             }
             Ok(())
         }
@@ -355,7 +382,7 @@ fn run(args: &[String]) -> Result<(), String> {
             let repo = hyperbench_repo::store::load(&dir).map_err(|e| e.to_string())?;
             hyperbench_repo::store::pack::write_pack(&repo, &out).map_err(|e| e.to_string())?;
             let bytes = std::fs::metadata(&out).map(|m| m.len()).unwrap_or(0);
-            println!(
+            outln!(
                 "packed {} hypergraphs from {} into {} ({bytes} bytes)",
                 repo.len(),
                 dir.display(),
@@ -483,7 +510,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 .map_err(|e| e.to_string())?
             {
                 hyperbench_api::QueryResponse::Rows(page) => {
-                    println!(
+                    outln!(
                         "{:>6}  {:<14} {:<18} {:>8} {:>6} {:>6} {:>9} {:>9}",
                         "id",
                         "collection",
@@ -495,7 +522,7 @@ fn run(args: &[String]) -> Result<(), String> {
                         "hw_lower"
                     );
                     for s in &page.items {
-                        println!(
+                        outln!(
                             "{:>6}  {:<14} {:<18} {:>8} {:>6} {:>6} {:>9} {:>9}",
                             s.id,
                             s.collection,
@@ -507,18 +534,18 @@ fn run(args: &[String]) -> Result<(), String> {
                             s.hw_lower.map_or("-".to_string(), |v| v.to_string()),
                         );
                     }
-                    println!("total: {} match(es)", page.total);
+                    outln!("total: {} match(es)", page.total);
                     if let Some(cursor) = &page.next_cursor {
-                        println!("next page: --cursor {cursor}");
+                        outln!("next page: --cursor {cursor}");
                     }
                 }
                 hyperbench_api::QueryResponse::Groups { group_by, groups } => {
                     match group_by {
-                        Some(field) => println!("{} group(s) by {field}:", groups.len()),
-                        None => println!("1 global group:"),
+                        Some(field) => outln!("{} group(s) by {field}:", groups.len()),
+                        None => outln!("1 global group:"),
                     }
                     for g in &groups {
-                        println!("{g}");
+                        outln!("{g}");
                     }
                 }
             }
@@ -552,16 +579,16 @@ fn run(args: &[String]) -> Result<(), String> {
             };
             match outcome {
                 Outcome::Yes(d) => {
-                    println!(
+                    outln!(
                         "yes: {} of width {} found ({} nodes)",
                         if algo == "hd" { "HD" } else { "GHD" },
                         d.width(),
                         d.len()
                     );
-                    print!("{}", d.display(&h));
+                    out!("{}", d.display(&h));
                 }
-                Outcome::No => println!("no: width > {k} certified"),
-                Outcome::Timeout => println!("timeout"),
+                Outcome::No => outln!("no: width > {k} certified"),
+                Outcome::Timeout => outln!("timeout"),
             }
             let _ = to_hg(&h);
             Ok(())

@@ -32,87 +32,85 @@ impl FieldType {
     }
 }
 
+/// A queryable field. The declaration order is the catalog's
+/// documentation order, and a field's discriminant is its row in
+/// [`FIELDS`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Field {
+    Id,
+    Collection,
+    Class,
+    Vertices,
+    Edges,
+    Arity,
+    Degree,
+    Bip,
+    Bmip3,
+    Bmip4,
+    VcDim,
+    HwUpper,
+    HwLower,
+    Analyzed,
+    Cyclic,
+    HwTimedOut,
+}
+
+impl Field {
+    /// The field's catalog row.
+    pub fn def(self) -> &'static FieldDef {
+        &FIELDS[self as usize]
+    }
+
+    /// The field name (a `schema` constant).
+    pub fn name(self) -> &'static str {
+        self.def().name
+    }
+
+    /// The field's type.
+    pub fn ty(self) -> FieldType {
+        self.def().ty
+    }
+}
+
 /// One catalog row.
 #[derive(Debug, Clone, Copy)]
 pub struct FieldDef {
+    /// The field this row describes.
+    pub field: Field,
     /// The field name (a `schema` constant).
     pub name: &'static str,
     /// The field's type.
     pub ty: FieldType,
 }
 
-/// Every queryable field, in documentation order. Index into this table
-/// is the resolved field id used by plans.
+const fn def(field: Field, name: &'static str, ty: FieldType) -> FieldDef {
+    FieldDef { field, name, ty }
+}
+
+/// Every queryable field, in documentation order: row `i` describes
+/// the [`Field`] whose discriminant is `i`.
 pub const FIELDS: [FieldDef; 16] = [
-    FieldDef {
-        name: schema::ID,
-        ty: FieldType::Int,
-    },
-    FieldDef {
-        name: schema::COLLECTION,
-        ty: FieldType::Str,
-    },
-    FieldDef {
-        name: schema::CLASS,
-        ty: FieldType::Str,
-    },
-    FieldDef {
-        name: schema::VERTICES,
-        ty: FieldType::Int,
-    },
-    FieldDef {
-        name: schema::EDGES,
-        ty: FieldType::Int,
-    },
-    FieldDef {
-        name: schema::ARITY,
-        ty: FieldType::Int,
-    },
-    FieldDef {
-        name: schema::DEGREE,
-        ty: FieldType::Int,
-    },
-    FieldDef {
-        name: schema::BIP,
-        ty: FieldType::Int,
-    },
-    FieldDef {
-        name: schema::BMIP3,
-        ty: FieldType::Int,
-    },
-    FieldDef {
-        name: schema::BMIP4,
-        ty: FieldType::Int,
-    },
-    FieldDef {
-        name: schema::VC_DIM,
-        ty: FieldType::Int,
-    },
-    FieldDef {
-        name: schema::HW_UPPER,
-        ty: FieldType::Int,
-    },
-    FieldDef {
-        name: schema::HW_LOWER,
-        ty: FieldType::Int,
-    },
-    FieldDef {
-        name: schema::ANALYZED,
-        ty: FieldType::Bool,
-    },
-    FieldDef {
-        name: schema::CYCLIC,
-        ty: FieldType::Bool,
-    },
-    FieldDef {
-        name: schema::HW_TIMED_OUT,
-        ty: FieldType::Bool,
-    },
+    def(Field::Id, schema::ID, FieldType::Int),
+    def(Field::Collection, schema::COLLECTION, FieldType::Str),
+    def(Field::Class, schema::CLASS, FieldType::Str),
+    def(Field::Vertices, schema::VERTICES, FieldType::Int),
+    def(Field::Edges, schema::EDGES, FieldType::Int),
+    def(Field::Arity, schema::ARITY, FieldType::Int),
+    def(Field::Degree, schema::DEGREE, FieldType::Int),
+    def(Field::Bip, schema::BIP, FieldType::Int),
+    def(Field::Bmip3, schema::BMIP3, FieldType::Int),
+    def(Field::Bmip4, schema::BMIP4, FieldType::Int),
+    def(Field::VcDim, schema::VC_DIM, FieldType::Int),
+    def(Field::HwUpper, schema::HW_UPPER, FieldType::Int),
+    def(Field::HwLower, schema::HW_LOWER, FieldType::Int),
+    def(Field::Analyzed, schema::ANALYZED, FieldType::Bool),
+    def(Field::Cyclic, schema::CYCLIC, FieldType::Bool),
+    def(Field::HwTimedOut, schema::HW_TIMED_OUT, FieldType::Bool),
 ];
 
-/// Looks a field up by name, returning its catalog index.
-pub fn lookup(name: &str) -> Option<usize> {
-    FIELDS.iter().position(|f| f.name == name)
+/// Looks a field up by name.
+pub fn lookup(name: &str) -> Option<Field> {
+    FIELDS.iter().find(|f| f.name == name).map(|f| f.field)
 }
 
 /// The comma-joined field names, for "valid fields are …" error
@@ -136,46 +134,28 @@ pub enum FieldValue<'a> {
     Bool(bool),
 }
 
-/// Evaluates catalog field `idx` on `meta`, without hydrating the
-/// entry.
-pub fn value_of<'a>(meta: &EntryMeta<'a>, idx: usize) -> Option<FieldValue<'a>> {
+/// Evaluates `field` on `meta`, without hydrating the entry.
+#[inline]
+pub fn value_of<'a>(meta: &EntryMeta<'a>, field: Field) -> Option<FieldValue<'a>> {
     let int = |v: usize| Some(FieldValue::Int(v as i64));
-    let name = FIELDS[idx].name;
     let rec = meta.analysis;
-    if name == schema::ID {
-        int(meta.id)
-    } else if name == schema::COLLECTION {
-        Some(FieldValue::Str(meta.collection))
-    } else if name == schema::CLASS {
-        Some(FieldValue::Str(meta.class))
-    } else if name == schema::VERTICES {
-        int(meta.vertices)
-    } else if name == schema::EDGES {
-        int(meta.edges)
-    } else if name == schema::ARITY {
-        int(meta.arity)
-    } else if name == schema::ANALYZED {
-        Some(FieldValue::Bool(rec.is_some()))
-    } else if name == schema::DEGREE {
-        rec.and_then(|r| int(r.properties.degree))
-    } else if name == schema::BIP {
-        rec.and_then(|r| int(r.properties.bip))
-    } else if name == schema::BMIP3 {
-        rec.and_then(|r| int(r.properties.bmip3))
-    } else if name == schema::BMIP4 {
-        rec.and_then(|r| int(r.properties.bmip4))
-    } else if name == schema::VC_DIM {
-        rec.and_then(|r| r.properties.vc_dim).and_then(int)
-    } else if name == schema::HW_UPPER {
-        rec.and_then(|r| r.hw_upper).and_then(int)
-    } else if name == schema::HW_LOWER {
-        rec.and_then(|r| int(r.hw_lower))
-    } else if name == schema::CYCLIC {
-        rec.map(|r| FieldValue::Bool(r.is_cyclic()))
-    } else if name == schema::HW_TIMED_OUT {
-        rec.map(|r| FieldValue::Bool(r.hw_timed_out))
-    } else {
-        unreachable!("field {name:?} missing from value_of")
+    match field {
+        Field::Id => int(meta.id),
+        Field::Collection => Some(FieldValue::Str(meta.collection)),
+        Field::Class => Some(FieldValue::Str(meta.class)),
+        Field::Vertices => int(meta.vertices),
+        Field::Edges => int(meta.edges),
+        Field::Arity => int(meta.arity),
+        Field::Analyzed => Some(FieldValue::Bool(rec.is_some())),
+        Field::Degree => rec.and_then(|r| int(r.properties.degree)),
+        Field::Bip => rec.and_then(|r| int(r.properties.bip)),
+        Field::Bmip3 => rec.and_then(|r| int(r.properties.bmip3)),
+        Field::Bmip4 => rec.and_then(|r| int(r.properties.bmip4)),
+        Field::VcDim => rec.and_then(|r| r.properties.vc_dim).and_then(int),
+        Field::HwUpper => rec.and_then(|r| r.hw_upper).and_then(int),
+        Field::HwLower => rec.and_then(|r| int(r.hw_lower)),
+        Field::Cyclic => rec.map(|r| FieldValue::Bool(r.is_cyclic())),
+        Field::HwTimedOut => rec.map(|r| FieldValue::Bool(r.hw_timed_out)),
     }
 }
 
@@ -188,7 +168,9 @@ mod tests {
         let mut seen = std::collections::BTreeSet::new();
         for (i, f) in FIELDS.iter().enumerate() {
             assert!(seen.insert(f.name), "duplicate field {:?}", f.name);
-            assert_eq!(lookup(f.name), Some(i));
+            assert_eq!(f.field as usize, i, "row {i} describes {:?}", f.field);
+            assert_eq!(lookup(f.name), Some(f.field));
+            assert_eq!(f.field.name(), f.name);
         }
         assert_eq!(lookup("nope"), None);
         assert!(field_names().contains("hw_upper"));

@@ -6,6 +6,24 @@
 //! keyset contract matches `Repository::try_select_after` exactly, which
 //! is what lets the `?key=value` filter params desugar into this path
 //! with byte-identical responses.
+//!
+//! ## The scan contract
+//!
+//! Every shape is one pass over the scan it is handed, and a scanned
+//! row costs no lookup and no allocation:
+//!
+//! * a field is read by a `match` on its [`Field`], and a comparison
+//!   was compiled for the field's type by the resolver (strings test
+//!   with `==`);
+//! * a rows page allocates only the summaries it returns;
+//! * an `ORDER BY` page keeps the matching rows' borrowed
+//!   [`EntryMeta`]s, partitions them around `LIMIT` and sorts only the
+//!   page, so only the returned rows become summaries;
+//! * a `GROUP BY` keys its groups by the borrowed `&str`, allocating once
+//!   per group.
+//!
+//! The scanned-row count goes into `hyperbench_query_rows_scanned_total`
+//! once per scan, after it, not once per row.
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -15,8 +33,8 @@ use hyperbench_api::dto::EntrySummary;
 use hyperbench_api::json::Json;
 use hyperbench_repo::EntryMeta;
 
-use crate::ast::{CmpOp, Literal};
-use crate::catalog::{self, FieldValue};
+use crate::ast::CmpOp;
+use crate::catalog::{self, Field, FieldValue};
 use crate::metrics::metrics;
 use crate::resolve::{AggItem, Plan, Pred, Shape};
 
@@ -60,75 +78,53 @@ pub fn summary_of_meta(meta: &EntryMeta<'_>) -> EntrySummary {
     }
 }
 
-fn eval_cmp(meta: &EntryMeta<'_>, field: usize, op: CmpOp, value: &Literal) -> bool {
+fn eval_pred(meta: &EntryMeta<'_>, pred: &Pred) -> bool {
     // A comparison against an absent value is false — the two-valued
     // semantics `Filter::matches_meta` already uses for analysis-
     // dependent conditions on unanalyzed entries.
-    let Some(actual) = catalog::value_of(meta, field) else {
-        return false;
-    };
-    let ord = match (&actual, value) {
-        (FieldValue::Int(a), Literal::Int(b)) => a.cmp(b),
-        (FieldValue::Str(a), Literal::Str(b)) => (*a).cmp(b.as_str()),
-        (FieldValue::Bool(a), Literal::Bool(b)) => a.cmp(b),
-        _ => unreachable!("resolver type-checked the comparison"),
-    };
-    match op {
-        CmpOp::Eq => ord == Ordering::Equal,
-        CmpOp::Ne => ord != Ordering::Equal,
-        CmpOp::Lt => ord == Ordering::Less,
-        CmpOp::Le => ord != Ordering::Greater,
-        CmpOp::Gt => ord == Ordering::Greater,
-        CmpOp::Ge => ord != Ordering::Less,
-    }
-}
-
-fn eval_pred(meta: &EntryMeta<'_>, pred: &Pred) -> bool {
     match pred {
         Pred::And(l, r) => eval_pred(meta, l) && eval_pred(meta, r),
         Pred::Or(l, r) => eval_pred(meta, l) || eval_pred(meta, r),
         Pred::Not(inner) => !eval_pred(meta, inner),
-        Pred::Cmp { field, op, value } => eval_cmp(meta, *field, *op, value),
+        Pred::Int { field, op, value } => match catalog::value_of(meta, *field) {
+            Some(FieldValue::Int(actual)) => match op {
+                CmpOp::Eq => actual == *value,
+                CmpOp::Ne => actual != *value,
+                CmpOp::Lt => actual < *value,
+                CmpOp::Le => actual <= *value,
+                CmpOp::Gt => actual > *value,
+                CmpOp::Ge => actual >= *value,
+            },
+            _ => false,
+        },
+        Pred::Str { field, eq, value } => match catalog::value_of(meta, *field) {
+            Some(FieldValue::Str(actual)) => (actual == value) == *eq,
+            _ => false,
+        },
+        Pred::Bool { field, eq, value } => match catalog::value_of(meta, *field) {
+            Some(FieldValue::Bool(actual)) => (actual == *value) == *eq,
+            _ => false,
+        },
     }
 }
 
-/// Compares two optional sort keys: absent values order last regardless
+/// Orders two rows by one `ORDER BY` key: absent values last regardless
 /// of direction, present values by natural order (reversed for `DESC`).
-fn cmp_keys(a: &Option<SortKey>, b: &Option<SortKey>, desc: bool) -> Ordering {
-    match (a, b) {
-        (None, None) => Ordering::Equal,
-        (None, Some(_)) => Ordering::Greater,
-        (Some(_), None) => Ordering::Less,
-        (Some(a), Some(b)) => {
-            let ord = match (a, b) {
-                (SortKey::Int(x), SortKey::Int(y)) => x.cmp(y),
-                (SortKey::Str(x), SortKey::Str(y)) => x.cmp(y),
-                (SortKey::Bool(x), SortKey::Bool(y)) => x.cmp(y),
-                _ => unreachable!("one field, one type"),
-            };
-            if desc {
-                ord.reverse()
-            } else {
-                ord
-            }
-        }
+fn cmp_key(a: &EntryMeta<'_>, b: &EntryMeta<'_>, field: Field, desc: bool) -> Ordering {
+    let ord = match (catalog::value_of(a, field), catalog::value_of(b, field)) {
+        (None, None) => return Ordering::Equal,
+        (None, Some(_)) => return Ordering::Greater,
+        (Some(_), None) => return Ordering::Less,
+        (Some(FieldValue::Int(x)), Some(FieldValue::Int(y))) => x.cmp(&y),
+        (Some(FieldValue::Str(x)), Some(FieldValue::Str(y))) => x.cmp(y),
+        (Some(FieldValue::Bool(x)), Some(FieldValue::Bool(y))) => x.cmp(&y),
+        _ => unreachable!("one field, one type"),
+    };
+    if desc {
+        ord.reverse()
+    } else {
+        ord
     }
-}
-
-/// An owned sort key (the scan's borrows don't outlive the sort).
-#[derive(Debug, Clone)]
-enum SortKey {
-    Int(i64),
-    Str(String),
-    Bool(bool),
-}
-
-fn sort_key(meta: &EntryMeta<'_>, field: usize) -> Option<SortKey> {
-    catalog::value_of(meta, field).map(|v| match v {
-        FieldValue::Int(n) => SortKey::Int(n),
-        FieldValue::Str(s) => SortKey::Str(s.to_string()),
-        FieldValue::Bool(b) => SortKey::Bool(b),
-    })
 }
 
 impl Plan {
@@ -148,15 +144,15 @@ impl Plan {
         after: Option<usize>,
         limit: usize,
     ) -> RowPage {
-        let m = metrics();
         let start = Instant::now();
+        let mut scanned = 0u64;
+        let metas = metas.inspect(|_| scanned += 1);
         let page = match &self.shape {
             Shape::Rows { order } if order.is_empty() => {
                 let mut total = 0usize;
                 let mut items = Vec::new();
                 let mut has_more = false;
                 for meta in metas {
-                    m.rows_scanned.inc();
                     if !self.matches(&meta) {
                         continue;
                     }
@@ -182,34 +178,34 @@ impl Plan {
                 }
             }
             Shape::Rows { order } => {
-                let mut rows: Vec<(Vec<Option<SortKey>>, EntrySummary)> = Vec::new();
-                for meta in metas {
-                    m.rows_scanned.inc();
-                    if !self.matches(&meta) {
-                        continue;
-                    }
-                    let keys = order.iter().map(|(f, _)| sort_key(&meta, *f)).collect();
-                    rows.push((keys, summary_of_meta(&meta)));
-                }
+                let mut rows: Vec<EntryMeta<'a>> = metas.filter(|m| self.matches(m)).collect();
                 let total = rows.len();
-                rows.sort_by(|(ka, sa), (kb, sb)| {
-                    for (i, (_, desc)) in order.iter().enumerate() {
-                        match cmp_keys(&ka[i], &kb[i], *desc) {
-                            Ordering::Equal => continue,
-                            other => return other,
-                        }
-                    }
-                    sa.id.cmp(&sb.id)
-                });
-                rows.truncate(limit);
+                // Ids are unique, so this is a total order and the
+                // first `limit` rows are the same however they were
+                // reached: partition around the limit, then sort the
+                // page alone.
+                let cmp = |a: &EntryMeta<'_>, b: &EntryMeta<'_>| {
+                    order
+                        .iter()
+                        .map(|&(field, desc)| cmp_key(a, b, field, desc))
+                        .find(|ord| ord.is_ne())
+                        .unwrap_or_else(|| a.id.cmp(&b.id))
+                };
+                if limit < rows.len() {
+                    rows.select_nth_unstable_by(limit, cmp);
+                    rows.truncate(limit);
+                }
+                rows.sort_unstable_by(cmp);
                 RowPage {
-                    items: rows.into_iter().map(|(_, s)| s).collect(),
+                    items: rows.iter().map(summary_of_meta).collect(),
                     total,
                     next_after: None,
                 }
             }
             Shape::Groups { .. } => unreachable!("execute_rows called on an aggregate plan"),
         };
+        let m = metrics();
+        m.rows_scanned.add(scanned);
         m.execute_us.observe(start.elapsed().as_micros() as u64);
         page
     }
@@ -221,16 +217,16 @@ impl Plan {
         let Shape::Groups { key, items } = &self.shape else {
             unreachable!("execute_groups called on a rows plan");
         };
-        let m = metrics();
         let start = Instant::now();
-        let mut groups: BTreeMap<Option<String>, Accum> = BTreeMap::new();
+        let mut groups: BTreeMap<Option<&'a str>, Accum> = BTreeMap::new();
+        let mut scanned = 0u64;
         for meta in metas {
-            m.rows_scanned.inc();
+            scanned += 1;
             if !self.matches(&meta) {
                 continue;
             }
             let group = key.map(|f| match catalog::value_of(&meta, f) {
-                Some(FieldValue::Str(s)) => s.to_string(),
+                Some(FieldValue::Str(s)) => s,
                 _ => unreachable!("group keys are always-present string fields"),
             });
             let acc = groups
@@ -252,7 +248,7 @@ impl Plan {
                 cell.max = Some(cell.max.map_or(v, |m: i64| m.max(v)));
             }
         }
-        let group_by = key.map(|f| catalog::FIELDS[f].name.to_string());
+        let group_by = key.map(|f| f.name().to_string());
         let mut out = Vec::with_capacity(groups.len());
         let limit = self.limit.map_or(usize::MAX, |l| l as usize);
         for (group, acc) in groups.into_iter().take(limit) {
@@ -262,20 +258,20 @@ impl Plan {
                 let (label, value) = match item {
                     AggItem::Key => {
                         let name = group_by.as_deref().expect("key item implies GROUP BY");
-                        let key = group.as_deref().expect("grouped scan has a key");
+                        let key = group.expect("grouped scan has a key");
                         (name.to_string(), Json::str(key))
                     }
                     AggItem::Count => ("count".to_string(), Json::int(acc.count)),
                     AggItem::Min(f) => (
-                        format!("min_{}", catalog::FIELDS[*f].name),
+                        format!("min_{}", f.name()),
                         cell.min.map_or(Json::Null, Json::int),
                     ),
                     AggItem::Max(f) => (
-                        format!("max_{}", catalog::FIELDS[*f].name),
+                        format!("max_{}", f.name()),
                         cell.max.map_or(Json::Null, Json::int),
                     ),
                     AggItem::Avg(f) => (
-                        format!("avg_{}", catalog::FIELDS[*f].name),
+                        format!("avg_{}", f.name()),
                         if cell.n == 0 {
                             Json::Null
                         } else {
@@ -287,6 +283,8 @@ impl Plan {
             }
             out.push(Json::Obj(fields));
         }
+        let m = metrics();
+        m.rows_scanned.add(scanned);
         m.execute_us.observe(start.elapsed().as_micros() as u64);
         GroupRows {
             group_by,

@@ -2,12 +2,11 @@
 //! [`crate::catalog`], producing an executable [`Plan`].
 
 use crate::ast::{CmpOp, Expr, FieldRef, Literal, Query, Select, SelectItemKind};
-use crate::catalog::{self, FieldType};
+use crate::catalog::{self, Field, FieldType};
 use crate::error::QueryError;
 use crate::token::Span;
 
-/// A type-checked, name-resolved query, ready to execute. Field
-/// references are indices into [`catalog::FIELDS`].
+/// A type-checked, name-resolved query, ready to execute.
 #[derive(Debug, Clone)]
 pub struct Plan {
     pub(crate) filter: Option<Pred>,
@@ -15,16 +14,30 @@ pub struct Plan {
     pub(crate) limit: Option<u64>,
 }
 
-/// A resolved predicate.
+/// A resolved predicate: each comparison compiled for its field's type
+/// (only integers order; strings and booleans test for equality).
 #[derive(Debug, Clone)]
 pub(crate) enum Pred {
     And(Box<Pred>, Box<Pred>),
     Or(Box<Pred>, Box<Pred>),
     Not(Box<Pred>),
-    Cmp {
-        field: usize,
+    /// `field op value` on an integer field.
+    Int {
+        field: Field,
         op: CmpOp,
-        value: Literal,
+        value: i64,
+    },
+    /// `field = value` (`eq`) or `field != value` on a string field.
+    Str {
+        field: Field,
+        eq: bool,
+        value: String,
+    },
+    /// `field = value` (`eq`) or `field != value` on a boolean field.
+    Bool {
+        field: Field,
+        eq: bool,
+        value: bool,
     },
 }
 
@@ -32,11 +45,11 @@ pub(crate) enum Pred {
 #[derive(Debug, Clone)]
 pub(crate) enum Shape {
     /// Entry-summary rows, optionally sorted by `(field, desc)` keys.
-    Rows { order: Vec<(usize, bool)> },
+    Rows { order: Vec<(Field, bool)> },
     /// Aggregate groups.
     Groups {
         /// The grouping field, or `None` for one global group.
-        key: Option<usize>,
+        key: Option<Field>,
         /// The select list, in order.
         items: Vec<AggItem>,
     },
@@ -50,11 +63,11 @@ pub(crate) enum AggItem {
     /// `COUNT(*)`.
     Count,
     /// `MIN(field)`.
-    Min(usize),
+    Min(Field),
     /// `MAX(field)`.
-    Max(usize),
+    Max(Field),
     /// `AVG(field)`.
-    Avg(usize),
+    Avg(Field),
 }
 
 impl Plan {
@@ -86,7 +99,7 @@ fn unknown_field(f: &FieldRef) -> QueryError {
     )
 }
 
-fn resolve_field(f: &FieldRef) -> Result<usize, QueryError> {
+fn resolve_field(f: &FieldRef) -> Result<Field, QueryError> {
     catalog::lookup(&f.name).ok_or_else(|| unknown_field(f))
 }
 
@@ -107,8 +120,8 @@ fn resolve_expr(e: &Expr) -> Result<Pred, QueryError> {
             value,
             value_span,
         } => {
-            let idx = resolve_field(field)?;
-            let ty = catalog::FIELDS[idx].ty;
+            let resolved = resolve_field(field)?;
+            let ty = resolved.ty();
             let value_ty = match value {
                 Literal::Int(_) => FieldType::Int,
                 Literal::Str(_) => FieldType::Str,
@@ -136,10 +149,23 @@ fn resolve_expr(e: &Expr) -> Result<Pred, QueryError> {
                     field.span,
                 ));
             }
-            Ok(Pred::Cmp {
-                field: idx,
-                op: *op,
-                value: value.clone(),
+            let eq = *op == CmpOp::Eq;
+            Ok(match value {
+                Literal::Int(value) => Pred::Int {
+                    field: resolved,
+                    op: *op,
+                    value: *value,
+                },
+                Literal::Str(value) => Pred::Str {
+                    field: resolved,
+                    eq,
+                    value: value.clone(),
+                },
+                Literal::Bool(value) => Pred::Bool {
+                    field: resolved,
+                    eq,
+                    value: *value,
+                },
             })
         }
     }
@@ -152,8 +178,8 @@ pub fn resolve(query: &Query) -> Result<Plan, QueryError> {
     let group_key = match &query.group_by {
         None => None,
         Some(f) => {
-            let idx = resolve_field(f)?;
-            if catalog::FIELDS[idx].ty != FieldType::Str {
+            let key = resolve_field(f)?;
+            if key.ty() != FieldType::Str {
                 return Err(QueryError::new(
                     format!(
                         "GROUP BY {:?} is not supported; group by \"collection\" or \"class\"",
@@ -162,7 +188,7 @@ pub fn resolve(query: &Query) -> Result<Plan, QueryError> {
                     f.span,
                 ));
             }
-            Some(idx)
+            Some(key)
         }
     };
 
@@ -189,24 +215,24 @@ pub fn resolve(query: &Query) -> Result<Plan, QueryError> {
             }
             let mut resolved = Vec::new();
             for item in items {
-                let agg_field = |name: &str| -> Result<usize, QueryError> {
-                    let idx = catalog::lookup(name).ok_or_else(|| {
+                let agg_field = |name: &str| -> Result<Field, QueryError> {
+                    let field = catalog::lookup(name).ok_or_else(|| {
                         unknown_field(&FieldRef {
                             name: name.to_string(),
                             span: item.span,
                         })
                     })?;
-                    if catalog::FIELDS[idx].ty != FieldType::Int {
+                    if field.ty() != FieldType::Int {
                         return Err(QueryError::new(
                             format!(
                                 "aggregates require an integer field, but {:?} is {}",
                                 name,
-                                catalog::FIELDS[idx].ty.as_str()
+                                field.ty().as_str()
                             ),
                             item.span,
                         ));
                     }
-                    Ok(idx)
+                    Ok(field)
                 };
                 resolved.push(match &item.kind {
                     SelectItemKind::Count => AggItem::Count,
@@ -214,14 +240,14 @@ pub fn resolve(query: &Query) -> Result<Plan, QueryError> {
                     SelectItemKind::Max(f) => AggItem::Max(agg_field(f)?),
                     SelectItemKind::Avg(f) => AggItem::Avg(agg_field(f)?),
                     SelectItemKind::Column(name) => {
-                        let idx = catalog::lookup(name).ok_or_else(|| {
+                        let field = catalog::lookup(name).ok_or_else(|| {
                             unknown_field(&FieldRef {
                                 name: name.clone(),
                                 span: item.span,
                             })
                         })?;
                         match group_key {
-                            Some(key) if key == idx => AggItem::Key,
+                            Some(key) if key == field => AggItem::Key,
                             Some(_) => {
                                 return Err(QueryError::new(
                                     format!(

@@ -7,6 +7,10 @@
 //!    [`Filter`] produces byte-identical pages through the HBQL
 //!    planner and through `try_select_after` — the guarantee that let
 //!    the server delete its second predicate path.
+//! 3. **Ordered pages**: an `ORDER BY … LIMIT n` page is the first `n`
+//!    rows of the whole match set sorted by a reference comparator
+//!    over hydrated entries (absent values last in either direction,
+//!    ties broken by id).
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -344,5 +348,114 @@ proptest! {
         let expected_items: Vec<EntrySummary> =
             expected.entries.iter().map(|e| summary_of_entry(e)).collect();
         prop_assert_eq!(items_json(&got.items), items_json(&expected_items));
+    }
+}
+
+/// A sort key as the reference reads it off a hydrated entry.
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Key {
+    Int(usize),
+    Str(String),
+    Bool(bool),
+}
+
+/// Fields an `ORDER BY` may name, analysis-dependent ones included.
+const ORDER_FIELDS: [&str; 11] = [
+    "id",
+    "collection",
+    "class",
+    "vertices",
+    "edges",
+    "arity",
+    "hw_upper",
+    "hw_lower",
+    "bip",
+    "analyzed",
+    "cyclic",
+];
+
+fn reference_key(e: &Entry, field: &str) -> Option<Key> {
+    let rec = e.analysis.as_ref();
+    match field {
+        "id" => Some(Key::Int(e.id)),
+        "collection" => Some(Key::Str(e.collection.clone())),
+        "class" => Some(Key::Str(e.class.clone())),
+        "vertices" => Some(Key::Int(e.hypergraph.num_vertices())),
+        "edges" => Some(Key::Int(e.hypergraph.num_edges())),
+        "arity" => Some(Key::Int(e.hypergraph.arity())),
+        "hw_upper" => rec.and_then(|r| r.hw_upper).map(Key::Int),
+        "hw_lower" => rec.map(|r| Key::Int(r.hw_lower)),
+        "bip" => rec.map(|r| Key::Int(r.properties.bip)),
+        "analyzed" => Some(Key::Bool(rec.is_some())),
+        "cyclic" => rec.map(|r| Key::Bool(r.is_cyclic())),
+        other => unreachable!("no order field {other}"),
+    }
+}
+
+struct OrderStrategy;
+
+impl Strategy for OrderStrategy {
+    type Value = (Vec<(String, String)>, Vec<(&'static str, bool)>, usize);
+
+    fn generate(&self, rng: &mut StdRng) -> Self::Value {
+        let keys = (0..rng.gen_range(1..4usize))
+            .map(|_| {
+                (
+                    ORDER_FIELDS[rng.gen_range(0..ORDER_FIELDS.len())],
+                    rng.next_u64() & 1 == 1,
+                )
+            })
+            .collect();
+        (params(rng), keys, rng.gen_range(1..35usize))
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn ordered_pages_equal_a_full_reference_sort(case in OrderStrategy) {
+        let (params, keys, limit) = case;
+        let repo = corpus();
+        let mut query = legacy::desugar_params(params.iter().map(|(k, v)| (k.as_str(), v.as_str())))
+            .expect("vocabulary is valid");
+        query.order_by = keys
+            .iter()
+            .map(|&(name, desc)| OrderKey {
+                field: FieldRef { name: name.to_string(), span: Default::default() },
+                desc,
+            })
+            .collect();
+        query.limit = Some(limit as u64);
+        let plan = resolve(&query).expect("ordered rows queries resolve");
+
+        let mut expected: Vec<&Entry> = repo
+            .entries()
+            .filter(|e| plan.matches(&hyperbench_repo::EntryMeta::of(e)))
+            .collect();
+        let total = expected.len();
+        expected.sort_by(|a, b| {
+            for &(field, desc) in &keys {
+                let ord = match (reference_key(a, field), reference_key(b, field)) {
+                    (None, None) => std::cmp::Ordering::Equal,
+                    (None, Some(_)) => std::cmp::Ordering::Greater,
+                    (Some(_), None) => std::cmp::Ordering::Less,
+                    (Some(x), Some(y)) if desc => y.cmp(&x),
+                    (Some(x), Some(y)) => x.cmp(&y),
+                };
+                if ord.is_ne() {
+                    return ord;
+                }
+            }
+            a.id.cmp(&b.id)
+        });
+        expected.truncate(limit);
+
+        let got = plan.execute_rows(repo.metas(), None, limit);
+        prop_assert_eq!(got.total, total);
+        prop_assert_eq!(got.next_after, None);
+        let expected_items: Vec<EntrySummary> =
+            expected.iter().map(|e| summary_of_entry(e)).collect();
+        prop_assert_eq!(items_json(&got.items), items_json(&expected_items), "{}", query);
     }
 }

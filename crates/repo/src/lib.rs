@@ -34,11 +34,12 @@ pub use analysis::{
 pub use filter::{Filter, FilterParamError};
 pub use store::StoreError;
 
+use std::ops::Range;
 use std::path::Path;
 
 use hyperbench_core::Hypergraph;
 
-use store::pack::{PackStore, Record};
+use store::pack::{self, PackStore, Record};
 
 /// Class labels mirroring `hyperbench_datagen::BenchClass` but kept
 /// string-typed here so the repository does not depend on the generators.
@@ -242,35 +243,55 @@ impl Repository {
         entries[idx].analysis = Some(record);
     }
 
-    /// The scan order: insertion order in memory, the pack's sorted
-    /// keyset index on disk. Both are ascending-id — the invariant the
-    /// keyset cursor paging of [`Repository::select_after`] rests on.
-    fn ids(&self) -> IdIter<'_> {
+    /// The row of entry `id` — rows are the scan order, ascending by
+    /// id in both backends, which is the invariant the keyset cursor
+    /// paging of [`Repository::select_after`] rests on — or the row it
+    /// would be inserted at when absent.
+    pub(crate) fn search(&self, id: usize) -> Result<usize, usize> {
         match &self.backend {
-            Backend::Memory(entries) => IdIter::Entries(entries.iter()),
-            Backend::Paged(pack) => IdIter::Keyset(pack.keyset_ids()),
+            Backend::Memory(entries) => entries.binary_search_by_key(&id, |e| e.id),
+            Backend::Paged(pack) => pack.search(id),
         }
     }
 
-    /// Every entry as a pack-writer record, in id order: a paged
-    /// backend's rows are carried by their bytes, never hydrated.
-    pub(crate) fn records(&self) -> impl Iterator<Item = Record<'_>> {
-        (0..self.len()).map(move |row| match &self.backend {
+    /// Rows `rows` as pack-writer records: a paged backend's rows are
+    /// carried by their bytes, never hydrated.
+    pub(crate) fn records_at(&self, rows: Range<usize>) -> impl Iterator<Item = Record<'_>> {
+        rows.map(move |row| match &self.backend {
             Backend::Memory(entries) => Record::Entry(&entries[row]),
             Backend::Paged(pack) => Record::Carried(pack, row),
         })
     }
 
+    /// Every entry as a pack-writer record, in id order.
+    pub(crate) fn records(&self) -> impl Iterator<Item = Record<'_>> {
+        self.records_at(0..self.len())
+    }
+
     /// All entries, in id order. On a paged repository this hydrates
     /// every entry (it is the full-export path behind [`store::save`]).
     pub fn entries(&self) -> impl Iterator<Item = &Entry> {
-        self.ids().map(move |id| self.entry(id))
+        (0..self.len()).map(move |row| match &self.backend {
+            Backend::Memory(entries) => &entries[row],
+            Backend::Paged(pack) => pack
+                .hydrate_row(row)
+                .unwrap_or_else(|e| panic!("paged repository read failed: {e}")),
+        })
+    }
+
+    /// The metadata of rows `rows`, in id order: a walk of the rows,
+    /// with no lookup per row.
+    pub(crate) fn metas_at(&self, rows: Range<usize>) -> Metas<'_> {
+        match &self.backend {
+            Backend::Memory(entries) => Metas::Entries(entries[rows].iter()),
+            Backend::Paged(pack) => Metas::Pack(pack.metas_at(rows)),
+        }
     }
 
     /// The metadata of every entry, in id order — available without
     /// hydration on a paged repository.
     pub fn metas(&self) -> impl Iterator<Item = EntryMeta<'_>> {
-        self.ids().map(move |id| self.meta(id))
+        self.metas_at(0..self.len())
     }
 
     /// The metadata of one entry.
@@ -347,7 +368,7 @@ impl Repository {
                 .binary_search_by_key(&id, |e| e.id)
                 .ok()
                 .map(|idx| store::pack::content_hash_of(&entries[idx].hypergraph)),
-            Backend::Paged(pack) => pack.row_of(id).map(|row| pack.content_hash_at_row(row).1),
+            Backend::Paged(pack) => pack.row_of(id).map(|row| pack.content_hash_at_row(row)),
         }
     }
 
@@ -368,9 +389,9 @@ impl Repository {
     /// against the metadata index, so a paged backend hydrates only the
     /// entries that match.
     pub fn select<'a>(&'a self, filter: &'a Filter) -> impl Iterator<Item = &'a Entry> {
-        self.ids()
-            .filter(move |&id| filter.matches_meta(&self.meta(id)))
-            .map(move |id| self.entry(id))
+        self.metas()
+            .filter(move |m| filter.matches_meta(m))
+            .map(move |m| self.entry(m.id))
     }
 
     /// Keyset pagination: at most `limit` filtered entries with id
@@ -439,22 +460,23 @@ impl Repository {
     }
 }
 
-/// The id scan order of a repository backend (see [`Repository::ids`]).
-enum IdIter<'a> {
+/// A metadata walk over a run of rows (see [`Repository::metas_at`]).
+pub(crate) enum Metas<'a> {
     /// In-memory backend: insertion order (ids ascending, possibly
     /// sparse after removals).
     Entries(std::slice::Iter<'a, Entry>),
-    /// Paged backend: the pack's sorted keyset index.
-    Keyset(std::slice::Iter<'a, u64>),
+    /// Paged backend: the pack's meta rows.
+    Pack(pack::Metas<'a>),
 }
 
-impl Iterator for IdIter<'_> {
-    type Item = usize;
+impl<'a> Iterator for Metas<'a> {
+    type Item = EntryMeta<'a>;
 
-    fn next(&mut self) -> Option<usize> {
+    #[inline]
+    fn next(&mut self) -> Option<EntryMeta<'a>> {
         match self {
-            IdIter::Entries(entries) => entries.next().map(|e| e.id),
-            IdIter::Keyset(ids) => ids.next().map(|&id| id as usize),
+            Metas::Entries(entries) => entries.next().map(EntryMeta::of),
+            Metas::Pack(rows) => rows.next(),
         }
     }
 }

@@ -100,9 +100,14 @@ impl<'a> Reader<'a> {
     }
 
     pub(crate) fn str(&mut self) -> Result<String, StoreError> {
+        self.str_ref().map(str::to_string)
+    }
+
+    /// A string borrowed from the buffer (see [`Reader::str`]).
+    pub(crate) fn str_ref(&mut self) -> Result<&'a str, StoreError> {
         let len = self.u32()? as usize;
         let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
+        std::str::from_utf8(bytes)
             .map_err(|_| StoreError::Corrupt(format!("{}: string is not UTF-8", self.what)))
     }
 

@@ -59,6 +59,7 @@
 //!   has no other holder and lets it go there.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
@@ -205,31 +206,44 @@ impl Snapshot {
         }
     }
 
-    /// A base scan (ascending by `id_of`) merged with the overlay in id
-    /// order: shadowed base items and tombstones skipped, live overlay
-    /// entries turned into items by `over`.
-    fn merged<'a, B>(
+    /// The base merged with the overlay in id order: the base rows
+    /// between two overlay keys go out as one run (`run` walks them),
+    /// the base row an overlay key shadows is skipped, and a live
+    /// overlay entry goes out through `over`. Each overlay key costs one
+    /// base search; a base row costs nothing beyond its run's `next`.
+    fn merged<'a, I: Iterator + 'a>(
         &'a self,
-        base: impl Iterator<Item = B> + 'a,
-        id_of: impl Fn(&B) -> usize + 'a,
-        over: impl Fn(usize, &'a Arc<Entry>) -> B + 'a,
-    ) -> impl Iterator<Item = B> + 'a {
-        let mut base = base.peekable();
-        let mut overlay = self.overlay.iter().peekable();
+        run: impl Fn(Range<usize>) -> I + 'a,
+        over: impl Fn(usize, &'a Arc<Entry>) -> I::Item + 'a,
+    ) -> impl Iterator<Item = I::Item> + 'a
+    where
+        I::Item: 'a,
+    {
+        let base = &*self.base;
+        let mut keys = self.overlay.iter();
+        let mut rows = run(0..0);
+        let mut held = None;
+        let mut next_row = 0;
         std::iter::from_fn(move || loop {
-            match (base.peek().map(&id_of), overlay.peek()) {
-                (Some(bid), Some((oid, _))) if bid < **oid => return base.next(),
-                (Some(bid), Some((oid, _))) if bid == **oid => {
-                    base.next(); // shadowed by the overlay
-                }
-                (_, Some(_)) => {
-                    let (id, (_, live)) = overlay.next().expect("peeked");
-                    if let Some(live) = live {
-                        return Some(over(*id, &live.entry));
+            if let Some(item) = rows.next() {
+                return Some(item);
+            }
+            if let Some(item) = held.take() {
+                return Some(item);
+            }
+            let (end, resume) = match keys.next() {
+                Some((&id, (_, live))) => {
+                    held = live.as_ref().map(|l| over(id, &l.entry));
+                    match base.search(id) {
+                        Ok(row) => (row, row + 1), // shadowed by the overlay
+                        Err(row) => (row, row),
                     }
                 }
-                (_, None) => return base.next(),
-            }
+                None if next_row < base.len() => (base.len(), base.len()),
+                None => return None,
+            };
+            rows = run(next_row..end);
+            next_row = resume;
         })
     }
 
@@ -237,8 +251,7 @@ impl Snapshot {
     /// scan merged with the overlay, tombstones skipped.
     pub fn metas(&self) -> impl Iterator<Item = EntryMeta<'_>> {
         self.merged(
-            self.base.metas(),
-            |m| m.id,
+            |rows| self.base.metas_at(rows),
             |id, e| EntryMeta {
                 id,
                 ..EntryMeta::of(e)
@@ -249,7 +262,7 @@ impl Snapshot {
     /// This generation as the pack writer's record stream: base rows
     /// carried as the backend holds them, overlay entries shared.
     fn records(&self) -> impl Iterator<Item = Record<'_>> {
-        self.merged(self.base.records(), Record::id, |_, e| Record::Shared(e))
+        self.merged(|rows| self.base.records_at(rows), |_, e| Record::Shared(e))
     }
 
     /// One entry, `Ok(None)` when absent, or the base backend's
@@ -1039,6 +1052,120 @@ mod tests {
     fn writable_store(dir: &Path, base: Repository) -> MvccStore {
         let opts = MvccOptions::new(dir.join("repo.wal"), Some(dir.join("repo.pack")));
         MvccStore::open(base, opts).unwrap()
+    }
+
+    /// What a scan must report for one live entry, field for field.
+    type Row = (
+        usize,
+        String,
+        String,
+        usize,
+        usize,
+        usize,
+        Option<(Option<usize>, usize, usize)>,
+    );
+
+    fn row_of(m: &EntryMeta<'_>) -> Row {
+        (
+            m.id,
+            m.collection.to_string(),
+            m.class.to_string(),
+            m.vertices,
+            m.edges,
+            m.arity,
+            m.analysis
+                .map(|r| (r.hw_upper, r.hw_lower, r.properties.bip)),
+        )
+    }
+
+    /// A made-up analysis whose fields depend on `n`.
+    fn record(n: usize) -> crate::AnalysisRecord {
+        crate::AnalysisRecord {
+            sizes: hyperbench_core::stats::SizeMetrics {
+                vertices: n + 1,
+                edges: n,
+                arity: 2,
+            },
+            properties: hyperbench_core::properties::StructuralProperties {
+                degree: 2,
+                bip: n % 3,
+                bmip3: 0,
+                bmip4: 0,
+                vc_dim: None,
+            },
+            hw_upper: (!n.is_multiple_of(4)).then_some(n % 4),
+            hw_lower: 1 + n % 2,
+            hw_steps: Vec::new(),
+            hw_timed_out: n.is_multiple_of(4),
+        }
+    }
+
+    fn entry(id: usize, n: usize) -> Entry {
+        Entry {
+            id,
+            collection: format!("c{}", n % 3),
+            class: format!("k{}", n % 2),
+            hypergraph: chain(1 + n % 4),
+            analysis: n.is_multiple_of(2).then(|| record(n)),
+        }
+    }
+
+    static MERGE_CASE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        // Random create/replace/remove schedules over a paged base with
+        // sparse ids, touching ids before, between and after the base's:
+        // every generation's `metas()` equals a `BTreeMap` model, and so
+        // does every pinned generation after the schedule moved on.
+        #[test]
+        fn snapshot_metas_equal_a_model_at_every_generation(
+            base_ids in proptest::prelude::any::<u64>(),
+            ops in proptest::prop::collection::vec(proptest::prelude::any::<u64>(), 0..40)
+        ) {
+            let case = MERGE_CASE.fetch_add(1, Ordering::Relaxed);
+            let dir = tmpdir(&format!("merge-{case}"));
+            let mut memory = Repository::new();
+            let mut model: BTreeMap<usize, Row> = BTreeMap::new();
+            // Base ids: a random subset of 4..40, so 0..4 come before it.
+            for id in (4..40).filter(|id| base_ids >> id & 1 == 1) {
+                let e = entry(id, id);
+                model.insert(id, row_of(&EntryMeta::of(&e)));
+                memory.insert_entry(e).unwrap();
+            }
+            let pack = dir.join("base.pack");
+            pack::write_pack(&memory, &pack).unwrap();
+            let base = Arc::new(Repository::open_pack(&pack).unwrap());
+            let mut generations = vec![(
+                Arc::new(Snapshot::new(base, 0, BTreeMap::new())),
+                model.clone(),
+            )];
+            for (i, op) in ops.iter().enumerate() {
+                let id = (*op >> 8) as usize % 44;
+                let seq = i as u64 + 1;
+                let live = if op % 3 == 0 {
+                    model.remove(&id);
+                    None
+                } else {
+                    let e = entry(id, *op as usize >> 16);
+                    model.insert(id, row_of(&EntryMeta::of(&e)));
+                    Some(Live {
+                        hash: content_hash_of(&e.hypergraph),
+                        entry: Arc::new(e),
+                    })
+                };
+                let next = generations.last().unwrap().0.next(seq, id, live);
+                generations.push((Arc::new(next), model.clone()));
+            }
+            for (snap, model) in &generations {
+                let scanned: Vec<Row> = snap.metas().map(|m| row_of(&m)).collect();
+                let expected: Vec<Row> = model.values().cloned().collect();
+                proptest::prop_assert_eq!(&scanned, &expected, "generation {}", snap.seq());
+                proptest::prop_assert_eq!(snap.len(), model.len());
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

@@ -38,13 +38,18 @@
 //! pack folded from this one (`Record::Carried`) adopts them, so an
 //! entry is parsed once per process, not once per checkpoint.
 //!
-//! The meta section doubles as the filter index ([`EntryMeta`]), and
-//! the keyset index orders ids for `select_after` cursor paging — both
-//! live in memory after open, so filtered scans and aggregates never
-//! touch a data page.
+//! The meta section doubles as the filter index ([`EntryMeta`]) and
+//! lives in memory after open, so filtered scans and aggregates never
+//! touch a data page. A scan reads only the compact meta rows, in
+//! row (= id) order: collection and class are interned once per
+//! distinct name, analyses sit in a side table, and the record location
+//! and content hash — which only hydration and checkpoints read — live
+//! in a second, parallel array.
 
+use std::collections::HashMap;
 use std::fs::File;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::Path;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -73,19 +78,28 @@ pub const DEFAULT_PAGE_SIZE: u32 = 4096;
 /// below this, and a zero page size would divide by zero).
 const MIN_PAGE_SIZE: u32 = 64;
 
-/// One decoded row of the meta section.
+/// The part of one meta-section row a metadata scan reads.
 #[derive(Debug)]
 struct MetaRow {
     id: usize,
-    rec_off: u64,
-    rec_len: u64,
-    collection: String,
-    class: String,
     vertices: usize,
     edges: usize,
     arity: usize,
+    /// Index into [`PackStore::names`].
+    collection: u32,
+    /// Index into [`PackStore::names`].
+    class: u32,
+    /// Index into [`PackStore::analyses`].
+    analysis: Option<u32>,
+}
+
+/// The rest of a meta-section row: where its record lies in the data
+/// region, and its stored content hash.
+#[derive(Debug)]
+struct RowData {
+    rec_off: u64,
+    rec_len: u64,
     content_hash: u64,
-    analysis: Option<AnalysisRecord>,
 }
 
 /// An open pack file: indexes resident, payloads on disk, hydrated
@@ -95,16 +109,21 @@ pub struct PackStore {
     page_size: u64,
     data_len: u64,
     page_sums: Vec<u64>,
-    metas: Vec<MetaRow>,
-    /// Sorted ascending; backs keyset-cursor resume ordering.
-    keyset: Vec<u64>,
+    /// One row per entry, ids strictly ascending.
+    rows: Vec<MetaRow>,
+    /// Parallel to `rows`.
+    data: Vec<RowData>,
+    /// Every distinct collection and class name, once.
+    names: Vec<Box<str>>,
+    /// The analysed rows' records.
+    analyses: Vec<AnalysisRecord>,
     slots: Vec<OnceLock<Arc<Entry>>>,
 }
 
 impl std::fmt::Debug for PackStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PackStore")
-            .field("entries", &self.metas.len())
+            .field("entries", &self.rows.len())
             .field("page_size", &self.page_size)
             .field("data_len", &self.data_len)
             .finish()
@@ -158,17 +177,6 @@ pub(crate) enum Record<'a> {
     Shared(&'a Arc<Entry>),
 }
 
-impl Record<'_> {
-    /// The id of the entry this record writes.
-    pub(crate) fn id(&self) -> usize {
-        match self {
-            Record::Carried(pack, row) => pack.metas[*row].id,
-            Record::Entry(e) => e.id,
-            Record::Shared(e) => e.id,
-        }
-    }
-}
-
 /// Writes an ascending-id record stream as a pack file — the one pack
 /// writer. The data region is streamed page by page (one page resident,
 /// never the whole region); only the index sections are built in
@@ -198,13 +206,13 @@ pub(crate) fn write_records<'a>(
             record.clear();
             match r {
                 Record::Carried(pack, row) => {
-                    let m = &pack.metas[row];
+                    let d = &pack.data[row];
                     let pages = match &mut pages {
                         Some(p) if std::ptr::eq(p.pack, pack) => p,
                         other => other.insert(PageReader::new(pack)),
                     };
-                    pages.read(m.rec_off, m.rec_len, &mut record)?;
-                    w.push(pack.meta_at(row), m.content_hash, &record)?;
+                    pages.read(d.rec_off, d.rec_len, &mut record)?;
+                    w.push(pack.meta_at(row), d.content_hash, &record)?;
                 }
                 Record::Entry(e) => w.push_entry(e, &mut record)?,
                 Record::Shared(e) => w.push_entry(e, &mut record)?,
@@ -359,6 +367,30 @@ impl PackWriter {
         file.sync_all()?;
         Ok(())
     }
+}
+
+/// A side-table index as a meta row stores it.
+fn index(at: usize) -> Result<u32, StoreError> {
+    u32::try_from(at).map_err(|_| {
+        StoreError::Corrupt("pack meta section: more rows than this build indexes".to_string())
+    })
+}
+
+/// The index of `name` in `names`, appended on its first appearance:
+/// one copy per distinct collection or class name, however many rows
+/// carry it.
+fn intern<'m>(
+    names: &mut Vec<Box<str>>,
+    interned: &mut HashMap<&'m str, u32>,
+    name: &'m str,
+) -> Result<u32, StoreError> {
+    if let Some(&at) = interned.get(name) {
+        return Ok(at);
+    }
+    let at = index(names.len())?;
+    names.push(name.into());
+    interned.insert(name, at);
+    Ok(at)
 }
 
 /// Reads a checksummed section (body + trailing FNV-1a 64) and returns
@@ -549,7 +581,14 @@ impl PackStore {
         // removals leave the sequence sparse), records within the data
         // region.
         let mut r = Reader::new(&meta, "pack meta section");
-        let mut metas = Vec::with_capacity(entry_count);
+        // The header's count is not trusted for allocation: every row
+        // takes more than one byte of the section already read.
+        let capacity = entry_count.min(meta.len());
+        let mut rows = Vec::with_capacity(capacity);
+        let mut data = Vec::with_capacity(capacity);
+        let mut names = Vec::new();
+        let mut interned = HashMap::new();
+        let mut analyses = Vec::new();
         let mut last_id: Option<usize> = None;
         for _ in 0..entry_count {
             let id = r.u64()? as usize;
@@ -574,50 +613,49 @@ impl PackStore {
                     data_len,
                 });
             }
-            let collection = r.str()?;
-            let class = r.str()?;
+            let collection = intern(&mut names, &mut interned, r.str_ref()?)?;
+            let class = intern(&mut names, &mut interned, r.str_ref()?)?;
             let vertices = r.u64()? as usize;
             let edges = r.u64()? as usize;
             let arity = r.u64()? as usize;
             let content_hash = r.u64()?;
             let analysis = match r.u8()? {
                 0 => None,
-                1 => Some(codec::read_analysis(&mut r)?),
+                1 => {
+                    analyses.push(codec::read_analysis(&mut r)?);
+                    Some(index(analyses.len() - 1)?)
+                }
                 other => {
                     return Err(StoreError::Corrupt(format!(
                         "pack meta section: bad analysis tag {other} for id {id}"
                     )))
                 }
             };
-            metas.push(MetaRow {
+            rows.push(MetaRow {
                 id,
-                rec_off,
-                rec_len,
-                collection,
-                class,
                 vertices,
                 edges,
                 arity,
-                content_hash,
+                collection,
+                class,
                 analysis,
+            });
+            data.push(RowData {
+                rec_off,
+                rec_len,
+                content_hash,
             });
         }
 
         // Keyset index: the same ids, in the same (ascending) order.
+        // The rows hold them from here on.
         let mut r = Reader::new(&keyset, "pack keyset index");
-        let mut keyset_ids = Vec::with_capacity(entry_count);
-        for _ in 0..entry_count {
-            keyset_ids.push(r.u64()?);
-        }
-        if keyset_ids.len() != metas.len()
-            || keyset_ids
-                .iter()
-                .zip(&metas)
-                .any(|(&k, m)| k as usize != m.id)
-        {
-            return Err(StoreError::Corrupt(
-                "pack keyset index does not match the meta section's ids".to_string(),
-            ));
+        for row in &rows {
+            if r.u64()? as usize != row.id {
+                return Err(StoreError::Corrupt(
+                    "pack keyset index does not match the meta section's ids".to_string(),
+                ));
+            }
         }
 
         let slots = (0..entry_count).map(|_| OnceLock::new()).collect();
@@ -626,21 +664,30 @@ impl PackStore {
             page_size: page_size as u64,
             data_len,
             page_sums,
-            metas,
-            keyset: keyset_ids,
+            rows,
+            data,
+            names,
+            analyses,
             slots,
         })
     }
 
     /// Number of entries.
     pub(crate) fn len(&self) -> usize {
-        self.metas.len()
+        self.rows.len()
+    }
+
+    /// The row of entry `id`, or the row it would be inserted at when
+    /// the pack does not hold it (ids are ascending but possibly
+    /// sparse).
+    pub(crate) fn search(&self, id: usize) -> Result<usize, usize> {
+        self.rows.binary_search_by_key(&id, |row| row.id)
     }
 
     /// The row index of entry `id`, or `None` when the id is not in the
-    /// pack (ids are ascending but possibly sparse).
+    /// pack.
     pub(crate) fn row_of(&self, id: usize) -> Option<usize> {
-        self.keyset.binary_search(&(id as u64)).ok()
+        self.search(id).ok()
     }
 
     /// The metadata view of one entry — no disk access.
@@ -656,29 +703,34 @@ impl PackStore {
 
     /// The metadata view of the entry at row index `row`.
     fn meta_at(&self, row: usize) -> EntryMeta<'_> {
-        let row = &self.metas[row];
+        self.view(&self.rows[row])
+    }
+
+    fn view<'a>(&'a self, row: &MetaRow) -> EntryMeta<'a> {
         EntryMeta {
             id: row.id,
-            collection: &row.collection,
-            class: &row.class,
+            collection: &self.names[row.collection as usize],
+            class: &self.names[row.class as usize],
             vertices: row.vertices,
             edges: row.edges,
             arity: row.arity,
-            analysis: row.analysis.as_ref(),
+            analysis: row.analysis.map(|at| &self.analyses[at as usize]),
+        }
+    }
+
+    /// The metadata of rows `rows`, in row (= id) order — a walk of the
+    /// row array, no lookup per row.
+    pub(crate) fn metas_at(&self, rows: Range<usize>) -> Metas<'_> {
+        Metas {
+            pack: self,
+            rows: self.rows[rows].iter(),
         }
     }
 
     /// The stored content hash (FNV-1a 64 of the canonical `.hg`
     /// payload) of the entry at row `row` — no disk access.
-    pub(crate) fn content_hash_at_row(&self, row: usize) -> (usize, u64) {
-        let m = &self.metas[row];
-        (m.id, m.content_hash)
-    }
-
-    /// The sorted keyset index: the id order every metadata scan (and
-    /// therefore `select_after` cursor paging) runs in.
-    pub(crate) fn keyset_ids(&self) -> std::slice::Iter<'_, u64> {
-        self.keyset.iter()
+    pub(crate) fn content_hash_at_row(&self, row: usize) -> u64 {
+        self.data[row].content_hash
     }
 
     /// Returns the hydrated entry at row index `row`, reading and
@@ -687,10 +739,11 @@ impl PackStore {
         if let Some(e) = self.slots[row].get() {
             return Ok(e);
         }
-        let meta = &self.metas[row];
+        let meta = self.meta_at(row);
         let id = meta.id;
+        let d = &self.data[row];
         let mut bytes = Vec::new();
-        PageReader::new(self).read(meta.rec_off, meta.rec_len, &mut bytes)?;
+        PageReader::new(self).read(d.rec_off, d.rec_len, &mut bytes)?;
         let mut r = Reader::new(&bytes, "pack entry record");
         let name = r.str()?;
         let hg_text = r.str()?;
@@ -700,10 +753,10 @@ impl PackStore {
         })?;
         let entry = Arc::new(Entry {
             id,
-            collection: meta.collection.clone(),
-            class: meta.class.clone(),
+            collection: meta.collection.to_string(),
+            class: meta.class.to_string(),
             hypergraph,
-            analysis: meta.analysis.clone(),
+            analysis: meta.analysis.cloned(),
         });
         // A concurrent hydration may have won the race; either value is
         // identical, so whichever landed first is served.
@@ -726,6 +779,23 @@ impl PackStore {
                 let _ = slot.set(Arc::clone(e));
             }
         }
+    }
+}
+
+/// A walk over a run of a pack's rows (see [`PackStore::metas_at`]).
+pub(crate) struct Metas<'a> {
+    pack: &'a PackStore,
+    rows: std::slice::Iter<'a, MetaRow>,
+}
+
+impl<'a> Iterator for Metas<'a> {
+    type Item = EntryMeta<'a>;
+
+    // Inlined into the scans of other crates, which are generic over
+    // this iterator: measured 25–40 % off `query.exec_*`.
+    #[inline]
+    fn next(&mut self) -> Option<EntryMeta<'a>> {
+        self.rows.next().map(|row| self.pack.view(row))
     }
 }
 
