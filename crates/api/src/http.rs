@@ -1,7 +1,7 @@
 //! The client side of HTTP/1.1: one request writer
 //! ([`encode_request`]) and one blocking response reader
 //! ([`ResponseReader`]), shared by [`crate::Client`], the router's
-//! upstream pools, the benches and the test suites. The server side —
+//! upstream pools and the test suites. The server side —
 //! the incremental *request* parser — lives in `hyperbench-server`.
 //!
 //! The servers this talks to always frame a response with

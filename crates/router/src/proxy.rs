@@ -17,15 +17,19 @@
 //! loser's socket is closed. The worker serving the request does all
 //! of it itself — it writes the request, sleeps until a socket has an
 //! answer or the hedge delay runs out, and reads the winner; no
-//! attempt gets a thread. Writes go to the shard primary only
-//! and surface the shard's own refusals (a degraded shard's 503 and
+//! attempt gets a thread. Writes go to the shard primary only and
+//! surface the shard's own refusals (a degraded shard's 503 and
 //! `Retry-After` pass through verbatim). List and query pages
-//! scatter-gather over every active shard and merge through
-//! [`crate::scatter`], which splices the merged page from the shards'
-//! own row bytes; a shard with no live upstream fails the page
-//! with a structured 502 `bad_upstream` naming the shard — unless the
-//! client opted in with `x-hyperbench-allow-partial`, in which case
-//! the page carries a `partial` marker listing the missing shards.
+//! scatter-gather over every active shard on that same worker: it puts
+//! every shard's first attempt on the wire before it waits on any, then
+//! finishes the reads in turn, and starts no thread (two shards that
+//! both need a hedge wait out their delays one after the other). The
+//! pages merge through [`crate::scatter`], which splices the merged
+//! page from the shards' own row bytes; a shard with no live upstream
+//! fails the page with a structured 502 `bad_upstream` naming the
+//! shard — unless the client opted in with `x-hyperbench-allow-partial`,
+//! in which case the page carries a `partial` marker listing the
+//! missing shards.
 //!
 //! Every request dispatches on the reactor's offload pool
 //! ([`Dispatch::offload`] answers `true` unconditionally): upstream
@@ -334,14 +338,162 @@ struct Attempt {
     _in_flight: InFlight,
 }
 
-/// After a failed attempt: whether another candidate is left to take
-/// its place, counting the failover when one is.
-fn fail_over(next_candidate: usize, candidates: usize) -> bool {
-    let more = next_candidate < candidates;
-    if more {
+/// After a failed attempt: counts a failover when another candidate
+/// is left to take its place.
+fn fail_over(next_candidate: usize, candidates: usize) {
+    if next_candidate < candidates {
         metrics().failovers.inc();
     }
-    more
+}
+
+/// One read against a shard. [`ShardRead::start`] puts the first
+/// attempt on the wire; [`ShardRead::finish`] sleeps on the sockets of
+/// the attempts in flight (at most two: hedging to the next candidate
+/// waits for a lone attempt slower than the observed p95, failing over
+/// replaces a failed one) and reads the first answer; an attempt still
+/// out then is dropped, which closes its socket.
+struct ShardRead<'r> {
+    opts: &'r RouterOptions,
+    shard: usize,
+    /// Method, path and query, forwarded headers, body.
+    request: (&'r str, String, &'r [(&'r str, &'r str)], Vec<u8>),
+    /// Read candidates in preference order.
+    candidates: Vec<Arc<Upstream>>,
+    next_candidate: usize,
+    attempts: Vec<Attempt>,
+}
+
+impl<'r> ShardRead<'r> {
+    /// Sends the first attempt; `Err` is the refusal for a shard with
+    /// no candidate.
+    fn start(
+        opts: &'r RouterOptions,
+        shard: &ShardState,
+        request: (&'r str, String, &'r [(&'r str, &'r str)], Vec<u8>),
+    ) -> Result<ShardRead<'r>, Response> {
+        let candidates = shard.read_candidates();
+        if candidates.is_empty() {
+            return Err(bad_upstream(
+                shard.index,
+                "every upstream is open-circuit or dead",
+            ));
+        }
+        let mut read = ShardRead {
+            opts,
+            shard: shard.index,
+            request,
+            candidates,
+            next_candidate: 0,
+            attempts: Vec::with_capacity(2),
+        };
+        read.launch();
+        Ok(read)
+    }
+
+    /// Sends the request to the next candidate, failing over past any
+    /// whose send fails; returns the candidate it went out to.
+    fn launch(&mut self) -> Option<usize> {
+        let (method, path, headers, body) = &self.request;
+        while self.next_candidate < self.candidates.len() {
+            let candidate = self.next_candidate;
+            self.next_candidate += 1;
+            let upstream = &self.candidates[candidate];
+            let in_flight = upstream.track();
+            let started = Instant::now();
+            match upstream.pool.send(method, path, headers, body) {
+                Ok(pending) => {
+                    self.attempts.push(Attempt {
+                        candidate,
+                        pending,
+                        started,
+                        _in_flight: in_flight,
+                    });
+                    return Some(candidate);
+                }
+                Err(_) => {
+                    upstream.record_failure();
+                    fail_over(self.next_candidate, self.candidates.len());
+                }
+            }
+        }
+        None
+    }
+
+    /// Waits the read out. `Err` carries the ready-to-send refusal.
+    fn finish(mut self) -> Result<UpstreamResponse, Response> {
+        let (m, opts) = (metrics(), self.opts);
+        let hedge_delay = self.candidates[0]
+            .p95()
+            .unwrap_or(opts.hedge_delay_ceiling)
+            .clamp(opts.hedge_delay_floor, opts.hedge_delay_ceiling);
+        // The candidate the hedge actually went out to.
+        let mut hedge_candidate = None;
+        loop {
+            let Some(first) = self.attempts.first() else {
+                return Err(bad_upstream(self.shard, "every read attempt failed"));
+            };
+            // Hedge only while one attempt is out, counting the delay
+            // from when it was sent.
+            let may_hedge = opts.hedge
+                && hedge_candidate.is_none()
+                && self.attempts.len() == 1
+                && self.next_candidate < self.candidates.len();
+            let wait = if may_hedge {
+                hedge_delay.saturating_sub(first.started.elapsed())
+            } else {
+                opts.read_timeout + Duration::from_secs(5)
+            };
+            match wait_readable(self.attempts.iter().map(|a| &a.pending), wait) {
+                Ok(Some(ready)) => {
+                    let attempt = self.attempts.swap_remove(ready);
+                    let upstream = &self.candidates[attempt.candidate];
+                    match upstream.pool.finish(attempt.pending) {
+                        Ok(response) => {
+                            upstream.record_success(attempt.started.elapsed());
+                            if hedge_candidate == Some(attempt.candidate) {
+                                m.hedge_wins.inc();
+                            }
+                            for loser in self.attempts {
+                                // Closing its socket is the cancellation;
+                                // an upstream outrun by its hedge counts
+                                // as a failure towards its breaker.
+                                self.candidates[loser.candidate].record_failure();
+                                m.hedges_cancelled.inc();
+                            }
+                            return Ok(response);
+                        }
+                        Err(_) => {
+                            upstream.record_failure();
+                            fail_over(self.next_candidate, self.candidates.len());
+                            self.launch();
+                        }
+                    }
+                }
+                Ok(None) if may_hedge => {
+                    m.hedges.inc();
+                    hedge_candidate = self.launch();
+                }
+                Ok(None) | Err(_) => {
+                    // Attempts outlived the read timeout plus slack;
+                    // treat the shard as unreachable.
+                    for attempt in self.attempts {
+                        self.candidates[attempt.candidate].record_failure();
+                    }
+                    return Err(bad_upstream(self.shard, "read attempts timed out"));
+                }
+            }
+        }
+    }
+}
+
+/// Counts a shard's refusal for want of a live upstream and builds it.
+fn bad_upstream(shard: usize, why: &str) -> Response {
+    metrics().bad_upstream.inc();
+    error_response(ApiError::new(
+        ErrorCode::BadUpstream,
+        format!("shard {shard} has no live upstream: {why}"),
+    ))
+    .with_retry_after(1)
 }
 
 /// Maps an upstream content type onto the server's static set.
@@ -433,7 +585,13 @@ impl RouterState {
             return self.drain_refusal(shard_index);
         };
         let headers = forward_headers(request);
-        match self.proxied_read(shard, "GET", &path_of(local), &headers, &[]) {
+        match ShardRead::start(
+            &self.opts,
+            shard,
+            ("GET", path_of(local), &headers, Vec::new()),
+        )
+        .and_then(ShardRead::finish)
+        {
             Ok(upstream) => {
                 let mut response = passthrough(upstream);
                 if response.status == 200 && response.content_type == "application/json" {
@@ -469,128 +627,6 @@ impl RouterState {
             let global = self.globalize(shard, local).to_string();
             response.body.splice(digits, global.into_bytes());
         }
-    }
-
-    /// One read against a shard: first candidate (hedged to the second
-    /// when slower than the observed p95), then sequential failover
-    /// over the rest. `Err` carries the ready-to-send refusal.
-    ///
-    /// The calling thread runs every attempt: it sends, then sleeps on
-    /// the sockets of the attempts in flight (at most two: hedging
-    /// waits for a lone attempt, failing over replaces a failed one).
-    /// The first socket with an answer is read and returned; an
-    /// attempt still in flight then is dropped, which closes its
-    /// socket.
-    fn proxied_read(
-        &self,
-        shard: &ShardState,
-        method: &str,
-        path: &str,
-        headers: &[(&str, &str)],
-        body: &[u8],
-    ) -> Result<UpstreamResponse, Response> {
-        let m = metrics();
-        let candidates = shard.read_candidates();
-        if candidates.is_empty() {
-            m.bad_upstream.inc();
-            return Err(self.bad_upstream(shard.index, "every upstream is open-circuit or dead"));
-        }
-        let hedge_delay = candidates[0]
-            .p95()
-            .unwrap_or(self.opts.hedge_delay_ceiling)
-            .clamp(self.opts.hedge_delay_floor, self.opts.hedge_delay_ceiling);
-
-        let mut attempts: Vec<Attempt> = Vec::with_capacity(2);
-        let mut next_candidate = 0;
-        let mut hedge_candidate: Option<usize> = None;
-        // Whether the next candidate is due a request: at the start,
-        // when the hedge delay runs out, and in place of a failure.
-        let mut launch = true;
-        loop {
-            if launch {
-                launch = false;
-                let candidate = next_candidate;
-                next_candidate += 1;
-                let upstream = &candidates[candidate];
-                let in_flight = upstream.track();
-                let started = Instant::now();
-                match upstream.pool.send(method, path, headers, body) {
-                    Ok(pending) => attempts.push(Attempt {
-                        candidate,
-                        pending,
-                        started,
-                        _in_flight: in_flight,
-                    }),
-                    Err(_) => {
-                        upstream.record_failure();
-                        launch = fail_over(next_candidate, candidates.len());
-                    }
-                }
-                continue;
-            }
-            if attempts.is_empty() {
-                m.bad_upstream.inc();
-                return Err(self.bad_upstream(shard.index, "every read attempt failed"));
-            }
-            // Hedge only while the first attempt is the only one out.
-            let may_hedge = self.opts.hedge
-                && hedge_candidate.is_none()
-                && attempts.len() == 1
-                && next_candidate < candidates.len();
-            let wait = if may_hedge {
-                hedge_delay
-            } else {
-                self.opts.read_timeout + Duration::from_secs(5)
-            };
-            match wait_readable(attempts.iter().map(|a| &a.pending), wait) {
-                Ok(Some(ready)) => {
-                    let attempt = attempts.swap_remove(ready);
-                    let upstream = &candidates[attempt.candidate];
-                    match upstream.pool.finish(attempt.pending) {
-                        Ok(response) => {
-                            upstream.record_success(attempt.started.elapsed());
-                            if hedge_candidate == Some(attempt.candidate) {
-                                m.hedge_wins.inc();
-                            }
-                            for loser in attempts {
-                                // Closing its socket is the cancellation;
-                                // an upstream outrun by its hedge counts
-                                // as a failure towards its breaker.
-                                candidates[loser.candidate].record_failure();
-                                m.hedges_cancelled.inc();
-                            }
-                            return Ok(response);
-                        }
-                        Err(_) => {
-                            upstream.record_failure();
-                            launch = fail_over(next_candidate, candidates.len());
-                        }
-                    }
-                }
-                Ok(None) if may_hedge => {
-                    m.hedges.inc();
-                    hedge_candidate = Some(next_candidate);
-                    launch = true;
-                }
-                Ok(None) | Err(_) => {
-                    // Attempts outlived the read timeout plus slack;
-                    // treat the shard as unreachable.
-                    for attempt in attempts {
-                        candidates[attempt.candidate].record_failure();
-                    }
-                    m.bad_upstream.inc();
-                    return Err(self.bad_upstream(shard.index, "read attempts timed out"));
-                }
-            }
-        }
-    }
-
-    fn bad_upstream(&self, shard: usize, why: &str) -> Response {
-        error_response(ApiError::new(
-            ErrorCode::BadUpstream,
-            format!("shard {shard} has no live upstream: {why}"),
-        ))
-        .with_retry_after(1)
     }
 
     fn drain_refusal(&self, shard: usize) -> Response {
@@ -646,8 +682,7 @@ impl RouterState {
         };
         let primary = &shard.upstreams[0];
         if !primary.allow() {
-            metrics().bad_upstream.inc();
-            return self.bad_upstream(shard_index, "the primary's breaker is open");
+            return bad_upstream(shard_index, "the primary's breaker is open");
         }
         let headers = forward_headers(request);
         let _in_flight = primary.track();
@@ -665,8 +700,7 @@ impl RouterState {
             }
             Err(_) => {
                 primary.record_failure();
-                metrics().bad_upstream.inc();
-                self.bad_upstream(shard_index, "the primary is unreachable")
+                bad_upstream(shard_index, "the primary is unreachable")
             }
         }
     }
@@ -701,66 +735,40 @@ impl RouterState {
         }
     }
 
-    /// Fans one request out to every shard with a live slot, in
-    /// parallel: the calling thread fetches the first shard itself and
-    /// starts a thread for each of the others. Returns per-shard
+    /// Fans one request out to every shard with a live slot: starts
+    /// every shard's read, then finishes them in turn. Returns per-shard
     /// outcomes; `None` = not fetched (slot `Done` or shard draining).
     fn scatter_fetch(
         &self,
         slots: &[ShardSlot],
-        request_of: impl Fn(ShardSlot) -> (String, Vec<u8>) + Sync,
+        request_of: impl Fn(ShardSlot) -> (String, Vec<u8>),
         method: &str,
         headers: &[(&str, &str)],
     ) -> Vec<Option<Result<UpstreamResponse, Response>>> {
         let mut guards = Vec::new();
-        let mut targets = Vec::new();
-        for (index, slot) in slots.iter().enumerate() {
-            if matches!(slot, ShardSlot::Done) {
-                continue;
-            }
-            let shard = &self.shards[index];
-            let Some(guard) = shard.enter() else {
+        let reads: Vec<_> = slots
+            .iter()
+            .zip(&self.shards)
+            .map(|(slot, shard)| {
+                if matches!(slot, ShardSlot::Done) {
+                    return None;
+                }
                 // Draining shards leave the scatter silently: their
                 // slice of the walk ends here (slot comes back Done).
-                continue;
-            };
-            guards.push(guard);
-            targets.push((index, *slot));
-        }
-        metrics().scatter_fanout.observe(targets.len() as u64);
-        let mut out: Vec<Option<Result<UpstreamResponse, Response>>> =
-            (0..self.shard_count()).map(|_| None).collect();
-        let Some((&(own, own_slot), others)) = targets.split_first() else {
-            return out;
-        };
-        let fetch = |index: usize, slot: ShardSlot| {
-            let (path, body) = request_of(slot);
-            self.proxied_read(&self.shards[index], method, &path, headers, &body)
-        };
-        // The ambient request id is a thread-local; fan-out workers
-        // re-establish it so a refusal they build is grep-able against
-        // the request that caused it.
-        let request_id = trace::current_request_id();
-        std::thread::scope(|scope| {
-            let fetch = &fetch;
-            let workers: Vec<_> = others
-                .iter()
-                .map(|&(index, slot)| {
-                    let worker = scope
-                        .spawn(move || trace::with_request_id(request_id, || fetch(index, slot)));
-                    (index, worker)
-                })
-                .collect();
-            out[own] = Some(fetch(own, own_slot));
-            for (index, worker) in workers {
-                out[index] = Some(
-                    worker
-                        .join()
-                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
-                );
-            }
-        });
-        out
+                guards.push(shard.enter()?);
+                let (path, body) = request_of(*slot);
+                Some(ShardRead::start(
+                    &self.opts,
+                    shard,
+                    (method, path, headers, body),
+                ))
+            })
+            .collect();
+        metrics().scatter_fanout.observe(guards.len() as u64);
+        reads
+            .into_iter()
+            .map(|read| read.map(|read| read.and_then(ShardRead::finish)))
+            .collect()
     }
 
     /// Merges fetched pages and builds the outgoing page: the body of
@@ -1130,6 +1138,46 @@ mod tests {
         assert_eq!(s.shards[0].in_flight(), 0);
         s.shards[0].drain.store(ACTIVE, Ordering::Release);
         assert!(s.shards[0].enter().is_some());
+    }
+
+    /// A hedge whose send fails over is the candidate its attempt
+    /// went out to: when that one answers first, the win counts.
+    #[test]
+    fn a_hedge_that_fails_over_on_send_still_counts_its_win() {
+        use std::io::{BufRead, BufReader, Write};
+        let bind = || std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        // Replicas go first: one whose backlog takes the connection and
+        // that never answers, then a closed port that refuses it.
+        let (silent, refused, primary) = (bind(), bind().local_addr().unwrap(), bind());
+        let [primary_addr, silent_addr] = [&primary, &silent].map(|l| l.local_addr().unwrap());
+        let map = ShardMap::parse(&format!("{primary_addr} {silent_addr} {refused}")).unwrap();
+        let responder = std::thread::spawn(move || {
+            let (stream, _) = primary.accept().unwrap();
+            let head = BufReader::new(&stream).lines().map(Result::unwrap);
+            assert!(head.take_while(|line| !line.is_empty()).count() > 0);
+            (&stream)
+                .write_all(b"HTTP/1.1 200 OK\r\ncontent-length: 2\r\n\r\n{}")
+                .unwrap();
+        });
+        let opts = RouterOptions {
+            hedge_delay_ceiling: Duration::from_millis(10),
+            ..RouterOptions::default()
+        };
+        let s = RouterState::new(&map, opts);
+        let m = metrics();
+        let counters = || [m.hedges.get(), m.hedge_wins.get(), m.hedges_cancelled.get()];
+        let before = counters();
+        let request = ("GET", "/v1/hypergraphs/0".to_string(), &[][..], Vec::new());
+        let answer = ShardRead::start(&s.opts, &s.shards[0], request)
+            .and_then(ShardRead::finish)
+            .unwrap_or_else(|refusal| panic!("refused: {}", refusal.status));
+        assert_eq!((answer.status, answer.body.as_slice()), (200, &b"{}"[..]));
+        assert_eq!(
+            counters(),
+            before.map(|n| n + 1),
+            "one hedge, won by the primary, the silent replica cancelled"
+        );
+        responder.join().unwrap();
     }
 
     #[test]

@@ -8,13 +8,15 @@
 //! new one) and writes one HTTP/1.1 request, and
 //! [`UpstreamPool::finish`] reads the response and returns the
 //! connection to the pool when the upstream kept it open. Between the
-//! two the request is a [`Pending`], and a thread that holds several —
-//! a read hedged to a second replica — sleeps in [`wait_readable`]
-//! until the first answer starts to arrive; dropping the others closes
-//! their sockets, which is all the cancellation an abandoned request
-//! needs. Both halves block by design — the router dispatches every
-//! request on the reactor's offload pool, so a slow upstream stalls
-//! one worker thread, never the event loop.
+//! two the request is a [`Pending`], and one thread may hold several:
+//! a scatter page sends one to every shard before it waits on any, and
+//! a read hedged to a second replica sleeps in [`wait_readable`] until
+//! the first answer starts to arrive. No thread is started for either;
+//! dropping a `Pending` closes its socket, which is all the
+//! cancellation an abandoned request needs. Both halves block by
+//! design — the router dispatches every request on the reactor's
+//! offload pool, so a slow upstream stalls one worker thread, never
+//! the event loop.
 //!
 //! # Fault injection
 //!

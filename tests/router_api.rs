@@ -519,15 +519,20 @@ impl FakeReplica {
         let addr = listener.local_addr().unwrap();
         let hung_up = Arc::new(AtomicUsize::new(0));
         let counter = Arc::clone(&hung_up);
-        std::thread::spawn(move || {
-            for stream in listener.incoming().flatten() {
-                let counter = Arc::clone(&counter);
-                std::thread::Builder::new()
-                    .name(FakeReplica::THREAD.to_string())
-                    .spawn(move || FakeReplica::serve(stream, fake, &counter))
-                    .expect("spawn a fake connection");
-            }
-        });
+        // The acceptor carries the name too: a thread is born with its
+        // parent's name and takes its own only once running.
+        let acceptor = std::thread::Builder::new().name(FakeReplica::THREAD.to_string());
+        acceptor
+            .spawn(move || {
+                for stream in listener.incoming().flatten() {
+                    let counter = Arc::clone(&counter);
+                    std::thread::Builder::new()
+                        .name(FakeReplica::THREAD.to_string())
+                        .spawn(move || FakeReplica::serve(stream, fake, &counter))
+                        .expect("spawn a fake connection");
+                }
+            })
+            .expect("spawn the fake's acceptor");
         FakeReplica { addr, hung_up }
     }
 
@@ -680,4 +685,75 @@ fn a_replica_that_resets_mid_response_fails_over_to_the_primary() {
     let [failovers, hedges] = counters();
     assert_eq!(c.entry(gid).expect("failed-over read").summary.id, gid);
     assert_eq!(counters(), [failovers + 1.0, hedges]);
+}
+
+/// The process's threads, the fake replica's own aside.
+fn threads_but_the_fakes() -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .expect("/proc")
+        .flatten()
+        .filter(|task| {
+            std::fs::read_to_string(task.path().join("comm"))
+                .is_ok_and(|name| name.trim() != FakeReplica::THREAD)
+        })
+        .count()
+}
+
+#[test]
+fn a_hedged_shard_inside_a_scatter_page_starts_no_thread() {
+    let _process = alone();
+    let fake = FakeReplica::start(Fake::Stall);
+    let (a, _ha) = start_shard("scatter-hedge-a");
+    let (b, _hb) = start_shard("scatter-hedge-b");
+    // Shard 1 reads from the stalling replica first; shard 0 has no
+    // replica, so every page hedges exactly once, on shard 1.
+    let opts = RouterOptions {
+        hedge_delay_ceiling: Duration::from_millis(20),
+        breaker_threshold: u32::MAX,
+        ..fast_probes()
+    };
+    let (router, _stop) = start_router(&format!("{a}\n{b} {}\n", fake.addr), opts);
+    let c = client(router);
+    let mut ids: Vec<usize> = (0..8)
+        .map(|i| c.put_new(&WriteRequest::new(doc(i))).expect("create").id)
+        .collect();
+    ids.sort_unstable();
+    assert!(ids.iter().any(|id| id % 2 == 0) && ids.iter().any(|id| id % 2 == 1));
+    let page = || {
+        let page = c.list(&ListQuery::new().limit(20)).expect("scatter page");
+        page.items.iter().map(|s| s.id).collect::<Vec<_>>()
+    };
+    // One page first, so every pooled connection the walk needs exists.
+    assert_eq!(page(), ids);
+
+    // Sample the thread count for as long as the walk runs; the
+    // sampler is itself counted in the baseline and in every sample.
+    let walking = Arc::new(AtomicBool::new(true));
+    let sampler = {
+        let walking = Arc::clone(&walking);
+        std::thread::spawn(move || {
+            let mut most = 0;
+            while walking.load(Ordering::SeqCst) {
+                most = most.max(threads_but_the_fakes());
+            }
+            most
+        })
+    };
+    let baseline = threads_but_the_fakes();
+    let counters = || HEDGE_COUNTERS.map(|name| metric(router, name));
+    let before = counters();
+    for n in 1..=50 {
+        assert_eq!(page(), ids, "page {n}: both shards, in global id order");
+        assert_eq!(
+            counters(),
+            before.map(|count| count + n as f64),
+            "page {n}: one hedge, won by the hedge, its loser cancelled"
+        );
+    }
+    walking.store(false, Ordering::SeqCst);
+    let most = sampler.join().expect("sampler");
+    assert!(
+        most <= baseline,
+        "{baseline} threads before the walk, {most} at its peak: a scatter started a thread"
+    );
 }
