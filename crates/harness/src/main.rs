@@ -53,10 +53,12 @@ as serial ones; for `serve` the flag is also the ceiling for the
 `jobs` field of `POST /v1/analyses` requests.
 
 `serve` runs the event-driven epoll reactor with `max(1, threads / 2)`
-event loops (override with `--reactor-threads N`). `--writable` accepts
-`POST`/`PUT`/`DELETE` on `/v1/hypergraphs`, committing through a
-fsynced write-ahead log next to the repository (packs also checkpoint
-committed writes back into their pages); without it, writes answer 403.
+event loops (override with `--reactor-threads N`). `--writable` (with
+`--pack` only) accepts `POST`/`PUT`/`DELETE` on `/v1/hypergraphs`,
+committing through a fsynced write-ahead log at `FILE.wal` that is
+checkpointed back into the pack's pages; without it, writes answer 403.
+A TSV tree (`--dir`) is served read-only: `hyperbench pack --dir DIR`
+turns it into a pack that can be served writable.
 
 `route` runs the sharding front tier over a static shard map: one line
 per shard listing its upstream `host:port` addresses (first = primary,
@@ -419,10 +421,9 @@ fn run(args: &[String]) -> Result<(), String> {
                     jobs: flags.get_parsed("jobs", 1)?,
                 },
                 spill,
-                // serve_dir_opts / serve_pack_opts derive the WAL (and,
-                // for packs, the checkpoint target) when --writable is on.
-                wal: None,
-                checkpoint_pack: None,
+                // serve_pack_opts sets the writable pack when --writable
+                // is on; serve_dir_opts refuses it.
+                writable_pack: None,
             };
             let serve_opts = hyperbench_server::ServeOptions {
                 writable: matches!(flags.get("writable"), Some("true") | Some("1")),

@@ -341,7 +341,7 @@ proptest! {
         // Keyset pages match byte-for-byte.
         let expected = repo
             .try_select_after(&filter, after, limit)
-            .expect("memory backend");
+            .expect("resident entries");
         let got = plan.execute_rows(repo.metas(), after, limit);
         prop_assert_eq!(got.total, expected.total);
         prop_assert_eq!(got.next_after, expected.next_after);

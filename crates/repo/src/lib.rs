@@ -14,11 +14,14 @@
 //!   `repo.pack` file ([`store::pack`]) that opens without parsing any
 //!   `.hg` payload and hydrates entries lazily, page by page.
 //!
-//! A [`Repository`] is backed either by memory (every entry resident,
-//! mutable) or by a pack file (read-only, lazily hydrated). Both
-//! backends answer the same retrieval API; the paged backend evaluates
-//! filters against its in-memory metadata index and touches the pack
-//! file only for the entries a query actually returns.
+//! A [`Repository`] has one shape: an immutable pack base (no rows and
+//! no file for [`Repository::new`]) plus an overlay of the entries
+//! written since, keyed by id. Reads walk the base's rows merged with the
+//! overlay in id order, so a filter is evaluated against the metadata
+//! index and touches the pack file only for the entries a query returns.
+//! Writes go to the overlay on any repository; [`store::pack::write_pack`]
+//! folds both into a new pack. The MVCC store's generations
+//! ([`store::mvcc`]) are repositories too.
 
 #![forbid(unsafe_code)]
 
@@ -34,12 +37,14 @@ pub use analysis::{
 pub use filter::{Filter, FilterParamError};
 pub use store::StoreError;
 
+use std::collections::BTreeMap;
 use std::ops::Range;
 use std::path::Path;
+use std::sync::Arc;
 
 use hyperbench_core::Hypergraph;
 
-use store::pack::{self, PackStore, Record};
+use store::pack::{content_hash_of, PackStore, Record};
 
 /// Class labels mirroring `hyperbench_datagen::BenchClass` but kept
 /// string-typed here so the repository does not depend on the generators.
@@ -60,12 +65,12 @@ pub struct Entry {
     pub analysis: Option<AnalysisRecord>,
 }
 
-/// The lightweight per-entry metadata every backend can answer without
+/// The lightweight per-entry metadata a repository answers without
 /// hydrating the hypergraph payload: provenance, size counters, and the
 /// analysis record. This is what [`Filter`] conditions are evaluated
 /// against ([`Filter::matches_meta`]) and what [`aggregate_stats`]
-/// consumes, so a paged repository can run filtered scans and compute
-/// `/stats` aggregates without touching a single data page.
+/// consumes, so filtered scans and `/stats` aggregates never touch a
+/// single data page.
 #[derive(Debug, Clone)]
 pub struct EntryMeta<'a> {
     /// Stable id within the repository.
@@ -99,28 +104,56 @@ impl<'a> EntryMeta<'a> {
     }
 }
 
-/// How the entries are held.
-#[derive(Debug)]
-enum Backend {
-    /// Every entry resident in memory; mutable.
-    Memory(Vec<Entry>),
-    /// A read-only paged pack file; entries hydrate lazily on first
-    /// access and stay cached afterwards.
-    Paged(PackStore),
+/// A live overlay value: the entry and, when known, its content hash.
+/// The MVCC commit path computes the hash once per write, so no later
+/// read re-serializes the hypergraph to learn it; a plain
+/// [`Repository::insert`] leaves it to whoever asks first (a pack writer
+/// hashes the text it serializes anyway).
+#[derive(Debug, Clone)]
+pub(crate) struct Live {
+    pub(crate) entry: Arc<Entry>,
+    pub(crate) hash: Option<u64>,
 }
 
-/// A repository of hypergraphs and analyses, backed by memory or by a
-/// paged on-disk pack file (see [`Repository::open_pack`]).
-#[derive(Debug)]
+impl Live {
+    fn hash(&self) -> u64 {
+        self.hash
+            .unwrap_or_else(|| content_hash_of(&self.entry.hypergraph))
+    }
+}
+
+/// An overlay value: the commit that produced it, and what it committed
+/// (`None` is a tombstone).
+pub(crate) type Overlay = BTreeMap<usize, (u64, Option<Live>)>;
+
+/// A repository of hypergraphs and analyses: a pack base (see
+/// [`Repository::open_pack`]; empty for [`Repository::new`]) plus an
+/// overlay of the writes made since. Cloning shares the base and copies
+/// the overlay.
+#[derive(Clone)]
 pub struct Repository {
-    backend: Backend,
+    /// The commit this generation reflects (0 outside the MVCC store).
+    seq: u64,
+    base: Arc<PackStore>,
+    overlay: Overlay,
+    /// Live entries: base rows not shadowed, plus live overlay values.
+    len: usize,
+}
+
+impl std::fmt::Debug for Repository {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Repository")
+            .field("seq", &self.seq)
+            .field("len", &self.len)
+            .field("base", &self.base)
+            .field("overlay", &self.overlay.len())
+            .finish()
+    }
 }
 
 impl From<PackStore> for Repository {
     fn from(pack: PackStore) -> Repository {
-        Repository {
-            backend: Backend::Paged(pack),
-        }
+        Repository::over(Arc::new(pack), 0, Overlay::new())
     }
 }
 
@@ -131,51 +164,89 @@ impl Default for Repository {
 }
 
 impl Repository {
-    /// Creates an empty in-memory repository.
+    /// Creates an empty repository: a base with no rows and no file.
     pub fn new() -> Repository {
-        Repository {
-            backend: Backend::Memory(Vec::new()),
-        }
+        Repository::from(PackStore::empty())
     }
 
     /// Opens a packed repository written by [`store::pack::write_pack`].
     /// Only the pack's header and index sections are read here; the
-    /// entry payloads stay on disk until first access. The resulting
-    /// repository is read-only: [`Repository::insert`] and
-    /// [`Repository::set_analysis`] panic on it.
+    /// entry payloads stay on disk until first access.
     pub fn open_pack(path: &Path) -> Result<Repository, StoreError> {
         PackStore::open(path).map(Repository::from)
     }
 
-    /// Whether this repository is backed by a pack file (read-only).
-    pub fn is_paged(&self) -> bool {
-        matches!(self.backend, Backend::Paged(_))
-    }
-
-    fn memory_mut(&mut self, op: &str) -> &mut Vec<Entry> {
-        match &mut self.backend {
-            Backend::Memory(entries) => entries,
-            Backend::Paged(_) => panic!(
-                "cannot {op}: a packed repository is read-only \
-                 (unpack it with store::save, mutate, then re-pack)"
-            ),
+    /// `base` with `overlay` over it, as of commit `seq`.
+    pub(crate) fn over(base: Arc<PackStore>, seq: u64, overlay: Overlay) -> Repository {
+        let mut len = base.len();
+        for (&id, (_, live)) in &overlay {
+            match (live.is_some(), base.search(id).is_ok()) {
+                (true, false) => len += 1,
+                (false, true) => len -= 1,
+                _ => {}
+            }
+        }
+        Repository {
+            seq,
+            base,
+            overlay,
+            len,
         }
     }
 
-    /// Inserts a hypergraph; returns its id (one past the largest id
-    /// present, so ids stay strictly ascending even after removals).
-    ///
-    /// # Panics
-    /// Panics on a packed (read-only) repository.
+    /// Sets `id` to `live` (`None` removes it) in the overlay, as
+    /// committed at `seq`.
+    pub(crate) fn put(&mut self, seq: u64, id: usize, live: Option<Live>) {
+        match (self.contains(id), live.is_some()) {
+            (false, true) => self.len += 1,
+            (true, false) => self.len -= 1,
+            _ => {}
+        }
+        self.overlay.insert(id, (seq, live));
+    }
+
+    /// The generation one commit after this one: same base, `id` set to
+    /// `live` at `seq`.
+    pub(crate) fn next(&self, seq: u64, id: usize, live: Option<Live>) -> Repository {
+        let mut next = self.clone();
+        next.seq = seq;
+        next.put(seq, id, live);
+        next
+    }
+
+    fn put_entry(&mut self, entry: Entry) {
+        let id = entry.id;
+        let live = Live {
+            entry: Arc::new(entry),
+            hash: None,
+        };
+        self.put(self.seq, id, Some(live));
+    }
+
+    /// One past every id this repository has held, live or removed: a
+    /// removal leaves a tombstone in the overlay, so the high-water mark
+    /// survives it.
+    pub(crate) fn next_id(&self) -> usize {
+        let over = self.overlay.last_key_value().map_or(0, |(&id, _)| id + 1);
+        over.max(self.base.next_id())
+    }
+
+    /// The commit sequence number this generation reflects: 0 for a
+    /// repository outside the MVCC store.
+    pub fn seq(&self) -> u64 {
+        self.seq
+    }
+
+    /// Inserts a hypergraph; returns its id (one past every id this
+    /// repository has held, so ids are never reused after removals).
     pub fn insert(
         &mut self,
         hypergraph: Hypergraph,
         collection: impl Into<String>,
         class: impl Into<String>,
     ) -> usize {
-        let entries = self.memory_mut("insert");
-        let id = entries.last().map_or(0, |e| e.id + 1);
-        entries.push(Entry {
+        let id = self.next_id();
+        self.put_entry(Entry {
             id,
             collection: collection.into(),
             class: class.into(),
@@ -186,208 +257,202 @@ impl Repository {
     }
 
     /// Inserts a fully formed entry under its own id, which must be
-    /// strictly greater than every id already present (ids are
-    /// append-ordered in every backend). Used by the TSV loader and the
-    /// WAL replay path, where ids are assigned by history, not by us.
+    /// greater than every id this repository has held. Used by the TSV
+    /// loader, where ids are assigned by history, not by us.
     pub fn insert_entry(&mut self, entry: Entry) -> Result<(), StoreError> {
-        let entries = self.memory_mut("insert entry");
-        if let Some(last) = entries.last() {
-            if entry.id <= last.id {
-                return Err(StoreError::Corrupt(format!(
-                    "entry id {} not after {}",
-                    entry.id, last.id
-                )));
-            }
+        let next = self.next_id();
+        if entry.id < next {
+            return Err(StoreError::Corrupt(format!(
+                "entry id {} not after {}",
+                entry.id,
+                next - 1
+            )));
         }
-        entries.push(entry);
+        self.put_entry(entry);
         Ok(())
     }
 
-    /// Replaces the entry with id `id` in place (id and position are
-    /// kept; collection, class, hypergraph, and analysis are swapped).
-    ///
-    /// # Panics
-    /// Panics on a packed (read-only) repository.
+    /// Replaces the entry with id `id` (the id is kept; collection,
+    /// class, hypergraph, and analysis are swapped).
     pub fn replace(&mut self, id: usize, entry: Entry) -> Result<(), StoreError> {
-        let entries = self.memory_mut("replace");
-        let idx = entries
-            .binary_search_by_key(&id, |e| e.id)
-            .map_err(|_| StoreError::NoSuchEntry { id })?;
-        entries[idx] = Entry { id, ..entry };
+        if !self.contains(id) {
+            return Err(StoreError::NoSuchEntry { id });
+        }
+        self.put_entry(Entry { id, ..entry });
         Ok(())
     }
 
     /// Removes the entry with id `id`. Later ids keep their values —
     /// the id sequence simply becomes sparse.
-    ///
-    /// # Panics
-    /// Panics on a packed (read-only) repository.
     pub fn remove(&mut self, id: usize) -> Result<Entry, StoreError> {
-        let entries = self.memory_mut("remove");
-        let idx = entries
-            .binary_search_by_key(&id, |e| e.id)
-            .map_err(|_| StoreError::NoSuchEntry { id })?;
-        Ok(entries.remove(idx))
+        let removed = self
+            .try_get(id)?
+            .ok_or(StoreError::NoSuchEntry { id })?
+            .clone();
+        self.put(self.seq, id, None);
+        Ok(removed)
     }
 
     /// Attaches an analysis record to an entry.
     ///
     /// # Panics
-    /// Panics on a packed (read-only) repository, or when `id` is not
-    /// present.
+    /// Panics when `id` is not present, or when its base row fails to
+    /// hydrate.
     pub fn set_analysis(&mut self, id: usize, record: AnalysisRecord) {
-        let entries = self.memory_mut("set analysis");
-        let idx = entries
-            .binary_search_by_key(&id, |e| e.id)
-            .unwrap_or_else(|_| panic!("no entry with id {id}"));
-        entries[idx].analysis = Some(record);
-    }
-
-    /// The row of entry `id` — rows are the scan order, ascending by
-    /// id in both backends, which is the invariant the keyset cursor
-    /// paging of [`Repository::select_after`] rests on — or the row it
-    /// would be inserted at when absent.
-    pub(crate) fn search(&self, id: usize) -> Result<usize, usize> {
-        match &self.backend {
-            Backend::Memory(entries) => entries.binary_search_by_key(&id, |e| e.id),
-            Backend::Paged(pack) => pack.search(id),
+        if let Some((_, Some(live))) = self.overlay.get_mut(&id) {
+            Arc::make_mut(&mut live.entry).analysis = Some(record);
+            return;
         }
+        let mut entry = self.entry(id).clone();
+        entry.analysis = Some(record);
+        self.put_entry(entry);
     }
 
-    /// Rows `rows` as pack-writer records: a paged backend's rows are
-    /// carried by their bytes, never hydrated.
-    pub(crate) fn records_at(&self, rows: Range<usize>) -> impl Iterator<Item = Record<'_>> {
-        rows.map(move |row| match &self.backend {
-            Backend::Memory(entries) => Record::Entry(&entries[row]),
-            Backend::Paged(pack) => Record::Carried(pack, row),
+    /// The base merged with the overlay in id order: the base rows
+    /// between two overlay keys go out as one run (`run` walks them),
+    /// the base row an overlay key shadows is skipped, and a live
+    /// overlay entry goes out through `over`. Each overlay key costs one
+    /// base search; a base row costs nothing beyond its run's `next`.
+    fn merged<'a, I: Iterator + 'a>(
+        &'a self,
+        run: impl Fn(Range<usize>) -> I + 'a,
+        over: impl Fn(&'a Arc<Entry>) -> I::Item + 'a,
+    ) -> impl Iterator<Item = I::Item> + 'a
+    where
+        I::Item: 'a,
+    {
+        let base = &*self.base;
+        let mut keys = self.overlay.iter();
+        let mut rows = run(0..0);
+        let mut held = None;
+        let mut next_row = 0;
+        std::iter::from_fn(move || loop {
+            if let Some(item) = rows.next() {
+                return Some(item);
+            }
+            if let Some(item) = held.take() {
+                return Some(item);
+            }
+            let (end, resume) = match keys.next() {
+                Some((&id, (_, live))) => {
+                    held = live.as_ref().map(|l| over(&l.entry));
+                    match base.search(id) {
+                        Ok(row) => (row, row + 1), // shadowed by the overlay
+                        Err(row) => (row, row),
+                    }
+                }
+                None if next_row < base.len() => (base.len(), base.len()),
+                None => return None,
+            };
+            rows = run(next_row..end);
+            next_row = resume;
         })
     }
 
-    /// Every entry as a pack-writer record, in id order.
+    /// Every live entry as a pack-writer record, in id order: base rows
+    /// carried by their bytes, never hydrated; overlay entries shared.
     pub(crate) fn records(&self) -> impl Iterator<Item = Record<'_>> {
-        self.records_at(0..self.len())
+        let base = &*self.base;
+        self.merged(
+            move |rows| rows.map(move |row| Record::Carried(base, row)),
+            Record::Shared,
+        )
     }
 
-    /// All entries, in id order. On a paged repository this hydrates
-    /// every entry (it is the full-export path behind [`store::save`]).
-    pub fn entries(&self) -> impl Iterator<Item = &Entry> {
-        (0..self.len()).map(move |row| match &self.backend {
-            Backend::Memory(entries) => &entries[row],
-            Backend::Paged(pack) => pack
-                .hydrate_row(row)
-                .unwrap_or_else(|e| panic!("paged repository read failed: {e}")),
-        })
-    }
-
-    /// The metadata of rows `rows`, in id order: a walk of the rows,
-    /// with no lookup per row.
-    pub(crate) fn metas_at(&self, rows: Range<usize>) -> Metas<'_> {
-        match &self.backend {
-            Backend::Memory(entries) => Metas::Entries(entries[rows].iter()),
-            Backend::Paged(pack) => Metas::Pack(pack.metas_at(rows)),
-        }
-    }
-
-    /// The metadata of every entry, in id order — available without
-    /// hydration on a paged repository.
-    pub fn metas(&self) -> impl Iterator<Item = EntryMeta<'_>> {
-        self.metas_at(0..self.len())
-    }
-
-    /// The metadata of one entry.
+    /// All entries, in id order. This hydrates every base row (it is the
+    /// full-export path behind [`store::save`]).
     ///
     /// # Panics
-    /// Panics when `id` is out of range.
-    pub fn meta(&self, id: usize) -> EntryMeta<'_> {
-        match &self.backend {
-            Backend::Memory(entries) => {
-                let idx = entries
-                    .binary_search_by_key(&id, |e| e.id)
-                    .unwrap_or_else(|_| panic!("no entry with id {id}"));
-                EntryMeta::of(&entries[idx])
-            }
-            Backend::Paged(pack) => pack.meta(id),
-        }
+    /// Panics when a base row fails to hydrate.
+    pub fn entries(&self) -> impl Iterator<Item = &Entry> {
+        let base = &*self.base;
+        self.merged(
+            move |rows| {
+                rows.map(move |row| {
+                    base.hydrate_row(row)
+                        .unwrap_or_else(|e| panic!("paged repository read failed: {e}"))
+                })
+            },
+            |e| &**e,
+        )
+    }
+
+    /// The metadata of every live entry, in id order — no hydration.
+    pub fn metas(&self) -> impl Iterator<Item = EntryMeta<'_>> {
+        let base = &*self.base;
+        self.merged(move |rows| base.metas_at(rows), |e| EntryMeta::of(e))
     }
 
     /// A single entry.
     ///
     /// # Panics
-    /// Panics when `id` is out of range (use [`Repository::get`] for a
-    /// fallible lookup) or when a paged backend fails to hydrate the
-    /// entry (use [`Repository::try_get`] to observe the
-    /// [`StoreError`]).
+    /// Panics when `id` is absent (use [`Repository::get`] for a
+    /// fallible lookup) or when its base row fails to hydrate (use
+    /// [`Repository::try_get`] to observe the [`StoreError`]).
     pub fn entry(&self, id: usize) -> &Entry {
         self.get(id)
             .unwrap_or_else(|| panic!("no entry with id {id}"))
     }
 
-    /// A single entry, or `None` when `id` is out of range.
+    /// A single entry, or `None` when `id` is absent.
     ///
     /// # Panics
-    /// Panics when a paged backend fails to hydrate the entry (I/O
-    /// error or pack corruption); [`Repository::try_get`] surfaces that
-    /// as a [`StoreError`] instead.
+    /// Panics when its base row fails to hydrate (I/O error or pack
+    /// corruption); [`Repository::try_get`] surfaces that as a
+    /// [`StoreError`] instead.
     pub fn get(&self, id: usize) -> Option<&Entry> {
         self.try_get(id)
             .unwrap_or_else(|e| panic!("paged repository read failed: {e}"))
     }
 
-    /// A single entry, `Ok(None)` when `id` is out of range, or the
-    /// [`StoreError`] a paged backend hit while hydrating (bad page
+    /// A single entry, `Ok(None)` when `id` is absent, or the
+    /// [`StoreError`] its base row hit while hydrating (bad page
     /// checksum, I/O failure, unparsable payload).
     pub fn try_get(&self, id: usize) -> Result<Option<&Entry>, StoreError> {
-        match &self.backend {
-            Backend::Memory(entries) => Ok(entries
-                .binary_search_by_key(&id, |e| e.id)
-                .ok()
-                .map(|idx| &entries[idx])),
-            Backend::Paged(pack) => match pack.row_of(id) {
-                Some(row) => pack.hydrate_row(row).map(Some),
-                None => Ok(None),
+        match self.overlay.get(&id) {
+            Some((_, live)) => Ok(live.as_ref().map(|l| &*l.entry)),
+            None => match self.base.search(id) {
+                Ok(row) => self.base.hydrate_row(row).map(Some),
+                Err(_) => Ok(None),
             },
         }
     }
 
-    /// Whether an entry with id `id` exists — no hydration on a paged
-    /// backend.
+    /// Whether an entry with id `id` is live — no hydration.
     pub fn contains(&self, id: usize) -> bool {
-        match &self.backend {
-            Backend::Memory(entries) => entries.binary_search_by_key(&id, |e| e.id).is_ok(),
-            Backend::Paged(pack) => pack.row_of(id).is_some(),
+        match self.overlay.get(&id) {
+            Some((_, live)) => live.is_some(),
+            None => self.base.search(id).is_ok(),
         }
     }
 
     /// The content hash (FNV-1a 64 of the canonical unnamed `.hg`
-    /// serialization) of entry `id`, or `None` when the id is absent.
-    /// A paged backend answers from its meta index without hydrating;
-    /// the memory backend serializes the resident hypergraph.
+    /// serialization) of entry `id`, or `None` when the id is absent. A
+    /// base row answers from the pack's meta index without hydrating.
     pub fn content_hash(&self, id: usize) -> Option<u64> {
-        match &self.backend {
-            Backend::Memory(entries) => entries
-                .binary_search_by_key(&id, |e| e.id)
+        match self.overlay.get(&id) {
+            Some((_, live)) => live.as_ref().map(Live::hash),
+            None => self
+                .base
+                .search(id)
                 .ok()
-                .map(|idx| store::pack::content_hash_of(&entries[idx].hypergraph)),
-            Backend::Paged(pack) => pack.row_of(id).map(|row| pack.content_hash_at_row(row)),
+                .map(|row| self.base.content_hash_at_row(row)),
         }
     }
 
-    /// Number of entries.
+    /// Number of live entries.
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Memory(entries) => entries.len(),
-            Backend::Paged(pack) => pack.len(),
-        }
+        self.len
     }
 
     /// Whether the repository is empty.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
     /// Entries matching a filter. Filter conditions are evaluated
-    /// against the metadata index, so a paged backend hydrates only the
-    /// entries that match.
+    /// against the metadata index, so only the entries that match are
+    /// hydrated.
     pub fn select<'a>(&'a self, filter: &'a Filter) -> impl Iterator<Item = &'a Entry> {
         self.metas()
             .filter(move |m| filter.matches_meta(m))
@@ -399,12 +464,11 @@ impl Repository {
     /// total match count — the repository-side contract behind the
     /// `/v1/hypergraphs` cursor paging. Unlike an offset, a keyset resume
     /// point stays stable under concurrent appends and never re-scans
-    /// skipped rows to find its start. On a
-    /// paged backend the scan runs over the pack's metadata index and
-    /// only the returned page is hydrated from disk.
+    /// skipped rows to find its start. The scan runs over the metadata
+    /// index and only the returned page is hydrated.
     ///
     /// # Panics
-    /// Panics when a paged backend fails to hydrate a returned entry;
+    /// Panics when a returned entry fails to hydrate;
     /// [`Repository::try_select_after`] surfaces that as a [`StoreError`].
     pub fn select_after<'a>(
         &'a self,
@@ -416,8 +480,8 @@ impl Repository {
             .unwrap_or_else(|e| panic!("paged repository read failed: {e}"))
     }
 
-    /// Fallible [`Repository::select_after`]: a paged backend's
-    /// hydration failure becomes a [`StoreError`] instead of a panic.
+    /// Fallible [`Repository::select_after`]: a hydration failure becomes
+    /// a [`StoreError`] instead of a panic.
     pub fn try_select_after<'a>(
         &'a self,
         filter: &Filter,
@@ -442,42 +506,18 @@ impl Repository {
             }
         }
         let next_after = if has_more { ids.last().copied() } else { None };
-        let entries = self.hydrate_ids(&ids)?;
+        let entries = ids
+            .iter()
+            .map(|&id| {
+                self.try_get(id)
+                    .map(|e| e.expect("id came from the metadata scan"))
+            })
+            .collect::<Result<_, _>>()?;
         Ok(KeysetPage {
             entries,
             total,
             next_after,
         })
-    }
-
-    fn hydrate_ids(&self, ids: &[usize]) -> Result<Vec<&Entry>, StoreError> {
-        ids.iter()
-            .map(|&id| {
-                self.try_get(id)
-                    .map(|e| e.expect("id came from the metadata scan"))
-            })
-            .collect()
-    }
-}
-
-/// A metadata walk over a run of rows (see [`Repository::metas_at`]).
-pub(crate) enum Metas<'a> {
-    /// In-memory backend: insertion order (ids ascending, possibly
-    /// sparse after removals).
-    Entries(std::slice::Iter<'a, Entry>),
-    /// Paged backend: the pack's meta rows.
-    Pack(pack::Metas<'a>),
-}
-
-impl<'a> Iterator for Metas<'a> {
-    type Item = EntryMeta<'a>;
-
-    #[inline]
-    fn next(&mut self) -> Option<EntryMeta<'a>> {
-        match self {
-            Metas::Entries(entries) => entries.next().map(EntryMeta::of),
-            Metas::Pack(rows) => rows.next(),
-        }
     }
 }
 
@@ -509,7 +549,6 @@ mod tests {
         assert_eq!(repo.entry(id).collection, "TPC-H");
         assert!(repo.entry(id).analysis.is_none());
         assert!(!repo.is_empty());
-        assert!(!repo.is_paged());
     }
 
     #[test]
@@ -525,7 +564,7 @@ mod tests {
     fn meta_mirrors_entry() {
         let mut repo = Repository::new();
         let id = repo.insert(triangle(), "TPC-H", "CQ Application");
-        let m = repo.meta(id);
+        let m = repo.metas().next().unwrap();
         assert_eq!(m.id, id);
         assert_eq!(m.collection, "TPC-H");
         assert_eq!(m.edges, 3);
@@ -597,6 +636,13 @@ mod tests {
         assert_eq!(
             page.entries.iter().map(|e| e.id).collect::<Vec<_>>(),
             vec![2, 3]
+        );
+        // Removing the highest id does not lower the high-water mark.
+        repo.remove(4).unwrap();
+        assert_eq!(repo.insert(triangle(), "SPARQL", "CQ Application"), 5);
+        assert_eq!(
+            repo.metas().map(|m| m.id).collect::<Vec<_>>(),
+            vec![0, 2, 3, 5]
         );
     }
 

@@ -1,13 +1,13 @@
-//! MVCC over a read-only base backend: durable writes through the
-//! [`super::wal`] write-ahead log, snapshot-isolated reads through
-//! immutable generations.
+//! MVCC over a repository: durable writes through the [`super::wal`]
+//! write-ahead log, snapshot-isolated reads through immutable
+//! generations.
 //!
 //! ## Shape
 //!
-//! A [`MvccStore`] holds an immutable **base** [`Repository`] (memory
-//! or pack) plus a copy-on-write **overlay** of committed mutations.
-//! Every committed write produces a fresh [`Snapshot`] — `{seq, base,
-//! overlay}` — and swaps it in atomically; readers clone an `Arc` to
+//! A generation is a [`Repository`]: an immutable pack **base** plus a
+//! copy-on-write **overlay** of committed mutations, as of one commit
+//! `seq`. Every committed write produces a fresh generation — same base,
+//! overlay plus this write — and swaps it in atomically; readers clone an `Arc` to
 //! whatever generation is current and keep reading it unperturbed while
 //! later commits land. In-flight keyset pages, filters, and analyses
 //! therefore never observe torn or half-applied state, and a cursor can
@@ -34,15 +34,16 @@
 //! checkpointed seq, and rewrites the WAL down to those, so the log
 //! stays proportional to un-checkpointed work. On open, a non-empty WAL
 //! is replayed over the base and (by default) immediately checkpointed
-//! into pack pages.
+//! into pack pages. Entries the opened repository holds in its own
+//! overlay (one built with [`Repository::insert`]) are folded at open
+//! too, so no commit clones a large overlay.
 //!
 //! A checkpoint costs what it changes, plus one copy of the rest:
 //!
 //! * **Copied.** A base row no overlay entry shadows is carried by its
 //!   bytes (`pack::Record::Carried`): meta fields, content hash and
 //!   analysis from the index, record bytes from the old pack's data
-//!   region. Only overlay entries (and the rows of a memory base) are
-//!   serialized. Nothing is parsed.
+//!   region. Only overlay entries are serialized. Nothing is parsed.
 //! * **Verified.** Every source page is checked against the old page
 //!   table before a byte of it is reused; a rotten page fails the
 //!   checkpoint with [`StoreError::BadPageChecksum`] — the served pack
@@ -58,8 +59,7 @@
 //!   checkpointer thread — which wakes every 200 ms anyway — finds it
 //!   has no other holder and lets it go there.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::ops::Range;
+use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
@@ -68,11 +68,10 @@ use std::time::Instant;
 use hyperbench_core::Hypergraph;
 use hyperbench_telemetry::{log_error, log_info};
 
-use crate::analysis::{aggregate_stats_from, RepoStats};
 use crate::metrics::metrics;
-use crate::{Entry, EntryMeta, Repository};
+use crate::{Entry, Live, Repository};
 
-use super::pack::{self, content_hash_of, PackStore, Record, DEFAULT_PAGE_SIZE};
+use super::pack::{self, content_hash_of, PackStore, DEFAULT_PAGE_SIZE};
 use super::wal::{self, WalEntry, WalRecord, WalWriter};
 use super::StoreError;
 
@@ -102,190 +101,6 @@ impl MvccOptions {
             retained_snapshots: 64,
             checkpoint_on_open: true,
         }
-    }
-}
-
-/// A live overlay value: the committed entry and its content hash —
-/// the one the write computed, so no later read re-serializes the
-/// hypergraph to learn it.
-#[derive(Clone)]
-struct Live {
-    entry: Arc<Entry>,
-    hash: u64,
-}
-
-/// An overlay value: the commit that produced it, and what it
-/// committed (`None` is a tombstone).
-type Overlay = BTreeMap<usize, (u64, Option<Live>)>;
-
-/// One immutable generation of the repository: the base backend plus
-/// every overlay mutation committed up to `seq`. All read methods
-/// mirror [`Repository`]'s shapes, so handlers written against one work
-/// against the other.
-pub struct Snapshot {
-    seq: u64,
-    base: Arc<Repository>,
-    overlay: Overlay,
-    len: usize,
-}
-
-impl std::fmt::Debug for Snapshot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Snapshot")
-            .field("seq", &self.seq)
-            .field("len", &self.len)
-            .field("overlay", &self.overlay.len())
-            .finish()
-    }
-}
-
-impl Snapshot {
-    fn new(base: Arc<Repository>, seq: u64, overlay: Overlay) -> Snapshot {
-        let mut len = base.len();
-        for (id, (_, live)) in &overlay {
-            match (live.is_some(), base.contains(*id)) {
-                (true, false) => len += 1,
-                (false, true) => len -= 1,
-                _ => {}
-            }
-        }
-        Snapshot {
-            seq,
-            base,
-            overlay,
-            len,
-        }
-    }
-
-    /// The generation one commit after this one: same base, `id` set to
-    /// `live` at `seq`, and a `len` that differs by this write alone.
-    fn next(&self, seq: u64, id: usize, live: Option<Live>) -> Snapshot {
-        let len = match (self.contains(id), live.is_some()) {
-            (false, true) => self.len + 1,
-            (true, false) => self.len - 1,
-            _ => self.len,
-        };
-        let mut overlay = self.overlay.clone();
-        overlay.insert(id, (seq, live));
-        Snapshot {
-            seq,
-            base: Arc::clone(&self.base),
-            overlay,
-            len,
-        }
-    }
-
-    /// The commit sequence number this generation reflects.
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
-
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the snapshot holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Whether an entry with id `id` is live in this generation.
-    pub fn contains(&self, id: usize) -> bool {
-        match self.overlay.get(&id) {
-            Some((_, live)) => live.is_some(),
-            None => self.base.contains(id),
-        }
-    }
-
-    /// The content hash of entry `id`, or `None` when absent.
-    pub fn content_hash(&self, id: usize) -> Option<u64> {
-        match self.overlay.get(&id) {
-            Some((_, live)) => live.as_ref().map(|l| l.hash),
-            None => self.base.content_hash(id),
-        }
-    }
-
-    /// The base merged with the overlay in id order: the base rows
-    /// between two overlay keys go out as one run (`run` walks them),
-    /// the base row an overlay key shadows is skipped, and a live
-    /// overlay entry goes out through `over`. Each overlay key costs one
-    /// base search; a base row costs nothing beyond its run's `next`.
-    fn merged<'a, I: Iterator + 'a>(
-        &'a self,
-        run: impl Fn(Range<usize>) -> I + 'a,
-        over: impl Fn(usize, &'a Arc<Entry>) -> I::Item + 'a,
-    ) -> impl Iterator<Item = I::Item> + 'a
-    where
-        I::Item: 'a,
-    {
-        let base = &*self.base;
-        let mut keys = self.overlay.iter();
-        let mut rows = run(0..0);
-        let mut held = None;
-        let mut next_row = 0;
-        std::iter::from_fn(move || loop {
-            if let Some(item) = rows.next() {
-                return Some(item);
-            }
-            if let Some(item) = held.take() {
-                return Some(item);
-            }
-            let (end, resume) = match keys.next() {
-                Some((&id, (_, live))) => {
-                    held = live.as_ref().map(|l| over(id, &l.entry));
-                    match base.search(id) {
-                        Ok(row) => (row, row + 1), // shadowed by the overlay
-                        Err(row) => (row, row),
-                    }
-                }
-                None if next_row < base.len() => (base.len(), base.len()),
-                None => return None,
-            };
-            rows = run(next_row..end);
-            next_row = resume;
-        })
-    }
-
-    /// The metadata of every live entry, ascending by id — the base
-    /// scan merged with the overlay, tombstones skipped.
-    pub fn metas(&self) -> impl Iterator<Item = EntryMeta<'_>> {
-        self.merged(
-            |rows| self.base.metas_at(rows),
-            |id, e| EntryMeta {
-                id,
-                ..EntryMeta::of(e)
-            },
-        )
-    }
-
-    /// This generation as the pack writer's record stream: base rows
-    /// carried as the backend holds them, overlay entries shared.
-    fn records(&self) -> impl Iterator<Item = Record<'_>> {
-        self.merged(|rows| self.base.records_at(rows), |_, e| Record::Shared(e))
-    }
-
-    /// One entry, `Ok(None)` when absent, or the base backend's
-    /// hydration error.
-    pub fn try_get(&self, id: usize) -> Result<Option<&Entry>, StoreError> {
-        match self.overlay.get(&id) {
-            Some((_, live)) => Ok(live.as_ref().map(|l| &*l.entry)),
-            None => self.base.try_get(id),
-        }
-    }
-
-    /// One entry, or `None` when absent.
-    ///
-    /// # Panics
-    /// Panics when the base backend fails to hydrate.
-    pub fn get(&self, id: usize) -> Option<&Entry> {
-        self.try_get(id)
-            .unwrap_or_else(|e| panic!("snapshot read failed: {e}"))
-    }
-
-    /// Aggregates over this generation's metadata scan.
-    pub fn stats(&self) -> RepoStats {
-        aggregate_stats_from(self.metas())
     }
 }
 
@@ -349,13 +164,13 @@ struct CheckpointSignal {
 }
 
 struct Inner {
-    current: RwLock<Arc<Snapshot>>,
-    retained: Mutex<VecDeque<Arc<Snapshot>>>,
+    current: RwLock<Arc<Repository>>,
+    retained: Mutex<VecDeque<Arc<Repository>>>,
     /// Bases checkpoints swapped out. The extra handle parked here means
-    /// no reader or writer dropping an old snapshot is ever the one to
+    /// no reader or writer dropping an old generation is ever the one to
     /// free a base; the checkpointer thread is
     /// ([`Inner::release_displaced`]).
-    displaced: Mutex<Vec<Arc<Repository>>>,
+    displaced: Mutex<Vec<Arc<PackStore>>>,
     writer: Mutex<Writer>,
     signal: Mutex<CheckpointSignal>,
     wake: Condvar,
@@ -407,8 +222,8 @@ impl std::fmt::Debug for MvccStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let snap = self.snapshot();
         f.debug_struct("MvccStore")
-            .field("seq", &snap.seq)
-            .field("len", &snap.len)
+            .field("seq", &snap.seq())
+            .field("len", &snap.len())
             .field("writable", &self.writable())
             .finish()
     }
@@ -419,12 +234,10 @@ impl MvccStore {
     /// [`StoreError::ReadOnly`]. This is what `serve` uses without
     /// `--writable` — the server code runs one code path either way.
     pub fn read_only(base: Repository) -> MvccStore {
-        let base = Arc::new(base);
-        let snapshot = Arc::new(Snapshot::new(Arc::clone(&base), 0, BTreeMap::new()));
-        let next_id = snapshot.metas().map(|m| m.id + 1).max().unwrap_or(0);
+        let next_id = base.next_id();
         MvccStore {
             inner: Arc::new(Inner {
-                current: RwLock::new(snapshot),
+                current: RwLock::new(Arc::new(base)),
                 retained: Mutex::new(VecDeque::new()),
                 displaced: Mutex::new(Vec::new()),
                 writer: Mutex::new(Writer {
@@ -449,21 +262,22 @@ impl MvccStore {
     }
 
     /// Opens a writable store over `base`: recovers the WAL (dropping a
-    /// torn tail), replays committed records into the overlay, then —
-    /// when `checkpoint_on_open` and a pack path are set — folds the
-    /// replayed state straight into fresh pack pages. A background
-    /// checkpointer thread is started when a pack path is configured.
+    /// torn tail) and replays committed records into the overlay. When
+    /// a pack path is set, the overlay — the replayed records and any
+    /// entries `base` held in its own overlay — is then folded straight
+    /// into fresh pack pages (replayed records only with
+    /// `checkpoint_on_open`). A background checkpointer thread is
+    /// started either way.
     pub fn open(base: Repository, opts: MvccOptions) -> Result<MvccStore, StoreError> {
-        let base = Arc::new(base);
+        let fold_resident = !base.overlay.is_empty();
+        let mut current = base;
         // `wal::recover` logs the byte offset + frame index of any torn
         // tail it drops and counts it in `wal_torn_tail_recoveries_total`.
         let recovery = wal::recover(&opts.wal)?;
         // Build the idempotent-create index over the base…
         let mut hashes: HashMap<u64, Vec<usize>> = HashMap::new();
-        let mut next_id = 0usize;
-        for m in base.metas() {
-            next_id = next_id.max(m.id + 1);
-            if let Some(h) = base.content_hash(m.id) {
+        for m in current.metas() {
+            if let Some(h) = current.content_hash(m.id) {
                 hashes.entry(h).or_default().push(m.id);
             }
         }
@@ -471,33 +285,28 @@ impl MvccStore {
         // records (cloning only each entry payload into the overlay)
         // so the same `Vec` can seed `writer.pending` afterwards — the
         // log is read and frame-decoded exactly once per open.
-        let mut overlay: Overlay = BTreeMap::new();
-        let mut seq = 0u64;
         for record in &recovery.records {
-            seq = record.seq();
-            match record {
-                WalRecord::Insert { seq, entry } | WalRecord::Replace { seq, entry } => {
-                    let id = entry.id as usize;
+            let (id, live) = match record {
+                WalRecord::Insert { entry, .. } | WalRecord::Replace { entry, .. } => {
                     let entry = Arc::new(entry.clone().into_entry()?);
-                    let hash = content_hash_of(&entry.hypergraph);
-                    next_id = next_id.max(id + 1);
-                    remove_hash(&mut hashes, overlay_hash(&overlay, &base, id), id);
-                    hashes.entry(hash).or_default().push(id);
-                    overlay.insert(id, (*seq, Some(Live { entry, hash })));
+                    let hash = Some(content_hash_of(&entry.hypergraph));
+                    (entry.id, Some(Live { entry, hash }))
                 }
-                WalRecord::Remove { seq, id } => {
-                    let id = *id as usize;
-                    remove_hash(&mut hashes, overlay_hash(&overlay, &base, id), id);
-                    overlay.insert(id, (*seq, None));
-                }
+                WalRecord::Remove { id, .. } => (*id as usize, None),
+            };
+            remove_hash(&mut hashes, current.content_hash(id), id);
+            if let Some(live) = &live {
+                hashes.entry(live.hash()).or_default().push(id);
             }
+            current.seq = record.seq();
+            current.put(current.seq, id, live);
         }
+        let (seq, next_id) = (current.seq, current.next_id());
         let writer = WalWriter::open_append(&opts.wal, recovery.torn_tail)?;
         metrics().wal_size_bytes.set(writer.size()? as i64);
-        let snapshot = Arc::new(Snapshot::new(Arc::clone(&base), seq, overlay));
         let store = MvccStore {
             inner: Arc::new(Inner {
-                current: RwLock::new(snapshot),
+                current: RwLock::new(Arc::new(current)),
                 retained: Mutex::new(VecDeque::new()),
                 displaced: Mutex::new(Vec::new()),
                 writer: Mutex::new(Writer {
@@ -520,7 +329,7 @@ impl MvccStore {
             checkpointer: Mutex::new(None),
         };
         metrics().mvcc_snapshot_seq.set(seq as i64);
-        if opts.checkpoint_on_open && opts.checkpoint_pack.is_some() {
+        if (opts.checkpoint_on_open || fold_resident) && opts.checkpoint_pack.is_some() {
             // Replay lands in pack pages before the store serves a
             // single request: restart-after-crash leaves no WAL debt.
             run_checkpoint(&store.inner)?;
@@ -554,14 +363,14 @@ impl MvccStore {
 
     /// The current generation. Readers hold the `Arc` for as long as
     /// they page; later commits never disturb it.
-    pub fn snapshot(&self) -> Arc<Snapshot> {
+    pub fn snapshot(&self) -> Arc<Repository> {
         Arc::clone(&self.inner.current.read().expect("current snapshot"))
     }
 
     /// The generation at exactly `seq`, while the store still retains
     /// it — the cursor-pinning lookup. Returns `None` once evicted
     /// (callers fall back to [`MvccStore::snapshot`]).
-    pub fn snapshot_at(&self, seq: u64) -> Option<Arc<Snapshot>> {
+    pub fn snapshot_at(&self, seq: u64) -> Option<Arc<Repository>> {
         let current = self.snapshot();
         if current.seq == seq {
             return Some(current);
@@ -611,7 +420,7 @@ impl MvccStore {
                     id,
                     live: Some(Live {
                         entry: Arc::new(entry),
-                        hash,
+                        hash: Some(hash),
                     }),
                 },
                 outcome: Inserted::Created { id, seq },
@@ -666,7 +475,7 @@ impl MvccStore {
                     id,
                     live: Some(Live {
                         entry: Arc::new(entry),
-                        hash,
+                        hash: Some(hash),
                     }),
                 },
                 outcome: Inserted::Created { id, seq },
@@ -718,7 +527,7 @@ impl MvccStore {
     /// lock — see [`Committed`]).
     fn commit(
         &self,
-        plan: impl FnOnce(&Writer, &Snapshot) -> Result<CommitPlan, StoreError>,
+        plan: impl FnOnce(&Writer, &Repository) -> Result<CommitPlan, StoreError>,
     ) -> Result<(Inserted, Option<u64>), StoreError> {
         let mut writer = self.inner.writer.lock().expect("writer");
         if writer.wal.is_none() {
@@ -773,7 +582,7 @@ impl MvccStore {
         let displaced_hash = snapshot.content_hash(apply.id);
         remove_hash(&mut writer.hashes, displaced_hash, apply.id);
         if let Some(live) = &apply.live {
-            writer.hashes.entry(live.hash).or_default().push(apply.id);
+            writer.hashes.entry(live.hash()).or_default().push(apply.id);
         }
         // Publish the next generation.
         let next = Arc::new(snapshot.next(seq, apply.id, apply.live));
@@ -785,7 +594,7 @@ impl MvccStore {
         m.mvcc_snapshot_age_us
             .observe(writer.current_since.elapsed().as_micros() as u64);
         writer.current_since = Instant::now();
-        let evicted: Vec<Arc<Snapshot>> = {
+        let evicted: Vec<Arc<Repository>> = {
             let mut retained = self.inner.retained.lock().expect("retained snapshots");
             retained.push_back(displaced);
             let excess = retained.len().saturating_sub(self.inner.retained_snapshots);
@@ -839,14 +648,6 @@ struct Apply {
     /// The new value and the content hash to index for it (`None` for
     /// removals).
     live: Option<Live>,
-}
-
-/// The hash an id currently carries, looking through `overlay` first.
-fn overlay_hash(overlay: &Overlay, base: &Repository, id: usize) -> Option<u64> {
-    match overlay.get(&id) {
-        Some((_, live)) => live.as_ref().map(|l| l.hash),
-        None => base.content_hash(id),
-    }
 }
 
 fn remove_hash(hashes: &mut HashMap<u64, Vec<usize>>, hash: Option<u64>, id: usize) {
@@ -977,7 +778,7 @@ fn run_checkpoint(inner: &Inner) -> Result<bool, StoreError> {
     pack::write_records(snapshot.records(), pack_path, DEFAULT_PAGE_SIZE)?;
     let folded = PackStore::open(pack_path)?;
     folded.adopt(snapshot.records());
-    let new_base = Arc::new(Repository::from(folded));
+    let new_base = Arc::new(folded);
     drop(snapshot);
     // Swap under the writer lock so no commit interleaves with the
     // WAL rewrite.
@@ -991,13 +792,13 @@ fn run_checkpoint(inner: &Inner) -> Result<bool, StoreError> {
     }
     let replaced = {
         let mut current = inner.current.write().expect("current snapshot");
-        let overlay: Overlay = current
+        let overlay = current
             .overlay
             .iter()
             .filter(|(_, (seq, _))| *seq > checkpoint_seq)
             .map(|(id, v)| (*id, v.clone()))
             .collect();
-        let next = Arc::new(Snapshot::new(new_base, current.seq, overlay));
+        let next = Arc::new(Repository::over(new_base, current.seq, overlay));
         std::mem::replace(&mut *current, next)
     };
     drop(writer);
@@ -1020,7 +821,9 @@ fn run_checkpoint(inner: &Inner) -> Result<bool, StoreError> {
 mod tests {
     use super::*;
     use crate::filter::Filter;
+    use crate::EntryMeta;
     use hyperbench_core::builder::hypergraph_from_edges;
+    use std::collections::BTreeMap;
     use std::path::Path;
 
     fn tmpdir(name: &str) -> PathBuf {
@@ -1136,9 +939,8 @@ mod tests {
             }
             let pack = dir.join("base.pack");
             pack::write_pack(&memory, &pack).unwrap();
-            let base = Arc::new(Repository::open_pack(&pack).unwrap());
             let mut generations = vec![(
-                Arc::new(Snapshot::new(base, 0, BTreeMap::new())),
+                Arc::new(Repository::open_pack(&pack).unwrap()),
                 model.clone(),
             )];
             for (i, op) in ops.iter().enumerate() {
@@ -1151,7 +953,7 @@ mod tests {
                     let e = entry(id, *op as usize >> 16);
                     model.insert(id, row_of(&EntryMeta::of(&e)));
                     Some(Live {
-                        hash: content_hash_of(&e.hypergraph),
+                        hash: Some(content_hash_of(&e.hypergraph)),
                         entry: Arc::new(e),
                     })
                 };
@@ -1382,7 +1184,7 @@ mod tests {
         assert_eq!(swapped, vec![2]);
         assert_eq!(snap.try_get(2).unwrap().unwrap().collection, "swapped");
         // Stats aggregate the merged view.
-        assert_eq!(snap.stats().entries, 4);
+        assert_eq!(crate::aggregate_stats(&snap).entries, 4);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

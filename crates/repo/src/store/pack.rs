@@ -103,9 +103,11 @@ struct RowData {
 }
 
 /// An open pack file: indexes resident, payloads on disk, hydrated
-/// entries cached per slot.
+/// entries cached per slot. A new repository's base is an empty pack:
+/// no rows, and no file behind them.
 pub struct PackStore {
-    file: Mutex<File>,
+    /// `None` only for the empty pack, which has no page to read.
+    file: Option<Mutex<File>>,
     page_size: u64,
     data_len: u64,
     page_sums: Vec<u64>,
@@ -474,7 +476,10 @@ impl<'a> PageReader<'a> {
                 ));
                 self.resident = None;
                 self.page.resize(page_len, 0);
-                read_at(&pack.file, HEADER_LEN + page_start, &mut self.page)?;
+                let file = pack.file.as_ref().ok_or_else(|| {
+                    StoreError::Corrupt("a pack without a file has no pages".to_string())
+                })?;
+                read_at(file, HEADER_LEN + page_start, &mut self.page)?;
                 let m = crate::metrics::metrics();
                 m.pack_page_hydrations.inc();
                 m.pack_checksum_reads.inc();
@@ -492,6 +497,21 @@ impl<'a> PageReader<'a> {
 }
 
 impl PackStore {
+    /// A pack of no rows, backed by no file.
+    pub(crate) fn empty() -> PackStore {
+        PackStore {
+            file: None,
+            page_size: DEFAULT_PAGE_SIZE as u64,
+            data_len: 0,
+            page_sums: Vec::new(),
+            rows: Vec::new(),
+            data: Vec::new(),
+            names: Vec::new(),
+            analyses: Vec::new(),
+            slots: Vec::new(),
+        }
+    }
+
     /// Opens a pack: header + index sections only. Truncation, bad
     /// magic, checksum mismatches, and index rows pointing outside the
     /// data region all surface here as named [`StoreError`]s.
@@ -660,7 +680,7 @@ impl PackStore {
 
         let slots = (0..entry_count).map(|_| OnceLock::new()).collect();
         Ok(PackStore {
-            file,
+            file: Some(file),
             page_size: page_size as u64,
             data_len,
             page_sums,
@@ -684,21 +704,9 @@ impl PackStore {
         self.rows.binary_search_by_key(&id, |row| row.id)
     }
 
-    /// The row index of entry `id`, or `None` when the id is not in the
-    /// pack.
-    pub(crate) fn row_of(&self, id: usize) -> Option<usize> {
-        self.search(id).ok()
-    }
-
-    /// The metadata view of one entry — no disk access.
-    ///
-    /// # Panics
-    /// Panics when `id` is not in the pack.
-    pub(crate) fn meta(&self, id: usize) -> EntryMeta<'_> {
-        let row = self
-            .row_of(id)
-            .unwrap_or_else(|| panic!("no entry with id {id}"));
-        self.meta_at(row)
+    /// One past the pack's highest id (0 when it has no rows).
+    pub(crate) fn next_id(&self) -> usize {
+        self.rows.last().map_or(0, |row| row.id + 1)
     }
 
     /// The metadata view of the entry at row index `row`.
@@ -852,7 +860,6 @@ mod tests {
         let pack = dir.join("repo.pack");
         write_pack(&repo, &pack).unwrap();
         let opened = Repository::open_pack(&pack).unwrap();
-        assert!(opened.is_paged());
         super::super::save(&opened, &tsv2).unwrap();
         assert_eq!(
             fs::read(tsv1.join("index.tsv")).unwrap(),
@@ -938,7 +945,7 @@ mod tests {
         assert!(paged.get(2).is_none(), "removed id stays absent");
         assert_eq!(paged.entry(3).collection, repo.entry(3).collection);
         // Content hashes ride the meta index (no hydration needed) and
-        // agree with the memory backend's computed ones.
+        // agree with the ones computed from the resident entries.
         for id in [0usize, 1, 3, 4, 6] {
             assert_eq!(paged.content_hash(id), repo.content_hash(id), "id {id}");
         }
@@ -950,20 +957,75 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// What a reopened pack must reproduce of a repository: every
+    /// meta field, the payload text and name, and the analysis (less
+    /// its step timings, which packs do not store).
+    type View = (usize, String, String, usize, String, Option<AnalysisRecord>);
+
+    fn view(repo: &Repository) -> Vec<View> {
+        repo.metas()
+            .zip(repo.entries())
+            .map(|(m, e)| {
+                assert_eq!(m.id, e.id);
+                (
+                    m.id,
+                    format!("{}/{}/{}/{}", m.collection, m.class, m.vertices, m.arity),
+                    e.hypergraph.name().to_string(),
+                    m.edges,
+                    to_hg_unnamed(&e.hypergraph),
+                    m.analysis.map(|r| AnalysisRecord {
+                        hw_steps: Vec::new(),
+                        ..r.clone()
+                    }),
+                )
+            })
+            .collect()
+    }
+
     #[test]
-    fn paged_repository_is_read_only() {
-        let dir = tmpdir("readonly");
+    fn an_opened_pack_takes_edits() {
+        let dir = tmpdir("edits");
         let pack = dir.join("repo.pack");
-        write_pack(&corpus(), &pack).unwrap();
+        let mut model = corpus();
+        write_pack(&model, &pack).unwrap();
         let mut paged = Repository::open_pack(&pack).unwrap();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            paged.insert(
-                hypergraph_from_edges(&[("e", &["a", "b"])]),
-                "X",
-                "CQ Application",
-            )
-        }));
-        assert!(result.is_err(), "insert on a packed repository must panic");
+        let square = hypergraph_from_edges(&[
+            ("p", &["a", "b"]),
+            ("q", &["b", "c"]),
+            ("r", &["c", "d"]),
+            ("s", &["d", "a"]),
+        ]);
+        let record = analyze_instance(&square, &AnalysisConfig::default());
+        // The same edits on both: base rows replaced, removed and
+        // re-analysed, and a fresh entry inserted and analysed.
+        let edit = |repo: &mut Repository| {
+            let fresh = repo.insert(square.clone(), "fresh", "CQ Application");
+            let replacement = Entry {
+                id: 0,
+                collection: "LUBM".to_string(),
+                class: "CQ Application".to_string(),
+                hypergraph: hypergraph_from_edges(&[("f", &["x", "y", "z"])]),
+                analysis: None,
+            };
+            repo.replace(1, replacement).unwrap();
+            repo.remove(2).unwrap();
+            repo.set_analysis(3, record.clone());
+            repo.set_analysis(6, record.clone());
+            repo.set_analysis(fresh, record.clone());
+            fresh
+        };
+        assert_eq!(edit(&mut paged), 7);
+        assert_eq!(edit(&mut model), 7);
+        assert_eq!(paged.len(), model.len());
+        assert_eq!(view(&paged), view(&model));
+        let edited = dir.join("edited.pack");
+        write_pack(&paged, &edited).unwrap();
+        let reopened = Repository::open_pack(&edited).unwrap();
+        assert_eq!(view(&reopened), view(&model));
+        assert_eq!(
+            reopened.metas().map(|m| m.id).collect::<Vec<_>>(),
+            vec![0, 1, 3, 4, 5, 6, 7]
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,7 +1,8 @@
 //! Checkpoints that copy instead of re-parse.
 //!
 //! * **Byte identity** (property): folding a random overlay into a
-//!   random base — cold pack, warm pack or memory — writes exactly the
+//!   random base — cold pack, warm pack, or entries resident in the
+//!   opened repository's own overlay (folded at open) — writes exactly the
 //!   file `write_pack_entries` writes over the fully hydrated merged
 //!   view.
 //! * **Nothing laundered**: a rotten source page fails the checkpoint
@@ -25,7 +26,7 @@ use std::time::{Duration, Instant};
 
 use hyperbench_core::format::{parse_hg, parse_hg_named};
 use hyperbench_repo::metrics::metrics;
-use hyperbench_repo::store::mvcc::{MvccOptions, MvccStore, Snapshot};
+use hyperbench_repo::store::mvcc::{MvccOptions, MvccStore};
 use hyperbench_repo::store::pack::{
     write_pack, write_pack_entries, write_pack_with, DEFAULT_PAGE_SIZE,
 };
@@ -70,7 +71,7 @@ impl Rng {
     }
 }
 
-/// A memory repository of up to 12 entries: sparse ids, records of
+/// A repository of up to 12 resident entries: sparse ids, records of
 /// varied length, some named, some analyzed.
 fn random_base(rng: &mut Rng) -> Repository {
     let mut repo = Repository::new();
@@ -117,7 +118,7 @@ fn random_writes(rng: &mut Rng, store: &MvccStore) {
     }
 }
 
-fn hydrated(snapshot: &Snapshot) -> Vec<&Entry> {
+fn hydrated(snapshot: &Repository) -> Vec<&Entry> {
     snapshot
         .metas()
         .map(|m| snapshot.get(m.id).expect("listed by the metadata scan"))
@@ -136,7 +137,7 @@ proptest! {
         let _serial = serial();
         let dir = tmpdir("identity");
         let pack = dir.join("repo.pack");
-        // Cold pack, warm pack, memory base: the same base and the same
+        // Cold pack, warm pack, resident base: the same base and the same
         // writes (the generator is re-seeded) through each.
         for mode in ["cold", "warm", "memory"] {
             let mut rng = Rng(StdRng::seed_from_u64(seed));
@@ -253,7 +254,7 @@ fn a_pinned_snapshot_and_cursor_outlive_the_checkpoint_and_the_old_base() {
     store.remove(2).unwrap();
     let pinned = store.snapshot();
     let cursor = pinned.seq();
-    let ids = |s: &Snapshot| s.metas().map(|m| m.id).collect::<Vec<_>>();
+    let ids = |s: &Repository| s.metas().map(|m| m.id).collect::<Vec<_>>();
     let generation = vec![0, 1, 3, 4, 5, 6, 7, a.id()];
     assert_eq!(ids(&pinned), generation);
 

@@ -20,9 +20,11 @@ use hyperbench_api::schema;
 use hyperbench_core::format::{parse_hg, to_hg};
 use hyperbench_core::Hypergraph;
 use hyperbench_query::QueryError;
-use hyperbench_repo::store::mvcc::{Inserted, MvccStore, Snapshot};
+use hyperbench_repo::store::mvcc::{Inserted, MvccStore};
 use hyperbench_repo::store::pack::content_hash_of;
-use hyperbench_repo::{AnalysisConfig, AnalysisRecord, Entry, RepoStats, StoreError};
+use hyperbench_repo::{
+    aggregate_stats, AnalysisConfig, AnalysisRecord, Entry, RepoStats, Repository, StoreError,
+};
 use hyperbench_telemetry::metrics::{HistogramSummary, MetricSnapshot};
 
 use crate::cache::{canonicalize, AnalysisCache, JobResult};
@@ -41,8 +43,9 @@ pub const MAX_LIMIT: usize = 1000;
 /// store, and the job system and cache synchronize internally.
 pub struct ServerState {
     /// The repository store: read-only, or WAL-backed writable when the
-    /// server was started with a WAL path (`serve --writable`). Every
-    /// handler reads through one [`Snapshot`] pinned for the request.
+    /// server was started over a writable pack (`serve --pack FILE
+    /// --writable`). Every handler reads through one generation
+    /// ([`Repository`]) pinned for the request.
     pub store: Arc<MvccStore>,
     /// Repository aggregates, cached per snapshot generation: `GET
     /// /v1/stats` re-walks all entries only after a commit moved the seq.
@@ -61,10 +64,10 @@ pub struct ServerState {
 impl ServerState {
     /// The aggregates of `snap`'s generation, recomputing only when a
     /// commit has moved the store past the cached seq.
-    pub fn stats_of(&self, snap: &Snapshot) -> Arc<RepoStats> {
+    pub fn stats_of(&self, snap: &Repository) -> Arc<RepoStats> {
         let mut cached = self.repo_stats.lock().expect("stats lock");
         if cached.0 != snap.seq() {
-            *cached = (snap.seq(), Arc::new(snap.stats()));
+            *cached = (snap.seq(), Arc::new(aggregate_stats(snap)));
         }
         Arc::clone(&cached.1)
     }
@@ -500,7 +503,7 @@ pub mod v1 {
     fn page_position(
         state: &ServerState,
         cursor: Option<&str>,
-    ) -> Result<(Arc<Snapshot>, Option<usize>), Response> {
+    ) -> Result<(Arc<Repository>, Option<usize>), Response> {
         let Some(token) = cursor else {
             return Ok((state.store.snapshot(), None));
         };
@@ -518,7 +521,7 @@ pub mod v1 {
     fn rows_page(
         state: &ServerState,
         plan: &hyperbench_query::Plan,
-        snap: &Snapshot,
+        snap: &Repository,
         after: Option<usize>,
         limit: usize,
     ) -> PageDto {

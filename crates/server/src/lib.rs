@@ -12,12 +12,12 @@
 //! * a worker-side thread pool ([`pool`]) runs the slow handlers the
 //!   reactor offloads (mutating requests: `.hg` parsing, analysis
 //!   submission, WAL commits),
-//! * writes are durable and isolated: with a WAL configured
-//!   ([`ServerConfig::wal`], `serve --writable`), `POST`/`PUT`/`DELETE`
-//!   on `/v1/hypergraphs` commit through the MVCC store
-//!   (`hyperbench_repo::store::mvcc`) — fsynced write-ahead records,
-//!   snapshot-isolated readers, background checkpointing into pack
-//!   pages,
+//! * writes are durable and isolated: with a writable pack configured
+//!   ([`ServerConfig::writable_pack`], `serve --pack FILE --writable`),
+//!   `POST`/`PUT`/`DELETE` on `/v1/hypergraphs` commit through the MVCC
+//!   store (`hyperbench_repo::store::mvcc`) — fsynced write-ahead
+//!   records, snapshot-isolated readers, background checkpointing into
+//!   the pack's pages,
 //! * a hand-rolled router maps paths to handlers ([`router`]),
 //! * the wire contract — typed DTOs, the JSON codec, cursors, and error
 //!   codes — lives in the shared `hyperbench-api` crate (re-exported
@@ -77,7 +77,7 @@ use std::time::{Duration, Instant};
 
 use hyperbench_api::{ApiError, ErrorCode};
 use hyperbench_repo::store::mvcc::{MvccOptions, MvccStore};
-use hyperbench_repo::{AnalysisConfig, Repository};
+use hyperbench_repo::{aggregate_stats, AnalysisConfig, Repository};
 use hyperbench_telemetry::{log_info, log_warn, trace, SpanTimer};
 
 use cache::AnalysisCache;
@@ -116,16 +116,15 @@ pub struct ServerConfig {
     /// per key, torn tail dropped) on every bind. `None` keeps the
     /// cache memory-only.
     pub spill: Option<std::path::PathBuf>,
-    /// Path of the write-ahead log. When set, the server accepts
-    /// `POST`/`PUT`/`DELETE` on `/v1/hypergraphs`: every commit is
-    /// appended and fsynced there before it is acknowledged, and the
-    /// log replays over the base repository at the next bind. `None`
-    /// serves read-only (writes answer a structured 403).
-    pub wal: Option<std::path::PathBuf>,
-    /// Pack file the background checkpointer folds committed WAL
-    /// records into (also the pack's compaction). `None` lets the WAL
-    /// carry all un-packed state. Only meaningful with [`Self::wal`].
-    pub checkpoint_pack: Option<std::path::PathBuf>,
+    /// The pack a writable server keeps its entries in. When set, the
+    /// server accepts `POST`/`PUT`/`DELETE` on `/v1/hypergraphs`: every
+    /// commit is appended and fsynced to the write-ahead log at
+    /// `<pack>.wal` before it is acknowledged, the background
+    /// checkpointer folds committed records into this pack (also its
+    /// compaction), and the log replays over the base repository at the
+    /// next bind. `None` serves read-only (writes answer a structured
+    /// 403).
+    pub writable_pack: Option<std::path::PathBuf>,
 }
 
 impl Default for ServerConfig {
@@ -138,8 +137,7 @@ impl Default for ServerConfig {
             cache_capacity: 512,
             analysis: AnalysisConfig::default(),
             spill: None,
-            wal: None,
-            checkpoint_pack: None,
+            writable_pack: None,
         }
     }
 }
@@ -254,21 +252,22 @@ impl Server {
             Arc::clone(&cache),
             config.analysis,
         );
-        // With a WAL configured the store opens writable: the log is
-        // recovered (torn tail dropped), replayed over the base, and —
-        // with a checkpoint pack — folded into fresh pack pages before
-        // the first request. Without one, the same store type serves
-        // read-only and write verbs answer a structured 403.
-        let store = match &config.wal {
-            Some(wal) => MvccStore::open(
-                repo,
-                MvccOptions::new(wal.clone(), config.checkpoint_pack.clone()),
-            )
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?,
+        // With a writable pack the store opens writable: the log beside
+        // it is recovered (torn tail dropped), replayed over the base,
+        // and folded into fresh pack pages before the first request.
+        // Without one, the same store type serves read-only and write
+        // verbs answer a structured 403.
+        let store = match &config.writable_pack {
+            Some(pack) => {
+                let mut wal = pack.as_os_str().to_owned();
+                wal.push(".wal");
+                MvccStore::open(repo, MvccOptions::new(wal.into(), Some(pack.clone())))
+                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?
+            }
             None => MvccStore::read_only(repo),
         };
         let snap = store.snapshot();
-        let repo_stats = std::sync::Mutex::new((snap.seq(), Arc::new(snap.stats())));
+        let repo_stats = std::sync::Mutex::new((snap.seq(), Arc::new(aggregate_stats(&snap))));
         drop(snap);
         Ok(Server {
             listener,
@@ -482,64 +481,46 @@ pub(crate) fn dispatch(
     response
 }
 
-/// Loads a TSV repository from `dir` and serves it until the process
-/// exits. One of the `hyperbench serve` CLI entry points.
-pub fn serve_dir(dir: &std::path::Path, config: &ServerConfig) -> Result<(), String> {
-    let repo = hyperbench_repo::store::load(dir).map_err(|e| e.to_string())?;
-    serve_repo(
-        repo,
-        &format!("{} (tsv)", dir.display()),
-        config,
-        &ServeOptions::default(),
-    )
-}
-
-/// Opens a packed repository (see `hyperbench pack`) and serves it
-/// until the process exits. Only the pack's index sections are read up
-/// front; entries hydrate from disk as requests touch them.
-pub fn serve_pack(pack: &std::path::Path, config: &ServerConfig) -> Result<(), String> {
-    let repo = Repository::open_pack(pack).map_err(|e| e.to_string())?;
-    serve_repo(
-        repo,
-        &format!("{} (pack)", pack.display()),
-        config,
-        &ServeOptions::default(),
-    )
-}
-
 /// CLI-facing knobs for [`serve_dir_opts`] / [`serve_pack_opts`], kept
 /// off [`ServerConfig`] so its construction stays frozen.
 #[derive(Debug, Clone, Default)]
 pub struct ServeOptions {
-    /// Accept writes (`--writable`): derives WAL and checkpoint paths
-    /// next to the served repository unless [`ServerConfig`] names them
-    /// explicitly.
+    /// Accept writes (`--writable`): the served pack becomes
+    /// [`ServerConfig::writable_pack`]. A TSV tree cannot be served
+    /// writable.
     pub writable: bool,
     /// Override the reactor event-loop thread count
     /// (`--reactor-threads N`; default `max(1, threads / 2)`).
     pub reactor_threads: Option<usize>,
 }
 
-/// [`serve_dir`] with explicit serve options. `--writable` places the
-/// WAL at `<dir>/repo.wal` with no checkpoint pack: the TSV tree stays
-/// the base, and the log — replayed at every bind — carries all
-/// mutations (checkpointing into a pack would strand the writes, since
-/// the next bind would still load the TSV).
+/// Loads a TSV repository from `dir` and serves it read-only until the
+/// process exits. `--writable` is refused: writes need a pack to
+/// checkpoint into, so the error names the two commands that serve the
+/// same tree writable.
 pub fn serve_dir_opts(
     dir: &std::path::Path,
     config: &ServerConfig,
     opts: &ServeOptions,
 ) -> Result<(), String> {
-    let repo = hyperbench_repo::store::load(dir).map_err(|e| e.to_string())?;
-    let mut config = config.clone();
-    if opts.writable && config.wal.is_none() {
-        config.wal = Some(dir.join("repo.wal"));
+    if opts.writable {
+        let pack = dir.join("repo.pack");
+        return Err(format!(
+            "a TSV tree is served read-only; to accept writes, pack it first:\n  \
+             hyperbench pack --dir {}\n  \
+             hyperbench serve --pack {} --writable",
+            dir.display(),
+            pack.display()
+        ));
     }
-    serve_repo(repo, &format!("{} (tsv)", dir.display()), &config, opts)
+    let repo = hyperbench_repo::store::load(dir).map_err(|e| e.to_string())?;
+    serve_repo(repo, &format!("{} (tsv)", dir.display()), config, opts)
 }
 
-/// [`serve_pack`] with explicit serve options. `--writable` places the
-/// WAL at `<pack>.wal` and checkpoints back into the served pack file
+/// Opens a packed repository (see `hyperbench pack`) and serves it until
+/// the process exits. Only the pack's index sections are read up front;
+/// entries hydrate from disk as requests touch them. `--writable` logs
+/// commits at `<pack>.wal` and checkpoints back into the served pack file
 /// itself: the background checkpointer's atomic rewrite is exactly the
 /// pack's compaction, and the next bind opens the checkpointed state
 /// directly.
@@ -550,11 +531,8 @@ pub fn serve_pack_opts(
 ) -> Result<(), String> {
     let repo = Repository::open_pack(pack).map_err(|e| e.to_string())?;
     let mut config = config.clone();
-    if opts.writable && config.wal.is_none() {
-        let mut wal = pack.as_os_str().to_owned();
-        wal.push(".wal");
-        config.wal = Some(wal.into());
-        config.checkpoint_pack = Some(pack.to_path_buf());
+    if opts.writable {
+        config.writable_pack = Some(pack.to_path_buf());
     }
     serve_repo(repo, &format!("{} (pack)", pack.display()), &config, opts)
 }

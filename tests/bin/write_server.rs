@@ -12,8 +12,6 @@ use hyperbench_server::{Server, ServerConfig};
 fn main() {
     let dir = PathBuf::from(std::env::args().nth(1).expect("usage: write_server DIR"));
     let pack = dir.join("repo.pack");
-    let mut wal = pack.as_os_str().to_owned();
-    wal.push(".wal");
     let repo = Repository::open_pack(&pack).expect("open pack");
     let server = Server::bind(
         repo,
@@ -23,8 +21,7 @@ fn main() {
             analysis_workers: 1,
             job_queue_capacity: 8,
             cache_capacity: 8,
-            wal: Some(wal.into()),
-            checkpoint_pack: Some(pack),
+            writable_pack: Some(pack),
             ..ServerConfig::default()
         },
     )

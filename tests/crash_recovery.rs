@@ -208,9 +208,7 @@ fn truncated_wal_file_reopens_with_the_committed_prefix() {
 }
 
 /// What a generation holds, for comparing two of them.
-fn fingerprint(
-    snap: &hyperbench_repo::store::mvcc::Snapshot,
-) -> Vec<(usize, Option<u64>, String, String)> {
+fn fingerprint(snap: &Repository) -> Vec<(usize, Option<u64>, String, String)> {
     snap.metas()
         .map(|m| {
             let text = hyperbench_core::format::to_hg(&snap.get(m.id).unwrap().hypergraph);

@@ -143,8 +143,9 @@ pub mod fixture {
         assert_eq!(status, 200, "the process must survive the bombs: {body}");
     }
 
-    /// A WAL-backed writable server over an empty repository, on an
-    /// ephemeral port (`tag` names its scratch directory).
+    /// A writable server over an empty repository, on an ephemeral port
+    /// (`tag` names its scratch directory, which holds the pack it
+    /// checkpoints into and the WAL beside it).
     pub fn start_writable(tag: &str) -> (JoinHandle<()>, SocketAddr, ShutdownHandle) {
         let config = ServerConfig {
             addr: "127.0.0.1:0".to_string(),
@@ -152,7 +153,7 @@ pub mod fixture {
             analysis_workers: 1,
             job_queue_capacity: 16,
             cache_capacity: 32,
-            wal: Some(tmpdir(tag).join("repo.wal")),
+            writable_pack: Some(tmpdir(tag).join("repo.pack")),
             ..ServerConfig::default()
         };
         let server = Server::bind(Repository::new(), &config).expect("bind ephemeral port");

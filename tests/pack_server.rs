@@ -51,7 +51,6 @@ fn start_packed_server(
     spill: &Path,
 ) -> (std::thread::JoinHandle<()>, SocketAddr, ShutdownHandle) {
     let repo = Repository::open_pack(pack).expect("open pack");
-    assert!(repo.is_paged());
     let server = Server::bind(
         repo,
         &ServerConfig {

@@ -60,9 +60,9 @@ fn every_page_scans_each_live_entry_exactly_once() {
         addr: "127.0.0.1:0".to_string(),
         threads: 2,
         analysis_workers: 1,
-        wal: Some(dir.join("repo.wal")),
-        // No checkpoint: the writes below stay in the overlay.
-        checkpoint_pack: None,
+        // The writes below stay far under the overlay limit that
+        // triggers a checkpoint, so they stay in the overlay.
+        writable_pack: Some(pack.clone()),
         ..ServerConfig::default()
     };
     let server = Server::bind(Repository::open_pack(&pack).unwrap(), &config).unwrap();
