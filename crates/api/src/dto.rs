@@ -307,10 +307,11 @@ pub enum AnalyzeMethod {
     /// nothing runs when hw is already known, and the search starts at
     /// k = ghw when only ghw is.
     Hd,
-    /// Generalized hypertree decompositions — the §6.4 three-way race
-    /// per `k`: nothing runs when ghw is already known, and only the
-    /// `k` below a known hw are raced (the stored HD pins ghw = hw when
-    /// none answers yes).
+    /// Generalized hypertree decompositions — iterative `Check(GHD,k)`,
+    /// each decided by the hybrid (balanced separators, then detk on
+    /// the components): nothing runs when ghw is already known, and
+    /// only the `k` below a known hw are checked (the stored HD pins
+    /// ghw = hw when none answers yes).
     Ghd,
     /// Fractionally improved decompositions — an HD witness improved by
     /// `ImproveHD` (§6.5); reports a fractional width upper bound. A

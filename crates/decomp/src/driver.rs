@@ -1,7 +1,12 @@
 //! Width-search drivers: `Check(HD,k)` / `Check(GHD,k)` wrappers with
-//! uniform outcomes, the iterative hw search of §6.2 (Figure 4) and the
-//! "run GlobalBIP, LocalBIP and BalSep in parallel and take the first one
-//! to terminate" race of §6.4 (Table 4).
+//! uniform outcomes, the iterative hw and ghw searches of §6.2 (Figure 4)
+//! and the "run GlobalBIP, LocalBIP and BalSep in parallel and take the
+//! first one to terminate" race of §6.4 (Table 4).
+//!
+//! The ghw search decides each `Check(GHD,k)` with the journal version's
+//! hybrid (BalSep's balanced separators down to
+//! [`HYBRID_SWITCH_DEPTH`], then detk on each component) on the caller's
+//! thread. The race is kept for the experiments that measure it.
 
 use std::time::{Duration, Instant};
 
@@ -185,6 +190,14 @@ pub fn check_ghd_opts(
         }
     }
 }
+
+/// The switch depth of the hybrid in the ghw search and the default of
+/// `hyperbench decompose --algo hybrid`. Over the checks at k = ghw − 1
+/// and k = ghw of the ledger's `analyze` basket (serial, 2 s budget
+/// each), depth 1 decides every check, in less CPU in total than the
+/// §6.4 race and than the best single contestant per check; depths 2 and
+/// 3 time out on pebbling 5×5, pebbling 5×6 and grid 5×5 at k = 3.
+pub const HYBRID_SWITCH_DEPTH: usize = 1;
 
 /// Solves `Check(GHD,k)` with the hybrid strategy (§7 future work): the
 /// balanced-separator recursion splits the hypergraph down to
@@ -406,8 +419,8 @@ pub fn width_search(
 /// Iteratively solves `Check(GHD,k)` for `k = 1, 2, …` — the ghw
 /// analogue of [`hypertree_width`], backing the server's `method=ghd`
 /// analyses. `k = 1` takes the linear-time GYO fast path (ghw = 1 iff
-/// hw = 1 iff α-acyclic); larger `k` runs the §6.4 three-way race so the
-/// fastest of GlobalBIP/LocalBIP/BalSep answers each check.
+/// hw = 1 iff α-acyclic); larger `k` runs the hybrid at
+/// [`HYBRID_SWITCH_DEPTH`] on the caller's thread.
 pub fn generalized_hypertree_width(
     h: &Hypergraph,
     k_max: usize,
@@ -418,8 +431,8 @@ pub fn generalized_hypertree_width(
 }
 
 /// [`generalized_hypertree_width`] with an explicit engine
-/// configuration: each per-`k` race divides the `jobs` budget among its
-/// three contestants (see [`race_ghd_opts`]).
+/// configuration: each hybrid check forks onto `opts.jobs` workers when
+/// `jobs > 1`; at `jobs = 1` the search starts no thread.
 pub fn generalized_hypertree_width_opts(
     h: &Hypergraph,
     k_max: usize,
@@ -428,10 +441,11 @@ pub fn generalized_hypertree_width_opts(
     opts: &Options,
 ) -> HwResult {
     width_search(1, k_max, |k| {
+        let budget = Budget::with_timeout(per_check);
         if k == 1 {
-            check_hd(h, 1, &Budget::with_timeout(per_check))
+            check_hd(h, 1, &budget)
         } else {
-            race_ghd_opts(h, k, per_check, cfg, opts).outcome
+            check_ghd_hybrid_opts(h, k, HYBRID_SWITCH_DEPTH, &budget, cfg, opts)
         }
     })
 }

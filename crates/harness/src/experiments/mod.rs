@@ -159,6 +159,38 @@ mod tests {
     }
 
     #[test]
+    fn table4_renders_the_race_and_the_hybrid() {
+        // K6 (binary edges) has hw = ghw = 3: its group asks
+        // Check(GHD,2), which both the race and the hybrid answer no.
+        let mut b = hyperbench_core::HypergraphBuilder::named("k6");
+        for i in 0..6 {
+            for j in i + 1..6 {
+                b.add_edge(&format!("e{i}_{j}"), &[format!("v{i}"), format!("v{j}")]);
+            }
+        }
+        let k6 = b.build();
+        let record = analyze_instance(&k6, &AnalysisConfig::default());
+        assert_eq!(record.hw_exact(), Some(3));
+        let mut bench = synthetic();
+        bench.instances.push(AnalyzedInstance {
+            instance: Instance {
+                collection: "Random",
+                class: BenchClass::CspRandom,
+                hypergraph: k6,
+            },
+            record,
+        });
+        let r = table4::run(&bench);
+        let (race, hybrid) = r.body.split_once("Hybrid alone").expect(&r.body);
+        for table in [race, hybrid] {
+            let row = table.lines().find(|l| l.contains("3 -> 2")).expect(&r.body);
+            // | hw -> ghw | yes | avg(yes) | no | avg(no) | timeout |
+            let cells: Vec<&str> = row.split('|').map(str::trim).collect();
+            assert_eq!((cells[2], cells[4], cells[6]), ("0", "1", "0"), "{row}");
+        }
+    }
+
+    #[test]
     fn tables_3_to_6_handle_empty_groups() {
         // hw values are 1 and 2: no instances in the 3..=6 groups.
         let b = synthetic();

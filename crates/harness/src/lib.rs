@@ -16,7 +16,7 @@
 //! | [`experiments::fig4`]   | Figure 4 — hw analysis per class |
 //! | [`experiments::fig5`]   | Figure 5 — correlation matrix |
 //! | [`experiments::table3`] | Table 3 — GHD algorithm comparison |
-//! | [`experiments::table4`] | Table 4 — first-of-three GHD race |
+//! | [`experiments::table4`] | Table 4 — first-of-three GHD race, and the hybrid alone |
 //! | [`experiments::table5`] | Table 5 — ImproveHD |
 //! | [`experiments::table6`] | Table 6 — FracImproveHD |
 //! | [`experiments::summary`]| §6.2/§6.4 headline findings |

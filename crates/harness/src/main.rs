@@ -12,7 +12,10 @@ use hyperbench_core::properties::structural_properties;
 use hyperbench_core::stats::size_metrics;
 use hyperbench_core::subedges::SubedgeConfig;
 use hyperbench_decomp::budget::Budget;
-use hyperbench_decomp::driver::{check_ghd_opts, check_hd_opts, GhdAlgorithm, Outcome};
+use hyperbench_decomp::driver::{
+    check_ghd_hybrid_opts, check_ghd_opts, check_hd_opts, GhdAlgorithm, Outcome,
+    HYBRID_SWITCH_DEPTH,
+};
 use hyperbench_harness::experiments;
 use hyperbench_harness::{analyze_benchmark, ExperimentConfig};
 use hyperbench_repo::{analyze_instance, AnalysisConfig, Repository};
@@ -29,7 +32,7 @@ USAGE:
   hyperbench analyze --dir DIR [--timeout-ms N] [--kmax N] [--jobs N]
   hyperbench stats <FILE.hg>
   hyperbench decompose <FILE.hg> --k N [--algo hd|globalbip|localbip|balsep|hybrid]
-             [--timeout-ms N] [--jobs N]
+             [--switch-depth N] [--timeout-ms N] [--jobs N]
   hyperbench pack --dir DIR [--out FILE]
   hyperbench serve (--dir DIR | --pack FILE) [--addr HOST:PORT] [--threads N]
              [--workers N] [--queue N] [--cache N] [--timeout-ms N] [--kmax N]
@@ -346,8 +349,11 @@ fn run(args: &[String]) -> Result<(), String> {
                 vc_budget: 2_000_000,
                 jobs,
             };
-            let n = repo.len();
-            for id in 0..n {
+            // Ids may be sparse (a removed entry leaves a gap): walk the
+            // live ones.
+            let ids: Vec<usize> = repo.metas().map(|m| m.id).collect();
+            let n = ids.len();
+            for id in ids {
                 let rec = analyze_instance(&repo.entry(id).hypergraph, &cfg);
                 repo.set_analysis(id, rec);
             }
@@ -571,10 +577,8 @@ fn run(args: &[String]) -> Result<(), String> {
                 "localbip" => check_ghd_opts(&h, k, GhdAlgorithm::LocalBip, &budget, &cfg, &opts),
                 "balsep" => check_ghd_opts(&h, k, GhdAlgorithm::BalSep, &budget, &cfg, &opts),
                 "hybrid" => {
-                    let depth = flags.get_parsed("switch-depth", 2usize)?;
-                    hyperbench_decomp::driver::check_ghd_hybrid_opts(
-                        &h, k, depth, &budget, &cfg, &opts,
-                    )
+                    let depth = flags.get_parsed("switch-depth", HYBRID_SWITCH_DEPTH)?;
+                    check_ghd_hybrid_opts(&h, k, depth, &budget, &cfg, &opts)
                 }
                 other => return Err(format!("unknown algorithm {other}")),
             };

@@ -2,7 +2,8 @@
 //! a TSV tree is served read-only and answers exactly what its pack
 //! answers, asking to write to a TSV tree fails with the commands that
 //! would make it writable, and a writable pack keeps a put across a
-//! crash.
+//! crash. Beside them, `hyperbench analyze --dir` on a tree whose ids
+//! have a gap.
 
 use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpStream};
@@ -107,6 +108,28 @@ fn a_tsv_tree_answers_like_its_pack() {
         assert_eq!((status, body), paged.get(&path), "{path}");
     }
     drop((tsv, paged));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn analyze_walks_the_live_ids_of_a_sparse_tree() {
+    let dir = tmpdir("analyze-sparse");
+    let entries = write_tree(&dir);
+    let mut repo = hyperbench_repo::store::load(&dir).unwrap();
+    repo.remove(1).unwrap();
+    hyperbench_repo::store::save(&repo, &dir).unwrap();
+    let out = hyperbench()
+        .args(["analyze", "--dir", dir.to_str().unwrap()])
+        .args(["--timeout-ms", "100", "--kmax", "3"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let analyzed = hyperbench_repo::store::load(&dir).unwrap();
+    let ids: Vec<usize> = analyzed.metas().map(|m| m.id).collect();
+    assert_eq!(ids, (0..entries).filter(|&id| id != 1).collect::<Vec<_>>());
+    for meta in analyzed.metas() {
+        assert!(meta.analysis.is_some(), "entry {} not analyzed", meta.id);
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

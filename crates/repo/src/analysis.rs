@@ -17,9 +17,9 @@
 //!
 //! * `hd` with hw known runs no `Check`; with ghw = g known it searches
 //!   from k = g (ghw ≤ hw certifies every smaller k as no);
-//! * `ghd` with ghw known runs no `Check`; with hw = h known it runs the
-//!   race only below h, and when nothing there answers yes the stored HD
-//!   (every HD is a GHD) pins ghw = h;
+//! * `ghd` with ghw known runs no `Check`; with hw = h known it runs
+//!   `Check(GHD,k)` only below h, and when nothing there answers yes the
+//!   stored HD (every HD is a GHD) pins ghw = h;
 //! * `fhd` improves the stored HD, or first finds one as `hd` does.
 //!
 //! No method runs a `Check` it would not run on its own, and each
@@ -131,7 +131,8 @@ pub struct AnalyzedInstance {
 ///
 /// * [`AnalyzeMethod::Hd`] — the iterative `Check(HD,k)` search of
 ///   Figure 4,
-/// * [`AnalyzeMethod::Ghd`] — the §6.4 three-way GHD race per `k`,
+/// * [`AnalyzeMethod::Ghd`] — the iterative `Check(GHD,k)` search, each
+///   check decided by the hybrid,
 /// * [`AnalyzeMethod::Fhd`] — the HD search, then `ImproveHD` (§6.5)
 ///   replaces each integral cover by an optimal fractional one; the
 ///   witness stays the HD tree and the fractional width rides along.
@@ -354,7 +355,8 @@ fn hw_search(h: &Hypergraph, cfg: &AnalysisConfig, facts: &mut InstanceFacts) ->
     search
 }
 
-/// ghw: the recorded one, or the §6.4 race — below the recorded hw only,
+/// ghw: the recorded one, or the `Check(GHD,k)` search (the hybrid, see
+/// `generalized_hypertree_width_opts`) — below the recorded hw only,
 /// whose HD closes the search when nothing there answers yes.
 fn ghw_search(h: &Hypergraph, cfg: &AnalysisConfig, facts: &mut InstanceFacts) -> Search {
     if let Some(ghw) = usable(&facts.ghw, cfg.k_max) {

@@ -28,12 +28,11 @@ use hyperbench_repo::{AnalysisRecord, InstanceFacts};
 use hyperbench_telemetry::log::Every;
 use hyperbench_telemetry::log_warn;
 
-/// Everything a finished analysis job produced. The witness is kept in
-/// tree form for library consumers *and* pre-serialized as its wire DTO
-/// (names resolved, §3.2 conditions validated) — both are computed once
-/// by the worker, so repeated polls of a done analysis never repeat
-/// that work, including for cache hits whose submitting connection is
-/// long gone.
+/// Everything a finished analysis job produced. The witness is kept
+/// once, pre-serialized as its wire DTO (names resolved, §3.2
+/// conditions validated) by the worker, so repeated polls of a done
+/// analysis never repeat that work, including for cache hits whose
+/// submitting connection is long gone.
 #[derive(Debug)]
 pub struct JobResult {
     /// The parsed submission.
@@ -42,9 +41,9 @@ pub struct JobResult {
     pub method: AnalyzeMethod,
     /// The bounds-only analysis record.
     pub record: AnalysisRecord,
-    /// The witness decomposition, when the width search found one.
-    /// `None` for results reloaded from the spill segment — the wire
-    /// form ([`JobResult::witness_dto`]) is what survives restarts.
+    /// The witness in tree form. The job worker and the spill reload
+    /// leave it `None`: [`JobResult::witness_dto`] is the one copy of
+    /// the witness a cached or retained result keeps.
     pub witness: Option<Decomposition>,
     /// The witness serialized for `GET /v1/analyses/{id}`, validation
     /// verdict included.

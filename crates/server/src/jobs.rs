@@ -108,12 +108,12 @@ pub type JobId = u64;
 /// bounded on a long-running server no matter how many submissions it
 /// sees; a poll for an evicted job answers 404 like an unknown id.
 ///
-/// A done status pins its whole result (hypergraph, witness tree and
-/// wire DTO: tens of KiB each), so this bound, not the cache's, caps
-/// the results a busy server holds. It equals the default cache
-/// capacity: the statuses of recent jobs then share the results the
+/// A done status pins its whole result (hypergraph and witness DTO:
+/// tens of KiB each), so this bound, not the cache's, caps
+/// the results a busy server holds. The default cache capacity is this
+/// same constant: the statuses of recent jobs then share the results the
 /// cache holds anyway, and a server that answers faster holds no more.
-pub const MAX_FINISHED_RETAINED: usize = 512;
+pub const MAX_FINISHED_RETAINED: usize = 1024;
 
 /// Lifecycle of one submitted analysis.
 #[derive(Debug, Clone)]
@@ -605,7 +605,7 @@ fn worker_loop(
                     hypergraph: item.hypergraph,
                     method: item.options.method,
                     record: analyzed.record,
-                    witness: analyzed.witness,
+                    witness: None,
                     witness_dto,
                     fractional_width: analyzed.fractional_width,
                 });
@@ -683,9 +683,12 @@ mod tests {
             Some(JobStatus::Done { result, cached }) => {
                 assert!(!cached);
                 assert_eq!(result.record.hw_exact(), Some(2));
-                // The witness rides along instead of being discarded.
-                let w = result.witness.as_ref().expect("witness retained");
-                assert_eq!(w.width(), 2);
+                // The witness rides along as its DTO, validated; the
+                // tree is not kept beside it.
+                let w = result.witness_dto.as_ref().expect("witness retained");
+                assert_eq!(w.width, 2);
+                assert_eq!(w.validation, "valid-hd");
+                assert!(result.witness.is_none());
             }
             other => panic!("unexpected status {other:?}"),
         }

@@ -134,7 +134,7 @@ impl Default for ServerConfig {
             threads: 4,
             analysis_workers: 2,
             job_queue_capacity: 64,
-            cache_capacity: 512,
+            cache_capacity: jobs::MAX_FINISHED_RETAINED,
             analysis: AnalysisConfig::default(),
             spill: None,
             writable_pack: None,

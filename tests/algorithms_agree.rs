@@ -1,16 +1,23 @@
 //! Cross-algorithm agreement, property-based: on random small
-//! hypergraphs, the HD search and all three GHD algorithms must produce
-//! mutually consistent, machine-validated answers, and the width
-//! hierarchy fhw ≤ ghw ≤ hw must hold.
+//! hypergraphs, the HD search, all three GHD algorithms and the ghw
+//! search behind `method=ghd` analyses must produce mutually consistent,
+//! machine-validated answers, and the width hierarchy fhw ≤ ghw ≤ hw
+//! must hold.
+
+use std::time::Duration;
 
 use hyperbench_core::subedges::SubedgeConfig;
 use hyperbench_core::Hypergraph;
 use hyperbench_decomp::balsep::{decompose_balsep, decompose_hybrid, BalsepConfig};
 use hyperbench_decomp::budget::Budget;
 use hyperbench_decomp::detk::{decompose_hd, decompose_localbip, SearchResult};
+use hyperbench_decomp::driver::{
+    generalized_hypertree_width_opts, HwResult, Outcome, HYBRID_SWITCH_DEPTH,
+};
 use hyperbench_decomp::globalbip::decompose_globalbip;
 use hyperbench_decomp::improve::improve_hd;
-use hyperbench_decomp::validate::{validate_ghd_with_width, validate_hd};
+use hyperbench_decomp::validate::{validate_ghd, validate_ghd_with_width, validate_hd};
+use hyperbench_decomp::Options;
 use hyperbench_integration_tests::strategies::hypergraph_from_shape;
 use hyperbench_lp::Rational;
 use proptest::prelude::*;
@@ -25,6 +32,16 @@ fn ghd_answer(r: &SearchResult) -> Option<bool> {
     match r {
         SearchResult::Found(_) => Some(true),
         SearchResult::NotFound => Some(false),
+        _ => None,
+    }
+}
+
+/// What a ghw search's bounds say about `Check(GHD,k)`: yes at or above
+/// its upper bound, no below its lower bound, nothing in between.
+fn search_answer(r: &HwResult, k: usize) -> Option<bool> {
+    match r.upper {
+        Some(u) if u <= k => Some(true),
+        _ if k < r.lower => Some(false),
         _ => None,
     }
 }
@@ -57,12 +74,27 @@ proptest! {
         let budget = Budget::unlimited();
         let cfg = SubedgeConfig::default();
         let bcfg = BalsepConfig::default();
+        // The ghw search at one and two workers, each check far from
+        // its deadline.
+        let searches: Vec<HwResult> = [1, 2]
+            .map(|jobs| {
+                let opts = Options::with_jobs(jobs);
+                generalized_hypertree_width_opts(&h, 3, Duration::from_secs(60), &cfg, &opts)
+            })
+            .into();
+        for search in &searches {
+            if let Some(Outcome::Yes(d)) = search.steps.last().map(|s| &s.outcome) {
+                validate_ghd(&h, d).unwrap();
+                prop_assert_eq!(Some(d.width()), search.upper);
+            }
+        }
         for k in 1..=3usize {
             let global = decompose_globalbip(&h, k, &budget, &cfg);
             let local = decompose_localbip(&h, k, &budget, &cfg);
             let bal = decompose_balsep(&h, k, &budget, &bcfg);
-            let answers: Vec<Option<bool>> =
+            let mut answers: Vec<Option<bool>> =
                 vec![ghd_answer(&global), ghd_answer(&local), ghd_answer(&bal)];
+            answers.extend(searches.iter().map(|s| search_answer(s, k)));
             // All decided answers must coincide.
             let decided: Vec<bool> = answers.iter().flatten().copied().collect();
             prop_assert!(!decided.is_empty(), "all three undecided without budget");
@@ -161,5 +193,35 @@ fn known_ghw_less_than_hw_instance() {
         let b = ghd_answer(&decompose_balsep(&h, k, &budget, &BalsepConfig::default()));
         assert_eq!(g, l, "k={k}");
         assert_eq!(l, b, "k={k}");
+    }
+}
+
+#[test]
+fn hybrid_finds_a_full_edge_decomposition_of_a_component() {
+    // random/q3 of the scale-0.05 corpus has hw ≤ 4 (detk answers
+    // Check(HD,4) yes at once). Below the hybrid's root separator, detk
+    // with local subedges reaches a 7-edge component with a 33-vertex
+    // connector and 125 846 subedge atoms, whose combinations it cannot
+    // walk in this budget; the hybrid's full-edge pass decomposes the
+    // component without them.
+    let corpus = hyperbench_datagen::generate_benchmark(1, 0.05);
+    let h = &corpus
+        .iter()
+        .find(|i| i.hypergraph.name() == "random/q3")
+        .expect("random/q3 in the corpus")
+        .hypergraph;
+    assert_eq!(
+        (h.num_vertices(), h.num_edges()),
+        (43, 22),
+        "the generator changed"
+    );
+    let budget = Budget::with_timeout(Duration::from_secs(10));
+    let r = decompose_hybrid(h, 4, &budget, &BalsepConfig::default(), HYBRID_SWITCH_DEPTH);
+    match r {
+        SearchResult::Found(d) => {
+            validate_ghd(h, &d).unwrap();
+            assert!(d.width() <= 4);
+        }
+        other => panic!("hybrid on random/q3 at k = 4: {other:?}"),
     }
 }
