@@ -303,9 +303,11 @@ pub(crate) fn unhex(j: &Json, key: &str) -> Result<Option<u64>, DecodeError> {
 /// what it would answer alone (see `hyperbench_repo::analyze_with_facts`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AnalyzeMethod {
-    /// Hypertree decompositions — iterative `Check(HD,k)` (default):
-    /// nothing runs when hw is already known, and the search starts at
-    /// k = ghw when only ghw is.
+    /// Hypertree decompositions — iterative `Check(HD,k)` (default),
+    /// asking the hybrid's `Check(GHD,k)` first at each k ≥ 2 until it
+    /// first answers yes or times out (a GHD no is an HD no), which
+    /// also pins ghw: nothing runs when hw is already known, and the
+    /// search starts at k = ghw, detk only, when only ghw is.
     Hd,
     /// Generalized hypertree decompositions — iterative `Check(GHD,k)`,
     /// each decided by the hybrid (balanced separators, then detk on

@@ -6,7 +6,10 @@
 //! The ghw search decides each `Check(GHD,k)` with the journal version's
 //! hybrid (BalSep's balanced separators down to
 //! [`HYBRID_SWITCH_DEPTH`], then detk on each component) on the caller's
-//! thread. The race is kept for the experiments that measure it.
+//! thread. The hw search asks that same hybrid first (§6.4: ghw ≤ hw, so
+//! a certified GHD no at k is an HD no at k) and runs detk only once the
+//! hybrid has answered yes or run out of its slice; on the way it pins
+//! ghw. The race is kept for the experiments that measure it.
 
 use std::time::{Duration, Instant};
 
@@ -321,6 +324,13 @@ pub struct HwResult {
     /// Largest `k` with a certified no-answer plus one, i.e. a lower bound
     /// on hw (1 when nothing was certified).
     pub lower: usize,
+    /// hw search only: a certified lower bound on ghw, 1 + the last `k`
+    /// of the run of `Check(GHD,k)` no's the search proved from its start
+    /// (its start when it proved none; 1 for the other searches).
+    pub ghw_lower: usize,
+    /// hw search only: a GHD of width `ghw_lower`, when the hybrid
+    /// answered yes there and so pinned ghw.
+    pub ghw_witness: Option<Decomposition>,
 }
 
 impl HwResult {
@@ -356,10 +366,36 @@ pub fn hypertree_width_opts(
     hypertree_width_from_opts(h, 1, k_max, per_check, opts)
 }
 
+/// The share of `per_check` the hw search gives the hybrid at each `k`:
+/// `per_check / HD_HYBRID_SLICE`. Chosen on the scale-0.05 corpus (seed
+/// 1, `k_max` 5, 1 s per check, two instances at a time), where every
+/// divisor tried left each decided answer as it was. The steps' total
+/// time was 147.6 s with detk alone, 111.1 s at 1/8, 108.3 s at 1/4 and
+/// 115.8 s at 1/2; timeouts fell from 125 to 97, 85 and 74. A quarter
+/// costs least: a shorter slice gives up hybrid no's that detk then
+/// spends a full budget on, a longer one burns more on the hybrid's
+/// timeouts. An undecided step costs at most `per_check · (1 + 1/4)`.
+pub const HD_HYBRID_SLICE: u32 = 4;
+
 /// [`hypertree_width_opts`] starting at `k = from`, for a caller that has
-/// already certified every `Check(HD,k)` with `k < from` as no — e.g. by
-/// knowing `ghw = from`, since `ghw ≤ hw`. The reported lower bound
-/// starts at `from`.
+/// already proved ghw ≥ `from` — e.g. by knowing ghw — so every
+/// `Check(HD,k)` with `k < from` is no (ghw ≤ hw). The reported lower
+/// bounds start at `from`.
+///
+/// `k = 1` is GYO. At each `k ≥ 2` the search first asks the hybrid's
+/// `Check(GHD,k)` for a slice of `per_check` (see [`HD_HYBRID_SLICE`]),
+/// until the hybrid first answers yes or times out:
+///
+/// * a hybrid no is that `k`'s certified HD no, and no detk runs;
+/// * on a hybrid yes or timeout, detk decides `Check(HD,k)` under the
+///   full `per_check`, so no answer detk alone decides becomes a
+///   timeout.
+///
+/// A step's `elapsed` includes the hybrid's time at that `k`, and its
+/// outcome is the HD answer. A hybrid yes after certified no's below
+/// pins ghw, and the result carries that GHD in `ghw_witness`. A search
+/// from `from > 1` asks the hybrid nothing: its caller already holds the
+/// ghw bound the hybrid would re-prove at `from`.
 pub fn hypertree_width_from_opts(
     h: &Hypergraph,
     from: usize,
@@ -367,9 +403,33 @@ pub fn hypertree_width_from_opts(
     per_check: Duration,
     opts: &Options,
 ) -> HwResult {
-    width_search(from, k_max, |k| {
-        check_hd_opts(h, k, &Budget::with_timeout(per_check), opts)
-    })
+    let cfg = SubedgeConfig::default();
+    let mut hybrid = from <= 1;
+    let mut ghw_lower = from.max(1);
+    let mut ghw_witness = None;
+    let mut result = width_search(from, k_max, |k| {
+        if hybrid && k >= 2 {
+            let slice = Budget::with_timeout(per_check / HD_HYBRID_SLICE);
+            match check_ghd_hybrid_opts(h, k, HYBRID_SWITCH_DEPTH, &slice, &cfg, opts) {
+                Outcome::No => {
+                    ghw_lower = k + 1;
+                    return Outcome::No;
+                }
+                Outcome::Yes(d) => ghw_witness = Some(d),
+                Outcome::Timeout => {}
+            }
+            hybrid = false;
+        }
+        let outcome = check_hd_opts(h, k, &Budget::with_timeout(per_check), opts);
+        if k == 1 && matches!(outcome, Outcome::No) {
+            // Cyclic: ghw = 1 iff hw = 1.
+            ghw_lower = 2;
+        }
+        outcome
+    });
+    result.ghw_lower = ghw_lower;
+    result.ghw_witness = ghw_witness;
+    result
 }
 
 /// The shared iterative width search: runs `check(k)` for `k = from,
@@ -413,6 +473,8 @@ pub fn width_search(
         steps,
         upper,
         lower,
+        ghw_lower: 1,
+        ghw_witness: None,
     }
 }
 
@@ -440,7 +502,21 @@ pub fn generalized_hypertree_width_opts(
     cfg: &SubedgeConfig,
     opts: &Options,
 ) -> HwResult {
-    width_search(1, k_max, |k| {
+    generalized_hypertree_width_from_opts(h, 1, k_max, per_check, cfg, opts)
+}
+
+/// [`generalized_hypertree_width_opts`] starting at `k = from`, for a
+/// caller that has already proved ghw ≥ `from`; the reported lower bound
+/// starts there.
+pub fn generalized_hypertree_width_from_opts(
+    h: &Hypergraph,
+    from: usize,
+    k_max: usize,
+    per_check: Duration,
+    cfg: &SubedgeConfig,
+    opts: &Options,
+) -> HwResult {
+    width_search(from, k_max, |k| {
         let budget = Budget::with_timeout(per_check);
         if k == 1 {
             check_hd(h, 1, &budget)
@@ -448,30 +524,6 @@ pub fn generalized_hypertree_width_opts(
             check_ghd_hybrid_opts(h, k, HYBRID_SWITCH_DEPTH, &budget, cfg, opts)
         }
     })
-}
-
-/// Attempts to close an hw gap with a GHD no-answer (§6.4's final
-/// observation): when the analysis established `hw ≤ u` but timed out on
-/// `Check(HD, u−1)`, a *certified* `Check(GHD, u−1) = no` implies
-/// `ghw > u−1`, hence `hw > u−1`, pinning `hw = u` exactly. The paper
-/// closed 297 of 827 open gaps this way.
-///
-/// Returns the new exact hw if the gap closed.
-pub fn close_hw_gap_with_ghw(
-    h: &Hypergraph,
-    hw_upper: usize,
-    hw_lower: usize,
-    budget: &Budget,
-    cfg: &SubedgeConfig,
-) -> Option<usize> {
-    if hw_lower >= hw_upper || hw_upper == 0 {
-        return None; // no gap
-    }
-    // BalSep is the paper's weapon of choice for fast no-answers.
-    match check_ghd(h, hw_upper - 1, GhdAlgorithm::BalSep, budget, cfg) {
-        Outcome::No => Some(hw_upper),
-        _ => None,
-    }
 }
 
 #[cfg(test)]
@@ -634,28 +686,49 @@ mod tests {
 
     #[test]
     fn gap_closing_on_triangle() {
-        // Pretend the analysis only knows hw ∈ [1, 2] for the triangle;
-        // the certified GHD no-answer at k=1 closes the gap to hw = 2.
+        // The triangle's k = 1 is GYO's certified no, k = 2 the hybrid's
+        // yes: detk then decides Check(HD,2), and the GHD pins ghw = 2.
         let h = triangle();
-        let closed =
-            close_hw_gap_with_ghw(&h, 2, 1, &Budget::unlimited(), &SubedgeConfig::default());
-        assert_eq!(closed, Some(2));
-        // No gap → no work.
-        assert_eq!(
-            close_hw_gap_with_ghw(&h, 2, 2, &Budget::unlimited(), &SubedgeConfig::default()),
-            None
-        );
+        let r = hypertree_width(&h, 5, Duration::from_secs(10));
+        assert_eq!(r.exact(), Some(2));
+        assert_eq!(r.ghw_lower, 2);
+        let ghd = r.ghw_witness.as_ref().expect("the hybrid's yes at 2");
+        crate::validate::validate_ghd(&h, ghd).unwrap();
+        assert_eq!(ghd.width(), 2);
+        // K5 (hw = ghw = 3): the hybrid's no at 2 is the HD no, and
+        // its yes at 3 pins ghw.
+        let mut b = hyperbench_core::HypergraphBuilder::named("K5");
+        for i in 0..5 {
+            for j in i + 1..5 {
+                b.add_edge(&format!("e{i}{j}"), &[format!("v{i}"), format!("v{j}")]);
+            }
+        }
+        let k5 = b.build();
+        let r = hypertree_width(&k5, 5, Duration::from_secs(10));
+        assert_eq!(r.exact(), Some(3));
+        assert_eq!(r.steps[1].outcome.label(), "no");
+        assert_eq!(r.ghw_lower, 3);
+        crate::validate::validate_ghd(&k5, r.ghw_witness.as_ref().unwrap()).unwrap();
     }
 
     #[test]
     fn gap_closing_respects_yes_answers() {
-        // For an acyclic hypergraph wrongly reported as hw ∈ [1,2], the
-        // GHD check at k=1 answers *yes*, so the gap must NOT close to 2.
         let h = hypergraph_from_edges(&[("e", &["a", "b"]), ("f", &["b", "c"])]);
-        assert_eq!(
-            close_hw_gap_with_ghw(&h, 2, 1, &Budget::unlimited(), &SubedgeConfig::default()),
-            None
+        let r = hypertree_width(&h, 3, Duration::from_secs(10));
+        assert_eq!(r.exact(), Some(1));
+        assert!(r.steps.iter().all(|s| s.outcome.label() != "no"));
+        assert_eq!((r.ghw_lower, r.ghw_witness.is_none()), (1, true));
+        // Searched from a certified start, the hybrid is not asked: the
+        // start is the caller's ghw bound, and nothing pins it again.
+        let r = hypertree_width_from_opts(
+            &triangle(),
+            2,
+            5,
+            Duration::from_secs(10),
+            &Options::serial(),
         );
+        assert_eq!((r.exact(), r.ghw_lower), (Some(2), 2));
+        assert!(r.ghw_witness.is_none());
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Figure 4: the hw analysis — per class and per `k`, how many instances
-//! answered yes / no / timeout, with average runtimes.
+//! answered yes / no / timeout, with average runtimes. A step's runtime
+//! includes the hybrid `Check(GHD,k)` the hw search asks before detk.
 
 use std::collections::BTreeMap;
 use std::time::Duration;

@@ -1,16 +1,14 @@
 //! The §6.2 headline findings (Goal 2): how often is the hypertree width
-//! small enough for efficient evaluation? Plus the §6.4 gap-closing trick:
-//! certified GHD no-answers pin down exact hw values the HD search left
-//! open.
+//! small enough for efficient evaluation? Plus the hw gaps left open. The
+//! hw search itself runs §6.4's gap-closing step — it asks the hybrid's
+//! certified `Check(GHD,k)` before `Check(HD,k)` — so the row counts the
+//! gaps left after it.
 
-use hyperbench_core::subedges::SubedgeConfig;
 use hyperbench_datagen::BenchClass;
-use hyperbench_decomp::budget::Budget;
-use hyperbench_decomp::driver::close_hw_gap_with_ghw;
 
 use crate::experiments::ExperimentReport;
 use crate::report::{pct, Table};
-use crate::{parallel_map, AnalyzedBenchmark};
+use crate::AnalyzedBenchmark;
 
 /// Regenerates the §6.2 / §7 "lessons learned" numbers.
 pub fn run(bench: &AnalyzedBenchmark) -> ExperimentReport {
@@ -71,32 +69,12 @@ pub fn run(bench: &AnalyzedBenchmark) -> ExperimentReport {
         pct(exact, total),
     ]);
 
-    // §6.4: close open hw gaps with certified GHD no-answers (BalSep).
-    let gaps: Vec<&crate::AnalyzedInstance> = all
-        .iter()
-        .filter(|a| match a.record.hw_upper {
-            Some(u) => a.record.hw_lower < u,
-            None => false,
-        })
-        .collect();
-    let cfg = SubedgeConfig::default();
-    let closed = parallel_map(&gaps, bench.config.worker_count(), |a| {
-        close_hw_gap_with_ghw(
-            &a.instance.hypergraph,
-            a.record.hw_upper.unwrap(),
-            a.record.hw_lower,
-            &Budget::with_timeout(bench.config.ghd_timeout),
-            &cfg,
-        )
-        .is_some()
-    })
-    .into_iter()
-    .filter(|&c| c)
-    .count();
+    // §6.4: the paper closed 297 of its 827 open gaps with GHD no's.
+    let gaps = count(&|a| a.record.hw_upper.is_some_and(|u| a.record.hw_lower < u));
     t.row(&[
-        "open hw gaps closed by GHD no-answers (§6.4)".to_string(),
-        "297 of 827".to_string(),
-        format!("{closed} of {}", gaps.len()),
+        "open hw gaps left after the search".to_string(),
+        "530".to_string(),
+        gaps.to_string(),
     ]);
 
     ExperimentReport {

@@ -19,7 +19,7 @@
 //! | [`experiments::table4`] | Table 4 — first-of-three GHD race, and the hybrid alone |
 //! | [`experiments::table5`] | Table 5 — ImproveHD |
 //! | [`experiments::table6`] | Table 6 — FracImproveHD |
-//! | [`experiments::summary`]| §6.2/§6.4 headline findings |
+//! | [`experiments::summary`]| §6.2 headline findings, hw gaps left open |
 
 #![forbid(unsafe_code)]
 

@@ -9,23 +9,33 @@
 //! the server's `GET /v1/analyses/{id}` decomposition retrieval.
 //!
 //! The widths of one hypergraph bound each other, and the paper computes
-//! them from each other: §6.4 takes hw and asks `Check(GHD, hw−1)`, §6.5
-//! improves the HDs the hw search already found. [`analyze_with_facts`]
-//! does the same across methods. An [`InstanceFacts`] record keeps what
-//! earlier analyses of the same document *proved*, and each method
-//! starts from it:
+//! them from each other: §6.4 closes hw gaps with `Check(GHD,k)` no's
+//! (ghw ≤ hw), §6.5 improves the HDs the hw search already found.
+//! [`analyze_with_facts`] does the same across methods. An
+//! [`InstanceFacts`] record keeps what earlier analyses of the same
+//! document *proved* — exact widths with their witnesses, and a certified
+//! lower bound on ghw — and each method starts from it:
 //!
-//! * `hd` with hw known runs no `Check`; with ghw = g known it searches
-//!   from k = g (ghw ≤ hw certifies every smaller k as no);
-//! * `ghd` with ghw known runs no `Check`; with hw = h known it runs
-//!   `Check(GHD,k)` only below h, and when nothing there answers yes the
-//!   stored HD (every HD is a GHD) pins ghw = h;
-//! * `fhd` improves the stored HD, or first finds one as `hd` does.
+//! | method | facts present | checks run |
+//! |--------|---------------|------------|
+//! | `hd`   | hw            | none |
+//! | `hd`   | ghw = g       | `Check(HD,k)` from k = g on |
+//! | `hd`   | none          | the hybrid's `Check(GHD,k)` first at each k ≥ 2 until its first yes/timeout; records ghw |
+//! | `ghd`  | ghw           | none |
+//! | `ghd`  | hw = h        | `Check(GHD,k)` only below h; when none says yes, the stored HD (every HD is a GHD) pins ghw = h |
+//! | `ghd`  | ghw ≥ l       | `Check(GHD,k)` from k = l on |
+//! | `fhd`  | hw            | none: `ImproveHD` on the stored HD |
+//! | `fhd`  | otherwise     | as `hd`, then `ImproveHD` |
 //!
-//! No method runs a `Check` it would not run on its own, and each
-//! answers the bounds, sizes and properties it would answer on its own;
-//! `hw_steps` lists only the checks that ran. [`analyze_instance_retaining`]
-//! is the call that starts from no facts.
+//! The hd search asks the hybrid before detk (see
+//! `hypertree_width_from_opts`), so an hd analysis runs `Check(GHD,k)`s
+//! besides its `Check(HD,k)`s and records what they prove: an exact ghw
+//! when the hybrid answers yes after certified no's, else a certified
+//! ghw ≥ l. A method that starts from facts runs no `Check` it would not
+//! run on its own, and each answers the bounds, sizes and properties it
+//! would answer on its own; `hw_steps` lists one step per `k` that ran,
+//! labelled with that method's answer. [`analyze_instance_retaining`] is
+//! the call that starts from no facts.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -37,7 +47,7 @@ use hyperbench_core::stats::{size_metrics, SizeMetrics};
 use hyperbench_core::subedges::SubedgeConfig;
 use hyperbench_core::{BitSet, Hypergraph};
 use hyperbench_decomp::driver::{
-    generalized_hypertree_width_opts, hypertree_width_from_opts, HwResult, Outcome,
+    generalized_hypertree_width_from_opts, hypertree_width_from_opts, HwResult, Outcome,
 };
 use hyperbench_decomp::improve::improve_hd;
 use hyperbench_decomp::tree::{CoverAtom, Decomposition};
@@ -45,7 +55,10 @@ use hyperbench_decomp::tree::{CoverAtom, Decomposition};
 /// Budgets for an analysis pass.
 #[derive(Debug, Clone, Copy)]
 pub struct AnalysisConfig {
-    /// Per-`Check(HD,k)` timeout.
+    /// Per-`Check(HD,k)` (and, for `ghd`, per-`Check(GHD,k)`) timeout.
+    /// An hd step that asks the hybrid first gives it
+    /// `per_check / HD_HYBRID_SLICE` beside this full budget for detk,
+    /// so one step may take up to 5/4 of it.
     pub per_check: Duration,
     /// Largest `k` tried by the hw search.
     pub k_max: usize,
@@ -130,7 +143,7 @@ pub struct AnalyzedInstance {
 /// retains the witness tree:
 ///
 /// * [`AnalyzeMethod::Hd`] — the iterative `Check(HD,k)` search of
-///   Figure 4,
+///   Figure 4, asking the hybrid's `Check(GHD,k)` first (§6.4),
 /// * [`AnalyzeMethod::Ghd`] — the iterative `Check(GHD,k)` search, each
 ///   check decided by the hybrid,
 /// * [`AnalyzeMethod::Fhd`] — the HD search, then `ImproveHD` (§6.5)
@@ -145,10 +158,11 @@ pub fn analyze_instance_retaining(
 }
 
 /// What analyses of one hypergraph have proved about it: its sizes and
-/// properties, an exact hw with an HD of that width, and an exact ghw
-/// with a GHD of that width. A width is recorded only from a search that
-/// decided every `Check` within `k_max`, so a fact holds under any
-/// budget.
+/// properties, an exact hw with an HD of that width, an exact ghw with a
+/// GHD of that width, and a certified lower bound on ghw. A width is
+/// recorded only from a search that decided every `Check` within `k_max`,
+/// and the bound only from a run of certified no's, so a fact holds
+/// under any budget.
 ///
 /// The witnesses name edges and vertices by id, so a record belongs to
 /// one parse of one document: reuse it only for that same text.
@@ -157,6 +171,8 @@ pub struct InstanceFacts {
     profile: Option<Profile>,
     hw: Option<WidthFact>,
     ghw: Option<WidthFact>,
+    /// ghw ≥ this (0 and 1 claim nothing).
+    ghw_lower: usize,
 }
 
 /// Sizes and properties, with the VC-dimension budget the properties
@@ -258,7 +274,7 @@ impl InstanceFacts {
 
     /// Whether nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.profile.is_none() && self.hw.is_none() && self.ghw.is_none()
+        self.profile.is_none() && self.hw.is_none() && self.ghw.is_none() && self.ghw_lower <= 1
     }
 
     /// The exact hw, when proved.
@@ -272,11 +288,13 @@ impl InstanceFacts {
     }
 
     /// Folds in another record of the same document. Every fact is
-    /// true, so where both hold one, the one already here stays.
+    /// true, so where both hold one, the one already here stays; of two
+    /// lower bounds the larger stays.
     pub fn merge(&mut self, other: InstanceFacts) {
         self.profile = self.profile.take().or(other.profile);
         self.hw = self.hw.take().or(other.hw);
         self.ghw = self.ghw.take().or(other.ghw);
+        self.ghw_lower = self.ghw_lower.max(other.ghw_lower);
     }
 
     /// Sizes and properties under `vc_budget`: the recorded ones, or
@@ -339,15 +357,24 @@ pub fn analyze_with_facts(
     }
 }
 
-/// hw: the recorded one, or the `Check(HD,k)` search from the recorded
-/// ghw (or from 1).
+/// hw: the recorded one, or the hd search from the recorded ghw (or from
+/// 1, asking the hybrid first), recording what its hybrid checks proved
+/// about ghw. A bare lower bound l is not a start here: the search from
+/// 1 asks the hybrid up to l anyway, as it does on its own.
 fn hw_search(h: &Hypergraph, cfg: &AnalysisConfig, facts: &mut InstanceFacts) -> Search {
     if let Some(hw) = usable(&facts.hw, cfg.k_max) {
         return Search::known(hw);
     }
     let from = usable(&facts.ghw, cfg.k_max).map_or(1, |g| g.width);
-    let result =
+    let mut result =
         hypertree_width_from_opts(h, from, cfg.k_max, cfg.per_check, &cfg.engine_options());
+    facts.ghw_lower = facts.ghw_lower.max(result.ghw_lower);
+    if let Some(ghd) = result.ghw_witness.take() {
+        facts.ghw.get_or_insert_with(|| WidthFact {
+            width: result.ghw_lower,
+            witness: PackedTree::pack(&ghd),
+        });
+    }
     let search = Search::of(result, None);
     if let Some(fact) = search.fact(cfg.k_max) {
         facts.hw = Some(fact);
@@ -356,21 +383,26 @@ fn hw_search(h: &Hypergraph, cfg: &AnalysisConfig, facts: &mut InstanceFacts) ->
 }
 
 /// ghw: the recorded one, or the `Check(GHD,k)` search (the hybrid, see
-/// `generalized_hypertree_width_opts`) — below the recorded hw only,
-/// whose HD closes the search when nothing there answers yes.
+/// `generalized_hypertree_width_opts`) from the recorded lower bound —
+/// below the recorded hw only, whose HD closes the search when nothing
+/// there answers yes.
 fn ghw_search(h: &Hypergraph, cfg: &AnalysisConfig, facts: &mut InstanceFacts) -> Search {
     if let Some(ghw) = usable(&facts.ghw, cfg.k_max) {
         return Search::known(ghw);
     }
     let hw = usable(&facts.hw, cfg.k_max);
     let cap = hw.map_or(cfg.k_max, |f| f.width - 1);
-    let result = generalized_hypertree_width_opts(
+    // A bound above k_max is ignored, as a width is.
+    let from = Some(facts.ghw_lower).filter(|&l| l <= cfg.k_max);
+    let result = generalized_hypertree_width_from_opts(
         h,
+        from.unwrap_or(1),
         cap,
         cfg.per_check,
         &SubedgeConfig::default(),
         &cfg.engine_options(),
     );
+    facts.ghw_lower = facts.ghw_lower.max(result.lower);
     let search = Search::of(result, hw);
     if let Some(fact) = search.fact(cfg.k_max) {
         facts.ghw = Some(fact);
@@ -677,6 +709,37 @@ mod tests {
         assert_eq!((search.lower, search.upper), (2, Some(3)));
         assert!(search.timed_out);
         assert!(search.fact(8).is_none());
+    }
+
+    #[test]
+    fn a_ghw_lower_bound_starts_the_ghw_search_and_merges_to_the_larger() {
+        let at_least = |ghw_lower| InstanceFacts {
+            ghw_lower,
+            ..InstanceFacts::new()
+        };
+        let ks = |a: &AnalyzedInstance| a.record.hw_steps.iter().map(|s| s.0).collect::<Vec<_>>();
+        let cfg = AnalysisConfig::default();
+        let got = analyze_with_facts(&triangle(), &cfg, AnalyzeMethod::Ghd, &mut at_least(2));
+        assert_eq!(ks(&got), vec![2], "starts at the bound");
+        assert_eq!(got.record.hw_exact(), Some(2));
+        // The hd search starts only from an exact ghw.
+        let got = analyze_with_facts(&triangle(), &cfg, AnalyzeMethod::Hd, &mut at_least(2));
+        assert_eq!(ks(&got), vec![1, 2]);
+        // A bound above the request's k_max is ignored.
+        let low = AnalysisConfig { k_max: 1, ..cfg };
+        let got = analyze_with_facts(&triangle(), &low, AnalyzeMethod::Ghd, &mut at_least(2));
+        assert_eq!(got.record.hw_steps.len(), 1);
+        // The hd search records the bound its GYO no proves.
+        let mut facts = InstanceFacts::new();
+        analyze_with_facts(&triangle(), &low, AnalyzeMethod::Hd, &mut facts);
+        assert_eq!((facts.ghw_lower, facts.ghw()), (2, None));
+        let mut facts = at_least(3);
+        facts.merge(at_least(2));
+        assert_eq!(facts.ghw_lower, 3);
+        let mut facts = at_least(2);
+        facts.merge(at_least(3));
+        assert_eq!(facts.ghw_lower, 3);
+        assert!(!facts.is_empty());
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! |--------|---------------|------------------------------------|
 //! | hd     | hw            | none                               |
 //! | hd     | ghw = g       | from k = g on                      |
+//! | hd     | none          | hybrid first at each k ≥ 2 until its first yes/timeout; records ghw |
 //! | ghd    | ghw           | none                               |
 //! | ghd    | hw = h        | only k < h                         |
 //! | fhd    | hw            | none (`ImproveHD` on the stored HD) |
@@ -270,5 +271,25 @@ fn a_search_below_the_width_writes_no_width_fact() {
         assert_eq!(got.record.hw_lower, alone.record.hw_lower);
         assert_eq!(got.record.hw_upper, alone.record.hw_upper);
         assert_eq!(checked_ks(&got), checked_ks(&alone));
+    }
+}
+
+#[test]
+fn a_lone_hd_analysis_pins_ghw_for_the_ghd_analysis() {
+    let cfg = config(1);
+    for (name, h) in [
+        ("grid 3x3", grid(3, 3)),
+        ("clique 5", clique(5)),
+        ("pebbling 3x3", pebbling_grid("pebbling", 3, 3)),
+    ] {
+        let alone = analyze_instance_retaining(&h, &cfg, AnalyzeMethod::Ghd);
+        let ghw = alone.record.hw_exact();
+        let mut facts = InstanceFacts::new();
+        analyze_with_facts(&h, &cfg, AnalyzeMethod::Hd, &mut facts);
+        assert!(facts.ghw().is_some(), "{name}: the hd search pinned no ghw");
+        assert_eq!(facts.ghw(), ghw, "{name}");
+        let ghd = analyze_with_facts(&h, &cfg, AnalyzeMethod::Ghd, &mut facts);
+        assert!(ghd.record.hw_steps.is_empty(), "{name}: ghd ran checks");
+        assert_same_answer(name, &h, AnalyzeMethod::Ghd, &ghd, &alone);
     }
 }

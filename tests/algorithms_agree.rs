@@ -1,5 +1,6 @@
 //! Cross-algorithm agreement, property-based: on random small
-//! hypergraphs, the HD search, all three GHD algorithms and the ghw
+//! hypergraphs, the HD search, all three GHD algorithms, the hw search
+//! behind `method=hd` analyses (which asks the hybrid first) and the ghw
 //! search behind `method=ghd` analyses must produce mutually consistent,
 //! machine-validated answers, and the width hierarchy fhw ≤ ghw ≤ hw
 //! must hold.
@@ -12,7 +13,8 @@ use hyperbench_decomp::balsep::{decompose_balsep, decompose_hybrid, BalsepConfig
 use hyperbench_decomp::budget::Budget;
 use hyperbench_decomp::detk::{decompose_hd, decompose_localbip, SearchResult};
 use hyperbench_decomp::driver::{
-    generalized_hypertree_width_opts, HwResult, Outcome, HYBRID_SWITCH_DEPTH,
+    check_hd_opts, generalized_hypertree_width_opts, hypertree_width_opts, width_search, HwResult,
+    Outcome, HYBRID_SWITCH_DEPTH,
 };
 use hyperbench_decomp::globalbip::decompose_globalbip;
 use hyperbench_decomp::improve::improve_hd;
@@ -25,6 +27,13 @@ use proptest::prelude::*;
 fn small_hypergraph() -> impl Strategy<Value = Hypergraph> {
     // Up to 6 edges over up to 7 vertices, arity ≤ 4.
     prop::collection::vec(prop::collection::vec(0u8..7, 1..=4), 1..=6)
+        .prop_map(|shape| hypergraph_from_shape(&shape))
+}
+
+/// Dense graphs: 12–21 binary edges over up to 7 vertices, so that
+/// ghw = 3 (the hybrid's no at k = 2) comes up often.
+fn dense_graph() -> impl Strategy<Value = Hypergraph> {
+    prop::collection::vec(prop::collection::vec(0u8..7, 2), 12..=21)
         .prop_map(|shape| hypergraph_from_shape(&shape))
 }
 
@@ -65,6 +74,37 @@ proptest! {
                     prop_assert!(!prev_yes, "non-monotone HD answers at k={k}");
                 }
                 other => prop_assert!(false, "unbudgeted search stopped: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn hd_search_agrees_with_detk_alone(h in dense_graph()) {
+        let per_check = Duration::from_secs(60);
+        let serial = Options::serial();
+        let reference = width_search(1, 4, |k| {
+            check_hd_opts(&h, k, &Budget::with_timeout(per_check), &serial)
+        });
+        let cfg = SubedgeConfig::default();
+        let ghw = generalized_hypertree_width_opts(&h, 4, per_check, &cfg, &serial);
+        for jobs in [1, 2] {
+            let r = hypertree_width_opts(&h, 4, per_check, &Options::with_jobs(jobs));
+            prop_assert_eq!(
+                (r.lower, r.upper),
+                (reference.lower, reference.upper),
+                "jobs={} on\n{:?}", jobs, h
+            );
+            if let Some(Outcome::Yes(d)) = r.steps.last().map(|s| &s.outcome) {
+                validate_hd(&h, d).unwrap();
+                prop_assert_eq!(Some(d.width()), r.upper);
+            }
+            // The certified ghw bound never passes the true ghw, and a
+            // carried GHD is one of exactly that width.
+            prop_assert!(ghw.upper.is_none_or(|g| r.ghw_lower <= g));
+            if let Some(d) = &r.ghw_witness {
+                validate_ghd(&h, d).unwrap();
+                prop_assert_eq!(d.width(), r.ghw_lower);
+                prop_assert_eq!(ghw.exact(), Some(d.width()));
             }
         }
     }
