@@ -6,8 +6,7 @@
 //! * [`json`]: the zero-dependency JSON value type, writer, and parser
 //!   (relocated here from `hyperbench-server` so clients need no server
 //!   dependency),
-//! * [`schema`]: the single constant table of field names, shared with
-//!   the repository's `index.tsv` store schema,
+//! * [`schema`]: the single constant table of field names,
 //! * [`dto`]: typed request/response DTOs (`EntrySummary`,
 //!   `AnalysisReport`, `DecompositionDto`, `AnalyzeRequest`, …), whose
 //!   JSON encode/decode comes from one field table per DTO,

@@ -1,20 +1,13 @@
 //! The single constant table for field names: every key of a `/v1`
-//! payload, and every column of the repository's on-disk `index.tsv`
-//! store.
+//! payload.
 //!
 //! The DTO field tables in [`crate::dto`] name their keys only through
-//! these constants, so a literal key cannot enter the wire. The names a
-//! payload shares with an `index.tsv` column are defined once here, for
-//! both the DTO tables and the store writer in `hyperbench-repo`. So the
-//! wire schema and the store schema cannot drift apart silently:
-//! renaming a column is a one-line change that the compiler propagates
-//! to both sides.
+//! these constants, so a literal key cannot enter the wire, and handler
+//! code and the client decode from one vocabulary.
 
-/// Entry id (store column 0 and wire field).
+/// Entry id.
 pub const ID: &str = "id";
-/// `.hg` file name (store-only column).
-pub const FILE: &str = "file";
-/// Hypergraph name (store-only column; the wire carries it in `.hg`).
+/// Name of an edge or of a histogram.
 pub const NAME: &str = "name";
 /// Collection name, e.g. `TPC-H`.
 pub const COLLECTION: &str = "collection";
@@ -40,25 +33,6 @@ pub const VC_DIM: &str = "vc_dim";
 pub const HW_UPPER: &str = "hw_upper";
 /// 1 + largest certified no-answer.
 pub const HW_LOWER: &str = "hw_lower";
-/// Whether any `Check(HD,k)` timed out (store column name).
-pub const HW_TIMEOUT: &str = "hw_timeout";
-
-/// The `index.tsv` column names, in the exact order the store writes
-/// them. `hyperbench-repo` renders its header from this table and sizes
-/// its row parser off `INDEX_COLUMNS.len()`.
-pub const INDEX_COLUMNS: [&str; 16] = [
-    ID, FILE, NAME, COLLECTION, CLASS, VERTICES, EDGES, ARITY, DEGREE, BIP, BMIP3, BMIP4, VC_DIM,
-    HW_UPPER, HW_LOWER, HW_TIMEOUT,
-];
-
-/// The `index.tsv` header line (columns joined by tabs, no newline).
-pub fn index_header() -> String {
-    INDEX_COLUMNS.join("\t")
-}
-
-// Wire-only field names (no store column): grouped here so handler code
-// and the client decode from one vocabulary.
-
 /// Whether an entry has an analysis record attached.
 pub const ANALYZED: &str = "analyzed";
 /// Exact hw, when the bounds meet.
@@ -256,24 +230,3 @@ pub const P50: &str = "p50";
 pub const P90: &str = "p90";
 /// Histogram summary: 99th-percentile upper bound.
 pub const P99: &str = "p99";
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn index_header_matches_column_table() {
-        let header = index_header();
-        assert_eq!(header.split('\t').count(), INDEX_COLUMNS.len());
-        assert!(header.starts_with("id\tfile\tname\t"));
-        assert!(header.ends_with("hw_upper\thw_lower\thw_timeout"));
-    }
-
-    #[test]
-    fn columns_are_unique() {
-        let mut seen = std::collections::BTreeSet::new();
-        for c in INDEX_COLUMNS {
-            assert!(seen.insert(c), "duplicate column {c:?}");
-        }
-    }
-}

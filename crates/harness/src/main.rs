@@ -7,7 +7,7 @@ use std::io::Write;
 use std::path::PathBuf;
 use std::time::Duration;
 
-use hyperbench_core::format::{parse_hg_named, to_hg};
+use hyperbench_core::format::parse_hg_named;
 use hyperbench_core::properties::structural_properties;
 use hyperbench_core::stats::size_metrics;
 use hyperbench_core::subedges::SubedgeConfig;
@@ -18,6 +18,7 @@ use hyperbench_decomp::driver::{
 };
 use hyperbench_harness::experiments;
 use hyperbench_harness::{analyze_benchmark, ExperimentConfig};
+use hyperbench_repo::store::{pack::write_pack, tree};
 use hyperbench_repo::{analyze_instance, AnalysisConfig, Repository};
 
 const USAGE: &str = "\
@@ -29,12 +30,12 @@ USAGE:
              [--kmax N] [--threads N] [--jobs N]
   hyperbench experiments-md [--out FILE] [same flags as experiment]
   hyperbench gen --out DIR [--scale F] [--seed N]
-  hyperbench analyze --dir DIR [--timeout-ms N] [--kmax N] [--jobs N]
+  hyperbench analyze --pack FILE [--timeout-ms N] [--kmax N] [--jobs N]
   hyperbench stats <FILE.hg>
   hyperbench decompose <FILE.hg> --k N [--algo hd|globalbip|localbip|balsep|hybrid]
              [--switch-depth N] [--timeout-ms N] [--jobs N]
   hyperbench pack --dir DIR [--out FILE]
-  hyperbench serve (--dir DIR | --pack FILE) [--addr HOST:PORT] [--threads N]
+  hyperbench serve --pack FILE [--addr HOST:PORT] [--threads N]
              [--workers N] [--queue N] [--cache N] [--timeout-ms N] [--kmax N]
              [--jobs N] [--spill FILE|off] [--reactor-threads N] [--writable]
   hyperbench route --map FILE [--addr HOST:PORT] [--probe-interval-ms N]
@@ -55,13 +56,16 @@ flag winning when both are given).
 as serial ones; for `serve` the flag is also the ceiling for the
 `jobs` field of `POST /v1/analyses` requests.
 
+The pack is the store: `gen` writes `.hg` files, an `index.tsv` manifest
+and `DIR/repo.pack`; `pack` imports such a tree. `analyze` rewrites the
+pack, and refuses while `FILE.wal` holds writes (`serve --writable`
+folds them).
+
 `serve` runs the event-driven epoll reactor with `max(1, threads / 2)`
-event loops (override with `--reactor-threads N`). `--writable` (with
-`--pack` only) accepts `POST`/`PUT`/`DELETE` on `/v1/hypergraphs`,
-committing through a fsynced write-ahead log at `FILE.wal` that is
-checkpointed back into the pack's pages; without it, writes answer 403.
-A TSV tree (`--dir`) is served read-only: `hyperbench pack --dir DIR`
-turns it into a pack that can be served writable.
+event loops (override with `--reactor-threads N`). `--writable`
+accepts `POST`/`PUT`/`DELETE` on `/v1/hypergraphs`, committing through
+a fsynced write-ahead log at `FILE.wal` that is checkpointed back into
+the pack's pages; without it, writes answer 403.
 
 `route` runs the sharding front tier over a static shard map: one line
 per shard listing its upstream `host:port` addresses (first = primary,
@@ -333,16 +337,28 @@ fn run(args: &[String]) -> Result<(), String> {
             for inst in instances {
                 repo.insert(inst.hypergraph, inst.collection, inst.class.name());
             }
-            hyperbench_repo::store::save(&repo, &out).map_err(|e| e.to_string())?;
+            tree::export(&repo, &out).map_err(|e| e.to_string())?;
+            write_pack(&repo, &out.join("repo.pack")).map_err(|e| e.to_string())?;
             outln!("wrote {} hypergraphs to {}", repo.len(), out.display());
             Ok(())
         }
         "analyze" => {
-            let dir = PathBuf::from(flags.get("dir").ok_or("--dir DIR required")?);
+            let pack = PathBuf::from(flags.get("pack").ok_or("--pack FILE required")?);
             let per_check: u64 = flags.get_parsed("timeout-ms", 250)?;
             let k_max: usize = flags.get_parsed("kmax", 8)?;
             let jobs: usize = flags.get_parsed("jobs", 1)?;
-            let mut repo = hyperbench_repo::store::load(&dir).map_err(|e| e.to_string())?;
+            // Rewriting a base under a log that is not folded in yet
+            // would lose those writes or replay them over the wrong base.
+            let mut wal = pack.clone().into_os_string();
+            wal.push(".wal");
+            if std::fs::metadata(&wal).is_ok_and(|m| m.len() > 0) {
+                let pack = pack.display();
+                return Err(format!(
+                    "{pack}.wal holds writes not yet folded in; fold them with\n  \
+                     hyperbench serve --pack {pack} --writable"
+                ));
+            }
+            let mut repo = Repository::open_pack(&pack).map_err(|e| e.to_string())?;
             let cfg = AnalysisConfig {
                 per_check: Duration::from_millis(per_check),
                 k_max,
@@ -357,8 +373,8 @@ fn run(args: &[String]) -> Result<(), String> {
                 let rec = analyze_instance(&repo.entry(id).hypergraph, &cfg);
                 repo.set_analysis(id, rec);
             }
-            hyperbench_repo::store::save(&repo, &dir).map_err(|e| e.to_string())?;
-            outln!("analyzed {n} hypergraphs; index updated");
+            write_pack(&repo, &pack).map_err(|e| e.to_string())?;
+            outln!("analyzed {n} hypergraphs; {} rewritten", pack.display());
             Ok(())
         }
         "stats" => {
@@ -387,8 +403,8 @@ fn run(args: &[String]) -> Result<(), String> {
                 .get("out")
                 .map(PathBuf::from)
                 .unwrap_or_else(|| dir.join("repo.pack"));
-            let repo = hyperbench_repo::store::load(&dir).map_err(|e| e.to_string())?;
-            hyperbench_repo::store::pack::write_pack(&repo, &out).map_err(|e| e.to_string())?;
+            let repo = tree::import(&dir).map_err(|e| e.to_string())?;
+            write_pack(&repo, &out).map_err(|e| e.to_string())?;
             let bytes = std::fs::metadata(&out).map(|m| m.len()).unwrap_or(0);
             outln!(
                 "packed {} hypergraphs from {} into {} ({bytes} bytes)",
@@ -399,20 +415,15 @@ fn run(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "serve" => {
-            let dir = flags.get("dir").map(PathBuf::from);
-            let pack = flags.get("pack").map(PathBuf::from);
+            let pack = PathBuf::from(flags.get("pack").ok_or("--pack FILE required")?);
             let d = hyperbench_server::ServerConfig::default();
-            // The analysis cache spills next to the repository by
-            // default, so restarts come up warm; `--spill off` keeps it
-            // memory-only and `--spill FILE` moves it.
+            // The analysis cache spills next to the pack by default, so
+            // restarts come up warm; `--spill off` keeps it memory-only
+            // and `--spill FILE` moves it.
             let spill = match flags.get("spill") {
                 Some("off") => None,
                 Some(path) => Some(PathBuf::from(path)),
-                None => match (&dir, &pack) {
-                    (Some(dir), _) => Some(dir.join("cache.spill")),
-                    (None, Some(pack)) => Some(pack.with_extension("pack.spill")),
-                    (None, None) => None,
-                },
+                None => Some(pack.with_extension("pack.spill")),
             };
             let config = hyperbench_server::ServerConfig {
                 addr: flags.get("addr").unwrap_or("127.0.0.1:8080").to_string(),
@@ -427,28 +438,16 @@ fn run(args: &[String]) -> Result<(), String> {
                     jobs: flags.get_parsed("jobs", 1)?,
                 },
                 spill,
-                // serve_pack_opts sets the writable pack when --writable
-                // is on; serve_dir_opts refuses it.
-                writable_pack: None,
+                ..d
             };
             let serve_opts = hyperbench_server::ServeOptions {
                 writable: matches!(flags.get("writable"), Some("true") | Some("1")),
                 reactor_threads: match flags.get("reactor-threads") {
                     None => None,
-                    Some(v) => Some(
-                        v.parse()
-                            .map_err(|_| format!("invalid value for --reactor-threads: {v}"))?,
-                    ),
+                    Some(_) => Some(flags.get_parsed("reactor-threads", 0)?),
                 },
             };
-            match (dir, pack) {
-                (Some(_), Some(_)) => Err("--dir and --pack are mutually exclusive".to_string()),
-                (Some(dir), None) => hyperbench_server::serve_dir_opts(&dir, &config, &serve_opts),
-                (None, Some(pack)) => {
-                    hyperbench_server::serve_pack_opts(&pack, &config, &serve_opts)
-                }
-                (None, None) => Err("--dir DIR or --pack FILE required".to_string()),
-            }
+            hyperbench_server::serve_pack_opts(&pack, &config, &serve_opts)
         }
         "route" => {
             let map_path = PathBuf::from(flags.get("map").ok_or("--map FILE required")?);
@@ -595,7 +594,6 @@ fn run(args: &[String]) -> Result<(), String> {
                 Outcome::No => outln!("no: width > {k} certified"),
                 Outcome::Timeout => outln!("timeout"),
             }
-            let _ = to_hg(&h);
             Ok(())
         }
         other => Err(format!("unknown command {other}")),

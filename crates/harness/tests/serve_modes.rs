@@ -1,9 +1,8 @@
-//! `hyperbench serve` in each of its modes, through the built binary:
-//! a TSV tree is served read-only and answers exactly what its pack
-//! answers, asking to write to a TSV tree fails with the commands that
-//! would make it writable, and a writable pack keeps a put across a
-//! crash. Beside them, `hyperbench analyze --dir` on a tree whose ids
-//! have a gap.
+//! `hyperbench serve --pack` through the built binary: a tree imported
+//! by `hyperbench pack` answers exactly what the same repository packed
+//! in process answers, and a writable pack keeps a put across a crash.
+//! Beside them, `hyperbench analyze --pack` on a pack whose ids have a
+//! gap, and its refusal to rewrite a pack whose log is not folded in.
 
 use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpStream};
@@ -12,6 +11,7 @@ use std::process::{Child, Command, Stdio};
 
 use hyperbench_api::http::ResponseReader;
 use hyperbench_core::format::parse_hg;
+use hyperbench_repo::store::{pack::write_pack, tree};
 use hyperbench_repo::Repository;
 
 fn hyperbench() -> Command {
@@ -25,8 +25,8 @@ fn tmpdir(tag: &str) -> PathBuf {
     dir
 }
 
-/// A small TSV tree: chains of varied length over two collections.
-fn write_tree(dir: &Path) -> usize {
+/// Six chains of varied length over two collections.
+fn corpus() -> Repository {
     let mut repo = Repository::new();
     for i in 0..6 {
         let atoms: Vec<String> = (0..1 + i % 3)
@@ -35,8 +35,17 @@ fn write_tree(dir: &Path) -> usize {
         let h = parse_hg(&format!("{}.", atoms.join(","))).unwrap();
         repo.insert(h, ["SPARQL", "TPC-H"][i % 2], "CQ Application");
     }
-    hyperbench_repo::store::save(&repo, dir).unwrap();
-    repo.len()
+    repo
+}
+
+/// `hyperbench pack --dir dir`, which writes `dir/repo.pack`.
+fn pack_tree(dir: &Path) -> PathBuf {
+    let packed = hyperbench()
+        .args(["pack", "--dir", dir.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(packed.status.success(), "{packed:?}");
+    dir.join("repo.pack")
 }
 
 /// A running `hyperbench serve`, killed (SIGKILL) when dropped.
@@ -91,79 +100,110 @@ impl Drop for Served {
 
 #[test]
 fn a_tsv_tree_answers_like_its_pack() {
-    let dir = tmpdir("tsv-vs-pack");
-    let entries = write_tree(&dir);
-    let packed = hyperbench()
-        .args(["pack", "--dir", dir.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert!(packed.status.success(), "{packed:?}");
-    let pack = dir.join("repo.pack");
-    let tsv = Served::start(&["--dir", dir.to_str().unwrap()]);
-    let paged = Served::start(&["--pack", pack.to_str().unwrap()]);
+    let dir = tmpdir("tree-vs-pack");
+    let repo = corpus();
+    let entries = repo.len();
+    tree::export(&repo, &dir).unwrap();
+    let imported = pack_tree(&dir);
+    let in_process = dir.join("in-process.pack");
+    write_pack(&repo, &in_process).unwrap();
+    let tree = Served::start(&["--pack", imported.to_str().unwrap()]);
+    let paged = Served::start(&["--pack", in_process.to_str().unwrap()]);
     for id in 0..=entries {
         let path = format!("/v1/hypergraphs/{id}");
-        let (status, body) = tsv.get(&path);
+        let (status, body) = tree.get(&path);
         assert_eq!(status, if id < entries { 200 } else { 404 }, "{path}");
         assert_eq!((status, body), paged.get(&path), "{path}");
     }
-    drop((tsv, paged));
+    drop((tree, paged));
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn analyze_walks_the_live_ids_of_a_sparse_tree() {
     let dir = tmpdir("analyze-sparse");
-    let entries = write_tree(&dir);
-    let mut repo = hyperbench_repo::store::load(&dir).unwrap();
+    let mut repo = corpus();
+    let entries = repo.len();
     repo.remove(1).unwrap();
-    hyperbench_repo::store::save(&repo, &dir).unwrap();
+    tree::export(&repo, &dir).unwrap();
+    let pack = pack_tree(&dir);
     let out = hyperbench()
-        .args(["analyze", "--dir", dir.to_str().unwrap()])
+        .args(["analyze", "--pack", pack.to_str().unwrap()])
         .args(["--timeout-ms", "100", "--kmax", "3"])
         .output()
         .unwrap();
     assert!(out.status.success(), "{out:?}");
-    let analyzed = hyperbench_repo::store::load(&dir).unwrap();
-    let ids: Vec<usize> = analyzed.metas().map(|m| m.id).collect();
-    assert_eq!(ids, (0..entries).filter(|&id| id != 1).collect::<Vec<_>>());
+    let live: Vec<usize> = (0..entries).filter(|&id| id != 1).collect();
+    let analyzed = Repository::open_pack(&pack).unwrap();
+    assert_eq!(analyzed.metas().map(|m| m.id).collect::<Vec<_>>(), live);
     for meta in analyzed.metas() {
         assert!(meta.analysis.is_some(), "entry {} not analyzed", meta.id);
     }
+    // The served pack answers a width predicate over what was analysed:
+    // every chain is acyclic.
+    let served = Served::start(&["--pack", pack.to_str().unwrap()]);
+    let query = served.addr.to_string();
+    let out = hyperbench()
+        .args(["query", "SELECT * WHERE hw_upper <= 1", "--addr", &query])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let ids: Vec<usize> = stdout
+        .lines()
+        .skip(1)
+        .map_while(|l| l.split_whitespace().next()?.parse().ok())
+        .collect();
+    assert_eq!(ids, live, "{stdout}");
+    assert!(
+        stdout.contains(&format!("total: {} match(es)", live.len())),
+        "{stdout}"
+    );
+    drop(served);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
-fn a_writable_tsv_tree_is_refused_with_the_commands_that_pack_it() {
-    let dir = tmpdir("tsv-writable");
-    write_tree(&dir);
-    let d = dir.to_str().unwrap();
+fn analyze_refuses_a_pack_whose_log_holds_records() {
+    let dir = tmpdir("analyze-wal");
+    tree::export(&corpus(), &dir).unwrap();
+    let pack = pack_tree(&dir);
+    let wal = dir.join("repo.pack.wal");
+    std::fs::write(&wal, b"not folded yet").unwrap();
+    let before = std::fs::read(&pack).unwrap();
+    let p = pack.to_str().unwrap();
     let out = hyperbench()
-        .args(["serve", "--dir", d, "--writable", "--addr", "127.0.0.1:0"])
-        .stdin(Stdio::null())
+        .args(["analyze", "--pack", p])
         .output()
         .unwrap();
-    assert!(!out.status.success(), "serve --dir --writable must fail");
+    assert!(!out.status.success(), "analyze over a live log must fail");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    let pack_it = format!("hyperbench pack --dir {d}");
-    let serve_it = format!("hyperbench serve --pack {}/repo.pack --writable", d);
-    let at = |needle: &str| {
-        stderr
-            .find(needle)
-            .unwrap_or_else(|| panic!("stderr does not name `{needle}`:\n{stderr}"))
-    };
-    assert!(at(&pack_it) < at(&serve_it), "{stderr}");
-    assert!(!dir.join("repo.pack.wal").exists() && !dir.join("repo.wal").exists());
+    assert!(
+        stderr.contains(&format!("hyperbench serve --pack {p} --writable")),
+        "{stderr}"
+    );
+    assert_eq!(
+        std::fs::read(&pack).unwrap(),
+        before,
+        "the pack was rewritten"
+    );
+    // An empty log is no debt.
+    std::fs::write(&wal, b"").unwrap();
+    let out = hyperbench()
+        .args(["analyze", "--pack", p, "--timeout-ms", "100", "--kmax", "2"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn a_put_to_a_writable_pack_survives_a_restart() {
     let dir = tmpdir("pack-writable");
-    let entries = write_tree(&dir);
+    let repo = corpus();
+    let entries = repo.len();
     let pack = dir.join("repo.pack");
-    let repo = hyperbench_repo::store::load(&dir).unwrap();
-    hyperbench_repo::store::pack::write_pack(&repo, &pack).unwrap();
+    write_pack(&repo, &pack).unwrap();
     let args = ["--pack", pack.to_str().unwrap(), "--writable"];
     let doc = dir.join("fresh.hg");
     std::fs::write(&doc, "r(a,b),s(b,c),t(c,a).\n").unwrap();

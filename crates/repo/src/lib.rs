@@ -9,10 +9,11 @@
 //! * insert hypergraphs (tagged with collection and class),
 //! * attach analysis records (structural properties, hw/ghw bounds),
 //! * retrieve and filter ("all CSP instances with hw ≤ 5 and BIP ≤ 2"),
-//! * persist to / load from a directory of `.hg` files plus a TSV index
-//!   (the interchange format), or to a single paged, checksummed
-//!   `repo.pack` file ([`store::pack`]) that opens without parsing any
-//!   `.hg` payload and hydrates entries lazily, page by page.
+//! * persist to a single paged, checksummed `repo.pack` file
+//!   ([`store::pack`]) that opens without parsing any `.hg` payload and
+//!   hydrates entries lazily, page by page; a directory of `.hg` files
+//!   plus an `index.tsv` manifest ([`store::tree`]) is the interchange
+//!   format it imports from and exports to.
 //!
 //! A [`Repository`] has one shape: an immutable pack base (no rows and
 //! no file for [`Repository::new`]) plus an overlay of the entries
@@ -257,8 +258,8 @@ impl Repository {
     }
 
     /// Inserts a fully formed entry under its own id, which must be
-    /// greater than every id this repository has held. Used by the TSV
-    /// loader, where ids are assigned by history, not by us.
+    /// greater than every id this repository has held. Used by
+    /// [`store::tree::import`], where the manifest assigns the ids.
     pub fn insert_entry(&mut self, entry: Entry) -> Result<(), StoreError> {
         let next = self.next_id();
         if entry.id < next {
@@ -360,7 +361,7 @@ impl Repository {
     }
 
     /// All entries, in id order. This hydrates every base row (it is the
-    /// full-export path behind [`store::save`]).
+    /// full-export path behind [`store::tree::export`]).
     ///
     /// # Panics
     /// Panics when a base row fails to hydrate.

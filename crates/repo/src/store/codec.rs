@@ -145,9 +145,8 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Serializes an [`AnalysisRecord`]. Like the TSV index, per-`k` step
-/// timings are not persisted — everything the repository and server
-/// read back is.
+/// Serializes an [`AnalysisRecord`]. Per-`k` step timings are not
+/// persisted — everything the repository and server read back is.
 pub(crate) fn put_analysis(buf: &mut Vec<u8>, rec: &AnalysisRecord) {
     put_u64(buf, rec.sizes.vertices as u64);
     put_u64(buf, rec.sizes.edges as u64);

@@ -1,17 +1,18 @@
-//! Persistence backends for the repository.
+//! Persistence for the repository.
 //!
-//! Two formats, one contract:
+//! One store, one interchange format:
 //!
-//! * TSV (via [`save`] / [`load`]) — the *interchange* format: one
-//!   `.hg` file per hypergraph plus a tab-separated `index.tsv`. Human
-//!   readable, diffable, byte-identical across save→load→save — but
-//!   loading parses every payload up front.
-//! * [`pack`] — the *serving* format: a single `repo.pack` file of
-//!   fixed-size checksummed pages with an embedded metadata index and a
-//!   sorted keyset index. Opening reads only the header and index
-//!   sections; entry payloads hydrate lazily, page by page, on first
-//!   access. Converting pack → TSV via [`save`] reproduces the source
-//!   TSV byte for byte.
+//! * [`pack`] — the store: a single `repo.pack` file of fixed-size
+//!   checksummed pages with an embedded metadata index, a sorted keyset
+//!   index and the id high-water mark. Opening reads only the header and
+//!   index sections; entry payloads hydrate lazily, page by page, on
+//!   first access. It is what the server serves, what `analyze` writes
+//!   analyses into, and what the [`mvcc`] store checkpoints its
+//!   write-ahead [`wal`] into.
+//! * [`tree`] — the interchange format: one `.hg` file per hypergraph
+//!   plus an `index.tsv` manifest of id, file, name, collection and
+//!   class. It is imported into a pack and exported from one, never
+//!   served.
 //! * [`spill`] — the append-only analysis-cache spill segment that
 //!   rides alongside a served repository, persisting finished analysis
 //!   results so the server's LRU reloads warm across restarts.
@@ -24,10 +25,8 @@ mod frame;
 pub mod mvcc;
 pub mod pack;
 pub mod spill;
-mod tsv;
+pub mod tree;
 pub mod wal;
-
-pub use tsv::{load, save};
 
 use std::io;
 use std::path::Path;
@@ -53,7 +52,7 @@ pub(crate) fn sync_parent_dir(path: &Path) -> io::Result<()> {
 
 /// Persistence errors. The pack- and spill-specific variants carry the
 /// diagnostics needed to locate the damage, mirroring the line/field
-/// messages [`load`] produces for `index.tsv`.
+/// messages [`tree::import`] produces for `index.tsv`.
 #[derive(Debug)]
 pub enum StoreError {
     /// Filesystem failure.

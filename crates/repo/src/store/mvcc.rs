@@ -301,6 +301,8 @@ impl MvccStore {
             current.seq = record.seq();
             current.put(current.seq, id, live);
         }
+        // The base pack keeps the id high-water mark, so an id removed
+        // before the last checkpoint is not handed out again.
         let (seq, next_id) = (current.seq, current.next_id());
         let writer = WalWriter::open_append(&opts.wal, recovery.torn_tail)?;
         metrics().wal_size_bytes.set(writer.size()? as i64);
@@ -775,7 +777,12 @@ fn run_checkpoint(inner: &Inner) -> Result<bool, StoreError> {
         std::io::Error::other(format!("failpoint checkpoint.run: {msg}"))
     )));
     let checkpoint_seq = snapshot.seq;
-    pack::write_records(snapshot.records(), pack_path, DEFAULT_PAGE_SIZE)?;
+    pack::write_records(
+        snapshot.records(),
+        snapshot.next_id(),
+        pack_path,
+        DEFAULT_PAGE_SIZE,
+    )?;
     let folded = PackStore::open(pack_path)?;
     folded.adopt(snapshot.records());
     let new_base = Arc::new(folded);

@@ -4,10 +4,10 @@
 //!
 //! ```text
 //! ┌──────────────────────────────────────────────────────────────┐
-//! │ header (88 bytes)                                            │
+//! │ header (96 bytes)                                            │
 //! │   magic "HBPACK1\n" · version · page_size · entry_count      │
 //! │   data_len · (offset,len) of page table / meta / keyset      │
-//! │   header checksum (FNV-1a 64)                                │
+//! │   next_id · header checksum (FNV-1a 64)                      │
 //! ├──────────────────────────────────────────────────────────────┤
 //! │ data region: entry records, back to back                     │
 //! │   record = name · .hg payload (DetKDecomp text)              │
@@ -25,7 +25,9 @@
 //!
 //! Entry ids are strictly ascending but need not be dense: a pack
 //! written from a repository that saw removals simply has gaps, and
-//! id→row lookups binary-search the keyset.
+//! id→row lookups binary-search the keyset. `next_id` is the id
+//! high-water mark, one past every id the repository ever assigned, so
+//! an id removed before the pack was written is never handed out again.
 //!
 //! [`PackStore::open`] reads the header and the three index sections
 //! (small — no `.hg` payload is parsed), validates their checksums, and
@@ -66,10 +68,14 @@ use super::StoreError;
 const MAGIC: [u8; 8] = *b"HBPACK1\n";
 /// Format version written by [`write_pack`]. Version 2 added the
 /// per-entry content hash to the meta section and allowed sparse
-/// (strictly ascending, non-dense) id sequences.
-const VERSION: u32 = 2;
-/// Fixed header length in bytes.
-const HEADER_LEN: u64 = 88;
+/// (strictly ascending, non-dense) id sequences. Version 3 added
+/// `next_id` to the header; a version-2 pack still opens, with the mark
+/// one past its last row.
+const VERSION: u32 = 3;
+/// Header length in bytes (version 3).
+const HEADER_LEN: u64 = 96;
+/// Header length of a version-2 pack, which has no `next_id`.
+const V2_HEADER_LEN: u64 = 88;
 /// Default data page size. 4 KiB aligns with common filesystem blocks;
 /// small enough that a single-entry hydration reads little more than
 /// the record itself.
@@ -108,6 +114,9 @@ struct RowData {
 pub struct PackStore {
     /// `None` only for the empty pack, which has no page to read.
     file: Option<Mutex<File>>,
+    /// Where the data region starts: the header length of the pack's
+    /// version.
+    data_off: u64,
     page_size: u64,
     data_len: u64,
     page_sums: Vec<u64>,
@@ -120,6 +129,8 @@ pub struct PackStore {
     /// The analysed rows' records.
     analyses: Vec<AnalysisRecord>,
     slots: Vec<OnceLock<Arc<Entry>>>,
+    /// One past every id ever assigned; at least one past the last row.
+    next_id: usize,
 }
 
 impl std::fmt::Debug for PackStore {
@@ -138,9 +149,10 @@ pub fn write_pack(repo: &Repository, path: &Path) -> Result<(), StoreError> {
 }
 
 /// Writes `repo` as a pack file at `path` with an explicit page size
-/// (tests use tiny pages to exercise multi-page records).
+/// (tests use tiny pages to exercise multi-page records). The header
+/// keeps `repo`'s id high-water mark, removed ids included.
 pub fn write_pack_with(repo: &Repository, path: &Path, page_size: u32) -> Result<(), StoreError> {
-    write_records(repo.records(), path, page_size)
+    write_records(repo.records(), repo.next_id(), path, page_size)
 }
 
 /// The content hash a pack stores per entry: FNV-1a 64 over the
@@ -149,16 +161,6 @@ pub fn write_pack_with(repo: &Repository, path: &Path, page_size: u32) -> Result
 /// edge naming in the source text.
 pub fn content_hash_of(h: &hyperbench_core::Hypergraph) -> u64 {
     store_fnv64(to_hg_unnamed(h).as_bytes())
-}
-
-/// Writes any ascending-id entry sequence as a pack file: the
-/// all-`Record::Entry` case of `write_records`.
-pub fn write_pack_entries<'a>(
-    entries: impl Iterator<Item = &'a Entry>,
-    path: &Path,
-    page_size: u32,
-) -> Result<(), StoreError> {
-    write_records(entries.map(Record::Entry), path, page_size)
 }
 
 /// One record of the ascending stream [`write_records`] turns into a
@@ -172,17 +174,16 @@ pub(crate) enum Record<'a> {
     /// [`StoreError::BadPageChecksum`] instead of being laundered under
     /// a fresh checksum. Nothing is parsed.
     Carried(&'a PackStore, usize),
-    /// A resident entry, serialized.
-    Entry(&'a Entry),
-    /// A shared resident entry: serialized like [`Record::Entry`], and
-    /// handed to the written pack's slot by [`PackStore::adopt`].
+    /// A resident entry: serialized, and handed to the written pack's
+    /// slot by [`PackStore::adopt`].
     Shared(&'a Arc<Entry>),
 }
 
 /// Writes an ascending-id record stream as a pack file — the one pack
-/// writer. The data region is streamed page by page (one page resident,
-/// never the whole region); only the index sections are built in
-/// memory.
+/// writer — with `next_id` as its id high-water mark (raised to one past
+/// the last record if lower, so the pack always opens). The data region
+/// is streamed page by page (one page resident, never the whole region);
+/// only the index sections are built in memory.
 ///
 /// The file is written under a temp name and renamed, so a crash
 /// mid-write never leaves a half-written pack under the final name. The
@@ -192,6 +193,7 @@ pub(crate) enum Record<'a> {
 /// loss must not be able to surface an old or torn pack.
 pub(crate) fn write_records<'a>(
     records: impl Iterator<Item = Record<'a>>,
+    next_id: usize,
     path: &Path,
     page_size: u32,
 ) -> Result<(), StoreError> {
@@ -216,11 +218,10 @@ pub(crate) fn write_records<'a>(
                     pages.read(d.rec_off, d.rec_len, &mut record)?;
                     w.push(pack.meta_at(row), d.content_hash, &record)?;
                 }
-                Record::Entry(e) => w.push_entry(e, &mut record)?,
                 Record::Shared(e) => w.push_entry(e, &mut record)?,
             }
         }
-        w.finish()
+        w.finish(next_id)
     });
     let renamed = written.and_then(|()| {
         std::fs::rename(&tmp, path)?;
@@ -330,7 +331,7 @@ impl PackWriter {
 
     /// Writes the last partial page, the three checksummed sections and
     /// the header, then makes the file durable.
-    fn finish(mut self) -> Result<(), StoreError> {
+    fn finish(mut self, next_id: usize) -> Result<(), StoreError> {
         if !self.page.is_empty() {
             self.flush_page()?;
         }
@@ -360,6 +361,8 @@ impl PackWriter {
         codec::put_u64(&mut header, meta.len() as u64);
         codec::put_u64(&mut header, keyset_off);
         codec::put_u64(&mut header, keyset.len() as u64);
+        let next_id = self.last_id.map_or(next_id, |last| next_id.max(last + 1));
+        codec::put_u64(&mut header, next_id as u64);
         let sum = store_fnv64(&header);
         codec::put_u64(&mut header, sum);
         debug_assert_eq!(header.len() as u64, HEADER_LEN);
@@ -479,7 +482,7 @@ impl<'a> PageReader<'a> {
                 let file = pack.file.as_ref().ok_or_else(|| {
                     StoreError::Corrupt("a pack without a file has no pages".to_string())
                 })?;
-                read_at(file, HEADER_LEN + page_start, &mut self.page)?;
+                read_at(file, pack.data_off + page_start, &mut self.page)?;
                 let m = crate::metrics::metrics();
                 m.pack_page_hydrations.inc();
                 m.pack_checksum_reads.inc();
@@ -501,6 +504,7 @@ impl PackStore {
     pub(crate) fn empty() -> PackStore {
         PackStore {
             file: None,
+            data_off: HEADER_LEN,
             page_size: DEFAULT_PAGE_SIZE as u64,
             data_len: 0,
             page_sums: Vec::new(),
@@ -509,6 +513,7 @@ impl PackStore {
             names: Vec::new(),
             analyses: Vec::new(),
             slots: Vec::new(),
+            next_id: 0,
         }
     }
 
@@ -518,34 +523,47 @@ impl PackStore {
     pub fn open(path: &Path) -> Result<PackStore, StoreError> {
         let mut file = File::open(path)?;
         let file_len = file.metadata()?.len();
-        if file_len < HEADER_LEN {
-            return Err(StoreError::Truncated {
-                expected: HEADER_LEN,
-                actual: file_len,
-            });
+        let truncated = |expected| StoreError::Truncated {
+            expected,
+            actual: file_len,
+        };
+        // The version says how long the header is; it is believed only
+        // once the header checksum holds.
+        if file_len < 12 {
+            return Err(truncated(HEADER_LEN));
         }
-        let mut header = vec![0u8; HEADER_LEN as usize];
+        let mut header = vec![0u8; 12];
         file.read_exact(&mut header)?;
-        let (body, sum_bytes) = header.split_at(HEADER_LEN as usize - 8);
-        let stored_sum = u64::from_le_bytes(sum_bytes.try_into().unwrap());
-        if body[..8] != MAGIC {
+        if header[..8] != MAGIC {
             return Err(StoreError::Corrupt(format!(
                 "not a pack file (bad magic {:?})",
-                &body[..8]
+                &header[..8]
             )));
         }
+        let version = u32::from_le_bytes(header[8..12].try_into().unwrap());
+        let header_len = if version == 2 {
+            V2_HEADER_LEN
+        } else {
+            HEADER_LEN
+        };
+        if file_len < header_len {
+            return Err(truncated(header_len));
+        }
+        header.resize(header_len as usize, 0);
+        file.read_exact(&mut header[12..])?;
+        let (body, sum_bytes) = header.split_at(header_len as usize - 8);
+        let stored_sum = u64::from_le_bytes(sum_bytes.try_into().unwrap());
         if store_fnv64(body) != stored_sum {
             return Err(StoreError::Corrupt(
                 "pack header checksum mismatch".to_string(),
             ));
         }
-        let mut r = Reader::new(&body[8..], "pack header");
-        let version = r.u32()?;
-        if version != VERSION {
+        if !(2..=VERSION).contains(&version) {
             return Err(StoreError::Corrupt(format!(
-                "unsupported pack version {version} (this build reads {VERSION})"
+                "unsupported pack version {version} (this build reads 2 and {VERSION})"
             )));
         }
+        let mut r = Reader::new(&body[12..], "pack header");
         let page_size = r.u32()?;
         if page_size < MIN_PAGE_SIZE {
             return Err(StoreError::Corrupt(format!(
@@ -560,10 +578,11 @@ impl PackStore {
         let meta_len = r.u64()?;
         let keyset_off = r.u64()?;
         let keyset_len = r.u64()?;
+        let stored_next_id = if version == 2 { None } else { Some(r.u64()?) };
         // Every region must lie within the file: a pack cut short by a
         // partial copy is reported as truncation, with the shortfall.
         for (off, len) in [
-            (HEADER_LEN, data_len),
+            (header_len, data_len),
             (ptab_off, ptab_len),
             (meta_off, meta_len),
             (keyset_off, keyset_len),
@@ -678,9 +697,33 @@ impl PackStore {
             }
         }
 
+        // The id high-water mark: stored since version 3, and never
+        // below one past the last row.
+        let past_last = match rows.last() {
+            None => 0,
+            Some(row) => row.id.checked_add(1).ok_or_else(|| {
+                StoreError::Corrupt(format!(
+                    "pack meta section: id {} leaves no next id",
+                    row.id
+                ))
+            })?,
+        };
+        let next_id = match stored_next_id {
+            None => past_last,
+            Some(mark) => match usize::try_from(mark) {
+                Ok(mark) if mark >= past_last => mark,
+                _ => {
+                    return Err(StoreError::Corrupt(format!(
+                        "pack header: next id {mark} is not past the last id {}",
+                        past_last.saturating_sub(1)
+                    )))
+                }
+            },
+        };
         let slots = (0..entry_count).map(|_| OnceLock::new()).collect();
         Ok(PackStore {
             file: Some(file),
+            data_off: header_len,
             page_size: page_size as u64,
             data_len,
             page_sums,
@@ -689,6 +732,7 @@ impl PackStore {
             names,
             analyses,
             slots,
+            next_id,
         })
     }
 
@@ -704,9 +748,10 @@ impl PackStore {
         self.rows.binary_search_by_key(&id, |row| row.id)
     }
 
-    /// One past the pack's highest id (0 when it has no rows).
+    /// The pack's id high-water mark: one past every id ever assigned
+    /// to the repository it was written from (0 for a fresh one).
     pub(crate) fn next_id(&self) -> usize {
-        self.rows.last().map_or(0, |row| row.id + 1)
+        self.next_id
     }
 
     /// The metadata view of the entry at row index `row`.
@@ -781,7 +826,6 @@ impl PackStore {
             let resident = match record {
                 Record::Carried(pack, row) => pack.slots[row].get(),
                 Record::Shared(e) => Some(e),
-                Record::Entry(_) => None,
             };
             if let Some(e) = resident {
                 let _ = slot.set(Arc::clone(e));
@@ -852,24 +896,68 @@ mod tests {
     fn pack_roundtrips_through_tsv_byte_identically() {
         let dir = tmpdir("roundtrip");
         let repo = corpus();
-        // TSV → pack → open → TSV must reproduce the index byte for
-        // byte: the pack is a serving format, TSV stays the interchange.
-        let tsv1 = dir.join("tsv1");
-        let tsv2 = dir.join("tsv2");
-        super::super::save(&repo, &tsv1).unwrap();
+        // tree → pack → open → tree reproduces the manifest and the
+        // payloads byte for byte: the pack is the store, the tree stays
+        // the interchange.
+        let tree1 = dir.join("tree1");
+        let tree2 = dir.join("tree2");
+        super::super::tree::export(&repo, &tree1).unwrap();
         let pack = dir.join("repo.pack");
         write_pack(&repo, &pack).unwrap();
         let opened = Repository::open_pack(&pack).unwrap();
-        super::super::save(&opened, &tsv2).unwrap();
+        super::super::tree::export(&opened, &tree2).unwrap();
+        for file in ["index.tsv", "00000.hg", "00006.hg"] {
+            assert_eq!(
+                fs::read(tree1.join(file)).unwrap(),
+                fs::read(tree2.join(file)).unwrap(),
+                "{file} changed across tree→pack→tree"
+            );
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_removed_highest_id_stays_retired_across_write_pack() {
+        let dir = tmpdir("high-water");
+        let pack = dir.join("repo.pack");
+        let mut repo = corpus();
+        let highest = repo.metas().last().unwrap().id;
+        repo.remove(highest).unwrap();
+        write_pack(&repo, &pack).unwrap();
+        let mut opened = Repository::open_pack(&pack).unwrap();
+        assert_eq!(opened.len(), repo.len());
+        let fresh = opened.insert(hypergraph_from_edges(&[("n", &["p", "q"])]), "x", "y");
         assert_eq!(
-            fs::read(tsv1.join("index.tsv")).unwrap(),
-            fs::read(tsv2.join("index.tsv")).unwrap(),
-            "index.tsv changed across TSV→pack→TSV"
+            fresh,
+            highest + 1,
+            "the removed id {highest} was handed out again"
         );
-        assert_eq!(
-            fs::read(tsv1.join("00000.hg")).unwrap(),
-            fs::read(tsv2.join("00000.hg")).unwrap()
-        );
+        // Folding the open pack again keeps the mark.
+        write_pack(&opened, &pack).unwrap();
+        let mut reopened = Repository::open_pack(&pack).unwrap();
+        let id = reopened.insert(hypergraph_from_edges(&[("m", &["p", "q"])]), "x", "y");
+        assert_eq!(id, highest + 2);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_high_water_mark_below_the_last_id_is_corrupt() {
+        let dir = tmpdir("low-mark");
+        let pack = dir.join("repo.pack");
+        write_pack(&corpus(), &pack).unwrap();
+        let mut bytes = fs::read(&pack).unwrap();
+        // `next_id` is the header's last field before its checksum;
+        // re-checksum so only the mark check can object.
+        let mark = HEADER_LEN as usize - 16;
+        assert_eq!(bytes[mark..mark + 8], 7u64.to_le_bytes());
+        bytes[mark..mark + 8].copy_from_slice(&6u64.to_le_bytes());
+        let sum = store_fnv64(&bytes[..mark + 8]);
+        bytes[mark + 8..HEADER_LEN as usize].copy_from_slice(&sum.to_le_bytes());
+        fs::write(&pack, &bytes).unwrap();
+        match Repository::open_pack(&pack) {
+            Err(StoreError::Corrupt(m)) => assert!(m.contains("next id 6"), "msg: {m}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -223,7 +223,7 @@ mod tests {
     fn record(hash: u64, keyed: &str) -> SpillRecord {
         let h = hypergraph_from_edges(&[("e", &["a", "b"])]);
         let mut rec = crate::analyze_instance(&h, &crate::AnalysisConfig::default());
-        // Per-k step timings are not persisted (same as the TSV index).
+        // Per-k step timings are not persisted (same as the pack).
         rec.hw_steps.clear();
         SpillRecord {
             hash,

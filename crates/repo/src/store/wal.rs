@@ -72,7 +72,7 @@ impl WalRecord {
 }
 
 /// The logged form of an [`Entry`]: the hypergraph travels as its
-/// canonical `.hg` text (name alongside, like the TSV index), so the
+/// canonical `.hg` text (name alongside, like a pack record), so the
 /// log is self-describing and replay re-parses through the same code
 /// path every other backend uses.
 #[derive(Debug, Clone, PartialEq)]

@@ -3,8 +3,8 @@
 //! * **Byte identity** (property): folding a random overlay into a
 //!   random base — cold pack, warm pack, or entries resident in the
 //!   opened repository's own overlay (folded at open) — writes exactly the
-//!   file `write_pack_entries` writes over the fully hydrated merged
-//!   view.
+//!   file `write_pack` writes for a fresh repository holding the fully
+//!   hydrated merged view and the same id high-water mark.
 //! * **Nothing laundered**: a rotten source page fails the checkpoint
 //!   and leaves the served pack, the WAL and the overlay as they were.
 //! * **Generations**: a snapshot pinned before a checkpoint keeps
@@ -27,16 +27,14 @@ use std::time::{Duration, Instant};
 use hyperbench_core::format::{parse_hg, parse_hg_named};
 use hyperbench_repo::metrics::metrics;
 use hyperbench_repo::store::mvcc::{MvccOptions, MvccStore};
-use hyperbench_repo::store::pack::{
-    write_pack, write_pack_entries, write_pack_with, DEFAULT_PAGE_SIZE,
-};
+use hyperbench_repo::store::pack::{write_pack, write_pack_with, DEFAULT_PAGE_SIZE};
 use hyperbench_repo::{analyze_instance, AnalysisConfig, Entry, Repository, StoreError};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng as _, SeedableRng};
 
 /// Where a pack's data region starts (its fixed header length).
-const DATA_OFF: usize = 88;
+const DATA_OFF: usize = 96;
 
 fn serial() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
@@ -99,15 +97,20 @@ fn random_base(rng: &mut Rng) -> Repository {
 }
 
 /// 1–10 writes: inserts, replaces and removes of whatever is live, so
-/// replace-then-delete and insert-then-delete sequences occur.
-fn random_writes(rng: &mut Rng, store: &MvccStore) {
+/// replace-then-delete and insert-then-delete sequences occur. Returns
+/// the highest id inserted.
+fn random_writes(rng: &mut Rng, store: &MvccStore) -> Option<usize> {
+    let mut highest = None;
     for step in 0..1 + rng.below(10) {
         let live: Vec<usize> = store.snapshot().metas().map(|m| m.id).collect();
         let fresh = parse_hg(&doc(2_000 + step, 1 + rng.below(6))).unwrap();
         let roll = if live.is_empty() { 0 } else { rng.below(10) };
         let pick = |rng: &mut Rng| live[rng.below(live.len() as u64) as usize];
         match roll {
-            0..=3 => drop(store.insert(fresh, "uploads", "Uploaded").unwrap()),
+            0..=3 => {
+                let id = store.insert(fresh, "uploads", "Uploaded").unwrap().id();
+                highest = highest.max(Some(id));
+            }
             4..=6 => drop(
                 store
                     .replace(pick(rng), fresh, "swapped", "Uploaded")
@@ -116,6 +119,29 @@ fn random_writes(rng: &mut Rng, store: &MvccStore) {
             _ => drop(store.remove(pick(rng)).unwrap()),
         }
     }
+    highest
+}
+
+/// `entries` resident in a fresh repository whose id high-water mark is
+/// `next_id`: when no live entry holds the id below the mark, one is
+/// inserted there and removed again.
+fn resident(entries: Vec<&Entry>, next_id: usize) -> Repository {
+    let mut repo = Repository::new();
+    for e in entries {
+        repo.insert_entry(e.clone()).unwrap();
+    }
+    if next_id > 0 && !repo.contains(next_id - 1) {
+        repo.insert_entry(Entry {
+            id: next_id - 1,
+            collection: String::new(),
+            class: String::new(),
+            hypergraph: parse_hg("p(a,b).").unwrap(),
+            analysis: None,
+        })
+        .unwrap();
+        repo.remove(next_id - 1).unwrap();
+    }
+    repo
 }
 
 fn hydrated(snapshot: &Repository) -> Vec<&Entry> {
@@ -142,6 +168,7 @@ proptest! {
         for mode in ["cold", "warm", "memory"] {
             let mut rng = Rng(StdRng::seed_from_u64(seed));
             let base = random_base(&mut rng);
+            let base_mark = base.metas().last().map_or(0, |m| m.id + 1);
             let base = if mode == "memory" {
                 base
             } else {
@@ -155,7 +182,8 @@ proptest! {
             if mode == "warm" {
                 hydrated(&store.snapshot());
             }
-            random_writes(&mut rng, &store);
+            let inserted = random_writes(&mut rng, &store);
+            let mark = inserted.map_or(base_mark, |id| base_mark.max(id + 1));
             let pinned = store.snapshot();
             let parsed = metrics().pack_entries_parsed.get();
             prop_assert!(store.checkpoint_now().unwrap(), "{mode}: nothing folded");
@@ -164,7 +192,7 @@ proptest! {
             // The reference hydrates the pinned generation only now, so
             // the cold fold really ran over a cold base.
             let reference = dir.join("reference.pack");
-            write_pack_entries(hydrated(&pinned).into_iter(), &reference, DEFAULT_PAGE_SIZE)
+            write_pack_with(&resident(hydrated(&pinned), mark), &reference, DEFAULT_PAGE_SIZE)
                 .unwrap();
             prop_assert!(
                 folded == std::fs::read(&reference).unwrap(),

@@ -373,7 +373,7 @@ impl AnalysisCache {
 
 /// The spill-segment form of a finished result. The witness travels as
 /// its wire-DTO JSON (already computed by the worker); per-`k` step
-/// timings are dropped, matching the TSV index.
+/// timings are dropped, matching the pack.
 fn spill_record_of(key: ContentHash, keyed: &str, result: &JobResult) -> SpillRecord {
     let mut record = result.record.clone();
     record.hw_steps.clear();

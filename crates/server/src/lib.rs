@@ -481,40 +481,16 @@ pub(crate) fn dispatch(
     response
 }
 
-/// CLI-facing knobs for [`serve_dir_opts`] / [`serve_pack_opts`], kept
-/// off [`ServerConfig`] so its construction stays frozen.
+/// CLI-facing knobs for [`serve_pack_opts`], kept off [`ServerConfig`]
+/// so its construction stays frozen.
 #[derive(Debug, Clone, Default)]
 pub struct ServeOptions {
     /// Accept writes (`--writable`): the served pack becomes
-    /// [`ServerConfig::writable_pack`]. A TSV tree cannot be served
-    /// writable.
+    /// [`ServerConfig::writable_pack`].
     pub writable: bool,
     /// Override the reactor event-loop thread count
     /// (`--reactor-threads N`; default `max(1, threads / 2)`).
     pub reactor_threads: Option<usize>,
-}
-
-/// Loads a TSV repository from `dir` and serves it read-only until the
-/// process exits. `--writable` is refused: writes need a pack to
-/// checkpoint into, so the error names the two commands that serve the
-/// same tree writable.
-pub fn serve_dir_opts(
-    dir: &std::path::Path,
-    config: &ServerConfig,
-    opts: &ServeOptions,
-) -> Result<(), String> {
-    if opts.writable {
-        let pack = dir.join("repo.pack");
-        return Err(format!(
-            "a TSV tree is served read-only; to accept writes, pack it first:\n  \
-             hyperbench pack --dir {}\n  \
-             hyperbench serve --pack {} --writable",
-            dir.display(),
-            pack.display()
-        ));
-    }
-    let repo = hyperbench_repo::store::load(dir).map_err(|e| e.to_string())?;
-    serve_repo(repo, &format!("{} (tsv)", dir.display()), config, opts)
 }
 
 /// Opens a packed repository (see `hyperbench pack`) and serves it until
@@ -534,17 +510,9 @@ pub fn serve_pack_opts(
     if opts.writable {
         config.writable_pack = Some(pack.to_path_buf());
     }
-    serve_repo(repo, &format!("{} (pack)", pack.display()), &config, opts)
-}
-
-fn serve_repo(
-    repo: Repository,
-    source: &str,
-    config: &ServerConfig,
-    opts: &ServeOptions,
-) -> Result<(), String> {
+    let source = format!("{} (pack)", pack.display());
     let mut server =
-        Server::bind(repo, config).map_err(|e| format!("bind {}: {e}", config.addr))?;
+        Server::bind(repo, &config).map_err(|e| format!("bind {}: {e}", config.addr))?;
     if let Some(n) = opts.reactor_threads {
         server = server.with_reactor_threads(n);
     }

@@ -1,13 +1,15 @@
 //! Repository tour: the HyperBench *tool* as a library — generate a slice
-//! of the benchmark, analyze it, persist it as `.hg` files + index, load
-//! it back and answer the kind of queries the paper's web interface
-//! offers ("all cyclic CSP instances with BIP ≤ 2 and hw ≤ 5").
+//! of the benchmark, publish it as `.hg` files + manifest, import that
+//! tree, analyze it, store it in a pack, open the pack and answer the
+//! kind of queries the paper's web interface offers ("all cyclic CSP
+//! instances with BIP ≤ 2 and hw ≤ 5").
 //!
 //! Run with: `cargo run --release -p hyperbench-examples --bin repository_tour`
 
 use std::time::Duration;
 
 use hyperbench_datagen::{generate_collection, TABLE1};
+use hyperbench_repo::store::{pack::write_pack, tree};
 use hyperbench_repo::{analyze_instance, AnalysisConfig, Filter, Repository};
 
 fn main() {
@@ -23,26 +25,35 @@ fn main() {
     }
     println!("repository holds {} hypergraphs", repo.len());
 
-    // 2. Analyze everything (properties + iterative hw search).
+    // 2. Publish the slice as a tree and import it back — the .hg files
+    //    are DetKDecomp-compatible.
+    let dir = std::env::temp_dir().join("hyperbench-repo-tour");
+    let _ = std::fs::remove_dir_all(&dir);
+    tree::export(&repo, &dir).expect("export");
+    let mut repo = tree::import(&dir).expect("import");
+    println!("published to {} and imported", dir.display());
+
+    // 3. Analyze everything (properties + iterative hw search).
     let cfg = AnalysisConfig {
         per_check: Duration::from_millis(300),
         k_max: 6,
         vc_budget: 1_000_000,
         jobs: 1,
     };
-    for id in 0..repo.len() {
+    let ids: Vec<usize> = repo.metas().map(|m| m.id).collect();
+    for id in ids {
         let rec = analyze_instance(&repo.entry(id).hypergraph, &cfg);
         repo.set_analysis(id, rec);
     }
 
-    // 3. Persist and reload — the .hg files are DetKDecomp-compatible.
-    let dir = std::env::temp_dir().join("hyperbench-repo-tour");
-    let _ = std::fs::remove_dir_all(&dir);
-    hyperbench_repo::store::save(&repo, &dir).expect("save");
-    let repo = hyperbench_repo::store::load(&dir).expect("load");
-    println!("persisted to {} and reloaded", dir.display());
+    // 4. Store the analysed repository in a pack and open it: only the
+    //    index is read, entries hydrate as the queries touch them.
+    let pack = dir.join("repo.pack");
+    write_pack(&repo, &pack).expect("write pack");
+    let repo = Repository::open_pack(&pack).expect("open pack");
+    println!("stored in {}", pack.display());
 
-    // 4. Query it like the web tool.
+    // 5. Query it like the web tool.
     let queries: Vec<(&str, Filter)> = vec![
         ("cyclic instances", Filter::new().cyclic_only()),
         (

@@ -5,7 +5,9 @@
 
 use std::time::Duration;
 
+use hyperbench_core::format::to_hg_unnamed;
 use hyperbench_datagen::{generate_collection, BenchClass, TABLE1};
+use hyperbench_repo::store::{pack::write_pack, tree};
 use hyperbench_repo::{analyze_instance, AnalysisConfig, Filter, Repository};
 
 fn spec(name: &str) -> &'static hyperbench_datagen::CollectionSpec {
@@ -95,12 +97,12 @@ fn cq_random_is_mostly_cyclic() {
 
 #[test]
 fn repository_roundtrip_with_benchmark_slice() {
+    // The CLI's path: the generated slice is published as a tree,
+    // imported, analysed, packed and opened.
     let mut repo = Repository::new();
     for name in ["SPARQL", "TPC-H"] {
         for inst in generate_collection(spec(name), 5, 0.05) {
-            let id = repo.insert(inst.hypergraph, inst.collection, inst.class.name());
-            let rec = analyze_instance(&repo.entry(id).hypergraph, &config());
-            repo.set_analysis(id, rec);
+            repo.insert(inst.hypergraph, inst.collection, inst.class.name());
         }
     }
     let n = repo.len();
@@ -108,13 +110,30 @@ fn repository_roundtrip_with_benchmark_slice() {
 
     let dir = std::env::temp_dir().join(format!("hyperbench-it-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    hyperbench_repo::store::save(&repo, &dir).unwrap();
-    let loaded = hyperbench_repo::store::load(&dir).unwrap();
+    tree::export(&repo, &dir).unwrap();
+    let mut imported = tree::import(&dir).unwrap();
+    assert_eq!(imported.len(), n);
+    for (a, b) in repo.entries().zip(imported.entries()) {
+        assert_eq!(
+            (a.id, &a.collection, &a.class),
+            (b.id, &b.collection, &b.class)
+        );
+        assert_eq!(to_hg_unnamed(&a.hypergraph), to_hg_unnamed(&b.hypergraph));
+    }
+    let ids: Vec<usize> = imported.metas().map(|m| m.id).collect();
+    for id in ids {
+        let rec = analyze_instance(&imported.entry(id).hypergraph, &config());
+        imported.set_analysis(id, rec);
+    }
+    let pack = dir.join("repo.pack");
+    write_pack(&imported, &pack).unwrap();
+    let loaded = Repository::open_pack(&pack).unwrap();
     assert_eq!(loaded.len(), n);
 
-    // Filters keep working on the loaded repository.
+    // Filters keep working on the opened pack.
     let cyclic = loaded.select(&Filter::new().cyclic_only()).count();
     let sparql = loaded.select(&Filter::new().collection("SPARQL")).count();
+    assert!(sparql > 0);
     assert!(cyclic >= sparql, "all SPARQL instances are cyclic");
     std::fs::remove_dir_all(&dir).unwrap();
 }

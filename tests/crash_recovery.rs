@@ -9,7 +9,9 @@
 //! 2. **Between the two files of a checkpoint**: the folded pack is
 //!    renamed into place but the process dies before the WAL is
 //!    trimmed. Reopening replays the whole log over a pack that already
-//!    absorbed it and lands on exactly the pre-crash state.
+//!    absorbed it and lands on exactly the pre-crash state. And after a
+//!    checkpoint has folded away the tombstone of a removed highest id,
+//!    a restarted store still does not hand that id out again.
 //! 3. **Live socket**: a writable pack-backed server is `kill -9`ed
 //!    mid-write-stream; on restart every acknowledged write survives
 //!    (verified by content hash via idempotent re-`POST`), unacked
@@ -285,6 +287,36 @@ fn crash_after_the_pack_rename_before_the_wal_trim_reopens_to_the_same_state() {
         packed.metas().map(|m| m.id).collect::<Vec<_>>(),
         before.iter().map(|f| f.0).collect::<Vec<_>>()
     );
+}
+
+#[test]
+fn a_removed_highest_id_is_not_reused_after_a_checkpoint_and_a_restart() {
+    use hyperbench_repo::store::mvcc::{MvccOptions, MvccStore};
+    let dir = tmpdir("high-water");
+    let (pack, wal_path) = (dir.join("repo.pack"), dir.join("repo.wal"));
+    let hg = |i: usize| parse_hg(&doc(i)).unwrap();
+    hyperbench_repo::store::pack::write_pack(&Repository::new(), &pack).unwrap();
+    let open = || {
+        let opts = MvccOptions::new(wal_path.clone(), Some(pack.clone()));
+        MvccStore::open(Repository::open_pack(&pack).unwrap(), opts).unwrap()
+    };
+    let store = open();
+    for i in 0..3 {
+        store.insert(hg(i), "uploads", "Uploaded").unwrap();
+    }
+    store.remove(2).unwrap();
+    // The fold drops the tombstone of id 2 from the overlay and the log.
+    assert!(store.checkpoint_now().unwrap());
+    assert!(wal::read_all(&wal_path).unwrap().is_empty());
+    drop(store);
+
+    let store = open();
+    assert_eq!(
+        store.snapshot().metas().map(|m| m.id).collect::<Vec<_>>(),
+        vec![0, 1]
+    );
+    let id = store.insert(hg(3), "uploads", "Uploaded").unwrap().id();
+    assert_eq!(id, 3, "the removed id 2 was handed out again");
 }
 
 /// Spawns the writable pack server over `dir` and parses its bound

@@ -4,9 +4,10 @@
 //! folded into one implementation each: logs and segments written by
 //! older binaries must still replay, and clients hold cursor tokens
 //! across upgrades. (The published FNV-1a vectors, and the store
-//! variant's, sit with `hyperbench_core::hash`.) The pack file was
-//! captured from the commit before its writer began streaming pages and
-//! carrying records by their bytes.
+//! variant's, sit with `hyperbench_core::hash`.) The version-2 pack file
+//! was captured from the commit before its writer began streaming pages
+//! and carrying records by their bytes; the version-3 one, which adds
+//! the id high-water mark to the header, from the commit that added it.
 
 use hyperbench_api::{PageCursor, ScatterCursor, ShardSlot};
 use hyperbench_core::properties::StructuralProperties;
@@ -40,16 +41,16 @@ fn pack_file() {
         .unwrap();
     }
     let golden = unhex(
-        "48425041434b310a0200000040000000020000000000000038000000000000009000000000000000\
-         1800000000000000a800000000000000b2000000000000005a010000000000001800000000000000\
-         5efd5f6eb91cdf9000000000100000006528612c62292c0a6628622c63292e0a0e0000006373702f\
-         696e7374616e63652d370a0000006328782c792c7a292e0a0100000000000000f96f1211e4e523f8\
-         99d2495e53f874010300000000000000000000000000000018000000000000000600000053504152\
-         514c0e0000004351204170706c69636174696f6e0300000000000000020000000000000002000000\
-         000000000aea8d7ae79dabe900070000000000000018000000000000002000000000000000060000\
-         0053504152514c0e0000004351204170706c69636174696f6e030000000000000001000000000000\
-         000300000000000000aad9d02dab8f82390031b8e514af4fdda00300000000000000070000000000\
-         0000010a683d54eaacbf",
+        "48425041434b310a0300000040000000020000000000000038000000000000009800000000000000\
+         1800000000000000b000000000000000b20000000000000062010000000000001800000000000000\
+         0800000000000000b333e5af4718bbf400000000100000006528612c62292c0a6628622c63292e0a\
+         0e0000006373702f696e7374616e63652d370a0000006328782c792c7a292e0a0100000000000000\
+         f96f1211e4e523f899d2495e53f87401030000000000000000000000000000001800000000000000\
+         0600000053504152514c0e0000004351204170706c69636174696f6e030000000000000002000000\
+         0000000002000000000000000aea8d7ae79dabe90007000000000000001800000000000000200000\
+         00000000000600000053504152514c0e0000004351204170706c69636174696f6e03000000000000\
+         0001000000000000000300000000000000aad9d02dab8f82390031b8e514af4fdda0030000000000\
+         00000700000000000000010a683d54eaacbf",
     );
     let dir = hyperbench_integration_tests::fixture::tmpdir("golden-pack");
     let (written, repacked) = (dir.join("written.pack"), dir.join("repacked.pack"));
@@ -61,6 +62,44 @@ fn pack_file() {
     hyperbench_repo::store::pack::write_pack_with(&opened, &repacked, 64).unwrap();
     assert_eq!(std::fs::read(&repacked).unwrap(), golden);
     assert_eq!(opened.entry(7).hypergraph.name(), "csp/instance-7");
+
+    // The same repository as a version-2 pack, written before the header
+    // kept the id high-water mark. It is read, never written: it opens
+    // to the same entries with the mark one past its last id, and
+    // re-packing it writes the version-3 golden.
+    let v2 = unhex(
+        "48425041434b310a0200000040000000020000000000000038000000000000009000000000000000\
+         1800000000000000a800000000000000b2000000000000005a010000000000001800000000000000\
+         5efd5f6eb91cdf9000000000100000006528612c62292c0a6628622c63292e0a0e0000006373702f\
+         696e7374616e63652d370a0000006328782c792c7a292e0a0100000000000000f96f1211e4e523f8\
+         99d2495e53f874010300000000000000000000000000000018000000000000000600000053504152\
+         514c0e0000004351204170706c69636174696f6e0300000000000000020000000000000002000000\
+         000000000aea8d7ae79dabe900070000000000000018000000000000002000000000000000060000\
+         0053504152514c0e0000004351204170706c69636174696f6e030000000000000001000000000000\
+         000300000000000000aad9d02dab8f82390031b8e514af4fdda00300000000000000070000000000\
+         0000010a683d54eaacbf",
+    );
+    let legacy = dir.join("v2.pack");
+    std::fs::write(&legacy, &v2).unwrap();
+    let mut old = Repository::open_pack(&legacy).unwrap();
+    let view = |r: &Repository| -> Vec<(usize, String, String, String, String)> {
+        r.entries()
+            .map(|e| {
+                (
+                    e.id,
+                    e.collection.clone(),
+                    e.class.clone(),
+                    e.hypergraph.name().to_string(),
+                    hyperbench_core::format::to_hg_unnamed(&e.hypergraph),
+                )
+            })
+            .collect()
+    };
+    assert_eq!(view(&old), view(&opened));
+    hyperbench_repo::store::pack::write_pack_with(&old, &repacked, 64).unwrap();
+    assert_eq!(std::fs::read(&repacked).unwrap(), golden);
+    let fresh = hyperbench_core::format::parse_hg("g(p,q).").unwrap();
+    assert_eq!(old.insert(fresh, "SPARQL", "CQ Application"), 8);
 }
 
 #[test]
